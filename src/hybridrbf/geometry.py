@@ -149,16 +149,29 @@ def make_halton_set(n: int, dim: int) -> PointSet:
 def pairwise_distances(a, b) -> np.ndarray:
     """Dense |a| x |b| matrix of Euclidean distances.
 
-    Computed as sqrt of the summed squared coordinate differences, so the
-    self-distance matrix is exactly symmetric with an exactly zero diagonal.
+    Computed as sqrt of the squared coordinate differences summed in
+    coordinate order, so the self-distance matrix is exactly symmetric with
+    an exactly zero diagonal.  The sum accumulates one coordinate at a time
+    in the output buffer, so the only temporary is one |a| x |b| scratch
+    buffer.
     """
     av, bv = _as_coords(a), _as_coords(b)
     if av.shape[1] != bv.shape[1]:
         raise DomainError(
             f"dimension mismatch: {av.shape[1]} vs {bv.shape[1]} coordinates"
         )
-    diff = av[:, None, :] - bv[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    s = av.shape[1]
+    out = np.zeros((av.shape[0], bv.shape[0]))
+    if s == 0:
+        return out
+    np.subtract.outer(av[:, 0], bv[:, 0], out=out)
+    out *= out
+    tmp = np.empty_like(out) if s > 1 else None
+    for j in range(1, s):
+        np.subtract.outer(av[:, j], bv[:, j], out=tmp)
+        tmp *= tmp
+        out += tmp
+    return np.sqrt(out, out=out)
 
 
 def min_separation(points: PointSet) -> float:

@@ -30,7 +30,6 @@ from .errors import (
 from .geometry import (
     PointSet,
     _as_coords,
-    min_separation,
     pairwise_distances,
     points_to_csv_text,
     read_points_table,
@@ -41,8 +40,12 @@ from .kernels import KernelSpec, eval_kernel_batch
 # largest is treated as numerically singular.
 PIVOT_RTOL = 1e-14
 
-# Evaluation and inverse-diagonal work is chunked to bound peak memory.
+# Evaluation works on row chunks of at most this many target-center cells.
+# Computing a chunk's distances holds the distance buffer plus one scratch
+# buffer of the same size; the kernel fill then allocates its own arrays of
+# that size.
 _CHUNK_CELLS = 4_000_000
+# Identity columns solved at a time for the inverse diagonal.
 _INVDIAG_BLOCK = 256
 
 _UNISOLVENCY_HINT = (
@@ -112,22 +115,40 @@ def _poly_block(coords: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((n, 1)), coords])
 
 
-def assemble(points: PointSet, kernel: KernelSpec, augmented: bool = False) -> AssembledSystem:
-    """Build the (plain or augmented) interpolation system for given data."""
+def _fit_distances(points: PointSet, augmented: bool) -> np.ndarray:
+    """Data self-distances, after the input checks every fit makes.
+
+    Distinct points have positive distances and the diagonal is exactly
+    zero, so duplicates exist exactly when more than n entries are zero.
+    """
     if points.values is None:
         raise ConfigError("assemble needs points with values")
     n, s = points.n, points.dim
-    if n >= 2 and min_separation(points) == 0.0:
+    d = pairwise_distances(points, points)
+    if np.count_nonzero(d == 0.0) > n:
         raise DegenerateInputError("duplicate points: minimum pairwise distance is 0")
-    a = eval_kernel_batch(kernel, pairwise_distances(points, points))
+    if augmented and n < s + 1:
+        raise ConfigError(f"augmented fit needs at least {s + 1} points, got {n}")
+    return d
+
+
+def _system(
+    points: PointSet, distances: np.ndarray, kernel: KernelSpec, augmented: bool
+) -> AssembledSystem:
+    """Kernel fill on checked self-distances (see :func:`_fit_distances`)."""
+    n, s = points.n, points.dim
+    a = eval_kernel_batch(kernel, distances)
     if not augmented:
         return AssembledSystem(a, points.values.copy(), n_centers=n, n_poly=0)
-    if n < s + 1:
-        raise ConfigError(f"augmented fit needs at least {s + 1} points, got {n}")
     p = _poly_block(points.coords)
     matrix = np.block([[a, p], [p.T, np.zeros((s + 1, s + 1))]])
     rhs = np.concatenate([points.values, np.zeros(s + 1)])
     return AssembledSystem(matrix, rhs, n_centers=n, n_poly=s + 1)
+
+
+def assemble(points: PointSet, kernel: KernelSpec, augmented: bool = False) -> AssembledSystem:
+    """Build the (plain or augmented) interpolation system for given data."""
+    return _system(points, _fit_distances(points, augmented), kernel, augmented)
 
 
 def _factorize(matrix: np.ndarray):
@@ -157,9 +178,11 @@ def _factorize(matrix: np.ndarray):
     return (lu, piv), cond
 
 
-def fit(points: PointSet, kernel: KernelSpec, augmented: bool = False) -> InterpolationModel:
-    """Solve the interpolation system and return the fitted model."""
-    system = assemble(points, kernel, augmented)
+def _fit(
+    points: PointSet, distances: np.ndarray, kernel: KernelSpec, augmented: bool
+) -> InterpolationModel:
+    """Solve the system built on checked self-distances."""
+    system = _system(points, distances, kernel, augmented)
     try:
         factors, cond = _factorize(system.matrix)
     except SingularSystemError as exc:
@@ -180,6 +203,35 @@ def fit(points: PointSet, kernel: KernelSpec, augmented: bool = False) -> Interp
     )
 
 
+def fit(points: PointSet, kernel: KernelSpec, augmented: bool = False) -> InterpolationModel:
+    """Solve the interpolation system and return the fitted model."""
+    return _fit(points, _fit_distances(points, augmented), kernel, augmented)
+
+
+def _predict(
+    model: InterpolationModel, targets: np.ndarray, distances: np.ndarray | None = None
+) -> np.ndarray:
+    """Interpolant values at target coordinates, in row chunks.
+
+    distances, when given, is the full target-to-center matrix; otherwise
+    each chunk's distances are computed as it is reached.  Both give the
+    same chunks, so the values agree bit for bit.
+    """
+    m = targets.shape[0]
+    out = np.empty(m)
+    step = max(1, _CHUNK_CELLS // max(1, model.centers.n))
+    for start in range(0, m, step):
+        stop = start + step
+        if distances is None:
+            block = pairwise_distances(targets[start:stop], model.centers)
+        else:
+            block = distances[start:stop]
+        out[start:stop] = eval_kernel_batch(model.kernel, block) @ model.coeffs
+    if model.augmented:
+        out += _poly_block(targets) @ model.poly_coeffs
+    return out
+
+
 def evaluate(model: InterpolationModel, grid) -> np.ndarray:
     """Evaluate the interpolant at each grid point (chunked, order preserved)."""
     targets = _as_coords(grid)
@@ -188,16 +240,7 @@ def evaluate(model: InterpolationModel, grid) -> np.ndarray:
             f"dimension mismatch: model has {model.centers.dim} coordinates, "
             f"grid has {targets.shape[1]}"
         )
-    m = targets.shape[0]
-    out = np.empty(m)
-    step = max(1, _CHUNK_CELLS // max(1, model.centers.n))
-    for start in range(0, m, step):
-        block = targets[start : start + step]
-        k = eval_kernel_batch(model.kernel, pairwise_distances(block, model.centers))
-        out[start : start + step] = k @ model.coeffs
-    if model.augmented:
-        out += _poly_block(targets) @ model.poly_coeffs
-    return out
+    return _predict(model, targets)
 
 
 def spectral_report(system: AssembledSystem) -> SpectralReport:

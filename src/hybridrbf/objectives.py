@@ -9,6 +9,12 @@ needs no truth.  LOOCV errors come from Rippa's shortcut
 using one full-data factorization; a brute-force variant that actually
 refits N reduced systems serves as the independent oracle and as the
 fallback for augmented fits, where the shortcut is not established.
+
+A parameter search repeats one problem with different kernels, so
+:func:`prepare_search` computes the kernel-independent part once -- the data
+distances, the input checks and, for RMS, the grid-to-center distances -- and
+every trial reuses it through the same private steps that ``fit`` and
+``evaluate`` run.
 """
 
 from __future__ import annotations
@@ -24,14 +30,17 @@ from .errors import (
     NumericalBreakdownError,
     SingularSystemError,
 )
-from .geometry import EvaluationGrid, PointSet
+from .geometry import EvaluationGrid, PointSet, pairwise_distances
 from .interpolation import (
     InterpolationModel,
     _factorize,
+    _fit,
+    _fit_distances,
     _invdiag_from_factors,
-    assemble,
+    _predict,
+    _system,
     evaluate,
-    fit,
+    fit,  # noqa: F401  (kept importable from this module)
 )
 from .kernels import KernelSpec
 
@@ -87,6 +96,11 @@ class ObjectiveSpec:
         return cls("loocv", augmented=augmented)
 
 
+def _rms(values: np.ndarray, truth: np.ndarray) -> float:
+    residual = values - truth
+    return float(np.sqrt(np.mean(residual**2)))
+
+
 def rms_error(model: InterpolationModel, grid: EvaluationGrid, truth_values) -> float:
     """Root mean square error of the interpolant over the grid."""
     truth = np.asarray(truth_values, dtype=float).ravel()
@@ -94,15 +108,17 @@ def rms_error(model: InterpolationModel, grid: EvaluationGrid, truth_values) -> 
         raise DomainError(
             f"got {truth.shape[0]} truth values for {grid.m} evaluation points"
         )
-    residual = evaluate(model, grid) - truth
-    return float(np.sqrt(np.mean(residual**2)))
+    return _rms(evaluate(model, grid), truth)
 
 
-def loocv_cost_rippa(points: PointSet, kernel: KernelSpec) -> CostValue:
-    """LOOCV cost from one full-data factorization (plain systems only)."""
-    if points.n < 2:
-        raise DomainError("loocv needs at least 2 points")
-    system = assemble(points, kernel, augmented=False)
+def _require_loocv_points(points: PointSet, augmented: bool) -> None:
+    minimum = points.dim + 2 if augmented else 2
+    if points.n < minimum:
+        raise DomainError(f"loocv needs at least {minimum} points, got {points.n}")
+
+
+def _loocv_rippa(points: PointSet, distances: np.ndarray, kernel: KernelSpec) -> CostValue:
+    system = _system(points, distances, kernel, augmented=False)
     factors, _ = _factorize(system.matrix)
     coeffs = sla.lu_solve(factors, system.rhs, check_finite=False)
     diag = _invdiag_from_factors(factors, system.size)
@@ -115,45 +131,100 @@ def loocv_cost_rippa(points: PointSet, kernel: KernelSpec) -> CostValue:
     return CostValue(float(np.linalg.norm(errors)), errors)
 
 
-def loocv_cost_brute(
-    points: PointSet, kernel: KernelSpec, augmented: bool = False
+def loocv_cost_rippa(points: PointSet, kernel: KernelSpec) -> CostValue:
+    """LOOCV cost from one full-data factorization (plain systems only)."""
+    _require_loocv_points(points, augmented=False)
+    return _loocv_rippa(points, _fit_distances(points, augmented=False), kernel)
+
+
+def _loocv_brute(
+    points: PointSet, distances: np.ndarray, kernel: KernelSpec, augmented: bool
 ) -> CostValue:
-    """LOOCV cost by refitting each leave-one-out subset (the oracle path)."""
-    n, s = points.n, points.dim
-    minimum = s + 2 if augmented else 2
-    if n < minimum:
-        raise DomainError(f"brute-force loocv needs at least {minimum} points, got {n}")
+    """Refit without each point in turn, reusing the full distance matrix."""
+    n = points.n
     errors = np.empty(n)
     for k in range(n):
         keep = np.arange(n) != k
         subset = PointSet(points.coords[keep], points.values[keep])
         try:
-            reduced = fit(subset, kernel, augmented=augmented)
+            reduced = _fit(subset, distances[np.ix_(keep, keep)], kernel, augmented)
         except SingularSystemError as exc:
             raise SingularSystemError(
                 f"leave-one-out refit failed excluding point {k}: {exc}",
                 index=exc.index,
             ) from exc
-        prediction = evaluate(reduced, points.coords[k : k + 1])
+        # One 2-D row keeps the matrix-vector product that evaluate uses.
+        prediction = _predict(reduced, points.coords[k : k + 1], distances[k : k + 1, keep])
         errors[k] = points.values[k] - prediction[0]
     return CostValue(float(np.linalg.norm(errors)), errors)
 
 
-def objective_value(spec: ObjectiveSpec, points: PointSet, kernel: KernelSpec) -> float:
+def loocv_cost_brute(
+    points: PointSet, kernel: KernelSpec, augmented: bool = False
+) -> CostValue:
+    """LOOCV cost by refitting each leave-one-out subset (the oracle path)."""
+    _require_loocv_points(points, augmented)
+    return _loocv_brute(points, _fit_distances(points, augmented), kernel, augmented)
+
+
+@dataclass(frozen=True)
+class SearchData:
+    """The kernel-independent part of one objective on one point set.
+
+    distances is the checked N x N data distance matrix.  grid_distances is
+    the M x N grid-to-center matrix of an rms objective (None for loocv);
+    a search holds it throughout, M * N * 8 bytes.
+    """
+
+    distances: np.ndarray
+    grid_distances: np.ndarray | None = None
+
+
+def prepare_search(spec: ObjectiveSpec, points: PointSet) -> SearchData:
+    """Compute once what every trial of ``spec`` on ``points`` shares.
+
+    Raises the input errors a trial would raise: DomainError for too few
+    LOOCV points or a grid of the wrong dimension, ConfigError for missing
+    values, DegenerateInputError for duplicate points.
+    """
+    if spec.kind == "loocv":
+        _require_loocv_points(points, spec.augmented)
+    distances = _fit_distances(points, spec.augmented)
+    if spec.kind == "rms":
+        return SearchData(distances, pairwise_distances(spec.grid, points))
+    return SearchData(distances)
+
+
+def _trial_cost(
+    spec: ObjectiveSpec, points: PointSet, kernel: KernelSpec, data: SearchData
+) -> float:
+    if spec.kind == "rms":
+        model = _fit(points, data.distances, kernel, spec.augmented)
+        values = _predict(model, spec.grid.coords, data.grid_distances)
+        return _rms(values, spec.truth_values)
+    if spec.augmented:
+        return _loocv_brute(points, data.distances, kernel, augmented=True).value
+    return _loocv_rippa(points, data.distances, kernel).value
+
+
+def objective_value(
+    spec: ObjectiveSpec,
+    points: PointSet,
+    kernel: KernelSpec,
+    data: SearchData | None = None,
+) -> float:
     """Cost of one parameter trial; numerical failures become SENTINEL_COST.
 
     Configuration errors still propagate: only singular systems, numerical
     breakdowns, and non-finite costs are mapped to the sentinel, so an
-    optimizer can keep sampling while misuse stays loud.
+    optimizer can keep sampling while misuse stays loud.  ``data`` is
+    ``prepare_search(spec, points)``; a search passes it to every trial, and
+    without it the call prepares its own.
     """
+    if data is None:
+        data = prepare_search(spec, points)
     try:
-        if spec.kind == "rms":
-            model = fit(points, kernel, augmented=spec.augmented)
-            cost = rms_error(model, spec.grid, spec.truth_values)
-        elif spec.augmented:
-            cost = loocv_cost_brute(points, kernel, augmented=True).value
-        else:
-            cost = loocv_cost_rippa(points, kernel).value
+        cost = _trial_cost(spec, points, kernel, data)
     except (SingularSystemError, NumericalBreakdownError):
         return SENTINEL_COST
     if not np.isfinite(cost):
@@ -167,16 +238,18 @@ def kernel_objective(spec: ObjectiveSpec, points: PointSet, to_kernel=None):
     The default mapping reads a position as the hybrid triple
     (epsilon, alpha, beta).  Positions that fail kernel construction (for
     example both weights clamped to zero) cost SENTINEL_COST rather than
-    raising, since they are optimizer trials, not user configuration.
+    raising, since they are optimizer trials, not user configuration.  The
+    search data is prepared here, once, so input errors raise here too.
     """
     if to_kernel is None:
         to_kernel = lambda pos: KernelSpec.hybrid(pos[0], pos[1], pos[2])
+    data = prepare_search(spec, points)
 
     def objective(position) -> float:
         try:
             kernel = to_kernel(np.asarray(position, dtype=float))
         except ConfigError:
             return SENTINEL_COST
-        return objective_value(spec, points, kernel)
+        return objective_value(spec, points, kernel, data)
 
     return objective

@@ -181,14 +181,33 @@ def _write_trace(fh, trace: OptimizationTrace, names: list[str]) -> None:
 
 
 def read_trace_csv(source) -> OptimizationTrace:
-    """Read back a trace CSV written by :func:`write_trace_csv`."""
+    """Read back a trace CSV written by :func:`write_trace_csv`.
+
+    A row with a different field count than the header, or a non-numeric
+    field, is rejected with its 1-based line number.
+    """
     if hasattr(source, "read"):
-        rows = list(csv.reader(source))
-    else:
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    if not rows or len(rows[0]) < 3 or rows[0][:2] != ["generation", "gbest_val"]:
+        return _read_trace(source, name="<stream>")
+    with open(source, "r", encoding="utf-8", newline="") as fh:
+        return _read_trace(fh, name=str(source))
+
+
+def _read_trace(fh, name: str) -> OptimizationTrace:
+    rows = csv.reader(fh)
+    header = next(rows, [])
+    if len(header) < 3 or header[:2] != ["generation", "gbest_val"]:
         raise ConfigError("not a trace CSV (expected generation,gbest_val,... header)")
-    vals = np.array([float(r[1]) for r in rows[1:]])
-    pos = np.array([[float(c) for c in r[2:]] for r in rows[1:]])
-    return OptimizationTrace(gbest_val=vals, gbest_pos=pos)
+    vals: list[float] = []
+    pos: list[list[float]] = []
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue  # blank line
+        if len(row) != len(header):
+            raise ConfigError(f"{name}:{lineno}: expected {len(header)} fields, got {len(row)}")
+        try:
+            nums = [float(c) for c in row[1:]]
+        except ValueError:
+            raise ConfigError(f"{name}:{lineno}: non-numeric field in {row!r}") from None
+        vals.append(nums[0])
+        pos.append(nums[1:])
+    return OptimizationTrace(gbest_val=np.array(vals), gbest_pos=np.array(pos))

@@ -37,6 +37,28 @@ def test_fit_rejects_duplicate_rows(tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
+def test_fit_missing_input_is_one_error_line(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    rc = main(["fit", "--input", str(missing), "--output", str(tmp_path / "m.txt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "missing.csv" in err
+
+
+def test_eval_unwritable_output_is_one_error_line(tmp_path, capsys):
+    data, model_path = tmp_path / "two.csv", tmp_path / "model.txt"
+    write_two_point_csv(data)
+    assert main(["fit", "--input", str(data), "--output", str(model_path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "no-such-dir" / "values.csv"
+    rc = main(["eval", "--model", str(model_path), "--input", str(data), "--output", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "values.csv" in err
+
+
 def test_fit_rejects_malformed_csv_with_line_number(tmp_path, capsys):
     data = tmp_path / "bad.csv"
     data.write_text("x1,value\n0,1\n1\n")

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hybridrbf import (
     ConfigError,
@@ -101,6 +104,53 @@ def test_pairwise_self_matrix_exactly_symmetric():
     d = pairwise_distances(pts, pts)
     assert np.array_equal(d, d.T)
     assert np.all(np.diag(d) == 0.0)
+
+
+def broadcast_distances(a, b):
+    """Slow oracle: the N x M x s broadcast that pairwise_distances replaced."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6])
+def test_pairwise_bit_equal_to_broadcast_oracle(s):
+    rng = np.random.default_rng(100 + s)
+    a = rng.uniform(-3.0, 5.0, (41, s))
+    b = rng.normal(size=(17, s)) * 10.0 ** rng.integers(-3, 4, size=(17, 1))
+    for x, y in ((a, a), (a, b), (b, a)):
+        assert np.array_equal(pairwise_distances(x, y), broadcast_distances(x, y))
+    d = pairwise_distances(a, a)
+    assert np.array_equal(d, d.T)
+    assert np.all(np.diag(d) == 0.0)
+
+
+def test_pairwise_bit_equal_to_broadcast_oracle_on_node_sets():
+    halton = make_halton_set(300, 2).coords
+    grid = make_tensor_grid(12, 2).coords
+    for x, y in ((halton, halton), (grid, grid), (grid, halton)):
+        assert np.array_equal(pairwise_distances(x, y), broadcast_distances(x, y))
+
+
+_coords = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def point_pairs(draw):
+    s = draw(st.integers(1, 6))
+    a = draw(arrays(float, (draw(st.integers(1, 12)), s), elements=_coords))
+    b = draw(arrays(float, (draw(st.integers(1, 12)), s), elements=_coords))
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_pairs())
+def test_pairwise_property_oracle_symmetry_zero_diagonal(pair):
+    a, b = pair
+    assert np.array_equal(pairwise_distances(a, b), broadcast_distances(a, b))
+    d = pairwise_distances(a, a)
+    assert np.array_equal(d, d.T)
+    assert np.all(np.diag(d) == 0.0)
+    assert np.all(d >= 0.0)
 
 
 def test_triangle_inequality_sampled():

@@ -3,22 +3,30 @@ import pytest
 
 from hybridrbf import (
     ConfigError,
+    DegenerateInputError,
     DomainError,
     EvaluationGrid,
     KernelSpec,
     ObjectiveSpec,
     PointSet,
     SENTINEL_COST,
+    NumericalBreakdownError,
+    SingularSystemError,
+    assemble,
+    evaluate,
     fit,
     kernel_objective,
     loocv_cost_brute,
     loocv_cost_rippa,
     make_evaluation_grid,
+    make_halton_set,
     make_tensor_grid,
     objective_value,
     rms_error,
 )
+from hybridrbf import interpolation
 from hybridrbf.bench import franke
+from hybridrbf.objectives import prepare_search
 
 E_INV = 0.36787944117144233
 
@@ -190,3 +198,107 @@ def test_kernel_objective_zero_weights_sentinel():
     objective = kernel_objective(ObjectiveSpec.loocv(), pts)
     assert objective(np.array([1.0, 0.0, 0.0])) == SENTINEL_COST
     assert objective(np.array([3.0, 0.8, 0.01])) < SENTINEL_COST
+
+
+# --- the per-trial path against the compositions it replaced ---------------
+
+
+def brute_refit_oracle(points: PointSet, kernel: KernelSpec, augmented: bool) -> float:
+    """Leave-one-out cost from public fit and evaluate on fresh distances."""
+    errors = np.empty(points.n)
+    for k in range(points.n):
+        keep = np.arange(points.n) != k
+        model = fit(PointSet(points.coords[keep], points.values[keep]), kernel, augmented)
+        errors[k] = points.values[k] - evaluate(model, points.coords[k : k + 1])[0]
+    return float(np.linalg.norm(errors))
+
+
+def composed_cost(spec: ObjectiveSpec, points: PointSet, kernel: KernelSpec) -> float:
+    """What one trial cost before the search data was shared between trials."""
+    try:
+        if spec.kind == "rms":
+            model = fit(points, kernel, augmented=spec.augmented)
+            cost = rms_error(model, spec.grid, spec.truth_values)
+        elif spec.augmented:
+            cost = brute_refit_oracle(points, kernel, augmented=True)
+        else:
+            cost = loocv_cost_rippa(points, kernel).value
+    except (SingularSystemError, NumericalBreakdownError):
+        return SENTINEL_COST
+    return cost if np.isfinite(cost) else SENTINEL_COST
+
+
+def halton_franke(n: int) -> PointSet:
+    pts = make_halton_set(n, 2)
+    return pts.with_values(franke(pts.coords[:, 0], pts.coords[:, 1]))
+
+
+def trial_kernels(seed: int) -> list[KernelSpec]:
+    rng = np.random.default_rng(seed)
+    kernels = [
+        KernelSpec.hybrid(float(rng.uniform(0.5, 12)), float(rng.uniform(0, 1)), float(b))
+        for b in rng.uniform(0, 1, 4)
+    ]
+    return kernels + [KernelSpec.hybrid(1e-4, 1.0, 0.0)]  # flat Gaussian: singular
+
+
+def trial_specs() -> dict[str, tuple[ObjectiveSpec, PointSet]]:
+    grid = make_evaluation_grid(9)
+    truth = franke(grid.points[:, 0], grid.points[:, 1])
+    return {
+        "rms": (ObjectiveSpec.rms(grid, truth), franke_data(5)),
+        "rms-augmented": (ObjectiveSpec.rms(grid, truth, augmented=True), halton_franke(30)),
+        "loocv": (ObjectiveSpec.loocv(), halton_franke(40)),
+        "loocv-augmented": (ObjectiveSpec.loocv(augmented=True), halton_franke(20)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(trial_specs()))
+def test_trial_cost_bit_equal_to_composition(name):
+    spec, pts = trial_specs()[name]
+    objective = kernel_objective(spec, pts)
+    costs = []
+    for kernel in trial_kernels(seed=len(name)):
+        expected = composed_cost(spec, pts, kernel)
+        p = kernel.params
+        assert objective(np.array([p.epsilon, p.alpha, p.beta])) == expected
+        assert objective_value(spec, pts, kernel) == expected
+        costs.append(expected)
+    assert costs[-1] == SENTINEL_COST
+    assert all(c < SENTINEL_COST for c in costs[:-1])
+
+
+def test_trial_cost_bit_equal_when_evaluation_is_chunked(monkeypatch):
+    spec, pts = trial_specs()["rms-augmented"]
+    monkeypatch.setattr(interpolation, "_CHUNK_CELLS", 7 * pts.n)  # 12 chunks of 7 rows
+    data = prepare_search(spec, pts)
+    for kernel in trial_kernels(seed=4)[:-1]:
+        assert objective_value(spec, pts, kernel, data) == composed_cost(spec, pts, kernel)
+
+
+def test_brute_loocv_bit_equal_to_refit_oracle():
+    pts = halton_franke(20)
+    for kernel in trial_kernels(seed=9)[:-1]:
+        for augmented in (False, True):
+            cost = loocv_cost_brute(pts, kernel, augmented=augmented).value
+            assert cost == brute_refit_oracle(pts, kernel, augmented)
+
+
+def test_duplicate_points_raise_degenerate_everywhere():
+    pts = PointSet([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.5, 0.5]], np.arange(5.0))
+    kernel = KernelSpec.hybrid(2.0, 0.7, 0.1)
+    grid = make_evaluation_grid(3)
+    for augmented in (False, True):
+        with pytest.raises(DegenerateInputError):
+            fit(pts, kernel, augmented=augmented)
+        with pytest.raises(DegenerateInputError):
+            assemble(pts, kernel, augmented=augmented)
+        with pytest.raises(DegenerateInputError):
+            loocv_cost_brute(pts, kernel, augmented=augmented)
+        for spec in (ObjectiveSpec.loocv(augmented), ObjectiveSpec.rms(grid, np.zeros(9), augmented)):
+            with pytest.raises(DegenerateInputError):
+                objective_value(spec, pts, kernel)
+            with pytest.raises(DegenerateInputError):
+                kernel_objective(spec, pts)
+    with pytest.raises(DegenerateInputError):
+        loocv_cost_rippa(pts, kernel)

@@ -108,6 +108,17 @@ def test_trace_csv_round_trip():
     assert np.array_equal(again.gbest_pos, result.trace.gbest_pos)
 
 
+@pytest.mark.parametrize(
+    "body,lineno",
+    [("0,1.5,0.1,0.2\n1,oops,0.1,0.2\n", 3), ("0,1.5,0.1,0.2,9\n", 2)],
+)
+def test_trace_csv_rejects_bad_row_with_line_number(tmp_path, body, lineno):
+    path = tmp_path / "trace.csv"
+    path.write_text("generation,gbest_val,a,b\n" + body)
+    with pytest.raises(ConfigError, match=f"trace.csv:{lineno}: "):
+        read_trace_csv(path)
+
+
 def test_trace_csv_rejects_wrong_names():
     config = PsoConfig(swarm_size=4, generations=2, bounds=BOX3, seed=1)
     result = pso_minimize(sphere, config)
