@@ -26,14 +26,14 @@ from .errors import ConfigError, ToolkitError
 from .geometry import (
     FLOAT_FMT,
     PointSet,
+    _min_off_diagonal,
     make_evaluation_grid,
     make_tensor_grid,
-    min_separation,
     read_points_csv,
     read_points_table,
     write_points_csv,
 )
-from .interpolation import evaluate, fit, load_model, save_model
+from .interpolation import _fit, _fit_distances, _predict, evaluate, load_model, save_model
 from .kernels import KERNEL_KINDS, HybridParams, KernelSpec
 from .objectives import ObjectiveSpec, kernel_objective
 from .pso import PsoConfig, pso_minimize, validate_config, write_trace_csv
@@ -136,10 +136,14 @@ def cmd_fit(args) -> int:
     if points.values is None:
         raise ConfigError(f"{args.input}: fit needs a value column")
     kernel = _kernel_from_args(args)
-    model = fit(points, kernel, augmented=args.augment)
+    # One distance matrix serves the fit, the data-site residual and the
+    # minimum separation.
+    distances = _fit_distances(points, args.augment)
+    model = _fit(points, distances, kernel, args.augment)
     save_model(model, args.output)
-    residual = float(np.max(np.abs(evaluate(model, points) - points.values)))
-    sep = min_separation(points) if points.n >= 2 else float("nan")
+    fitted = _predict(model, points.coords, distances)
+    residual = float(np.max(np.abs(fitted - points.values)))
+    sep = _min_off_diagonal(distances) if points.n >= 2 else float("nan")
     print(f"fit: n={points.n} dim={points.dim} kernel={kernel.to_record()}")
     print(f"min separation: {sep:.6g}")
     print(f"data-site residual max: {residual:.6g}")

@@ -164,13 +164,16 @@ def pairwise_distances(a, b) -> np.ndarray:
     out = np.zeros((av.shape[0], bv.shape[0]))
     if s == 0:
         return out
-    np.subtract.outer(av[:, 0], bv[:, 0], out=out)
-    out *= out
-    tmp = np.empty_like(out) if s > 1 else None
-    for j in range(1, s):
-        np.subtract.outer(av[:, j], bv[:, j], out=tmp)
-        tmp *= tmp
-        out += tmp
+    # Far-apart points overflow to inf without a warning; callers that need
+    # finite distances check for inf and raise one clear error.
+    with np.errstate(over="ignore"):
+        np.subtract.outer(av[:, 0], bv[:, 0], out=out)
+        out *= out
+        tmp = np.empty_like(out) if s > 1 else None
+        for j in range(1, s):
+            np.subtract.outer(av[:, j], bv[:, j], out=tmp)
+            tmp *= tmp
+            out += tmp
     return np.sqrt(out, out=out)
 
 
@@ -178,7 +181,11 @@ def min_separation(points: PointSet) -> float:
     """Minimum off-diagonal pairwise distance; 0 signals duplicates."""
     if points.n < 2:
         raise DomainError("min_separation needs at least 2 points")
-    d = pairwise_distances(points, points)
+    return _min_off_diagonal(pairwise_distances(points, points))
+
+
+def _min_off_diagonal(d: np.ndarray) -> float:
+    """Smallest off-diagonal entry of a square matrix; overwrites its diagonal."""
     np.fill_diagonal(d, np.inf)
     return float(d.min())
 

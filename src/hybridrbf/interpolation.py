@@ -34,16 +34,18 @@ from .geometry import (
     points_to_csv_text,
     read_points_table,
 )
-from .kernels import KernelSpec, eval_kernel_batch
+from .kernels import KernelSpec, _check_distances, _fill
 
 # A factorization whose smallest |U_kk| falls below this fraction of the
 # largest is treated as numerically singular.
 PIVOT_RTOL = 1e-14
 
-# Evaluation works on row chunks of at most this many target-center cells.
-# Computing a chunk's distances holds the distance buffer plus one scratch
-# buffer of the same size; the kernel fill then allocates its own arrays of
-# that size.
+# Evaluation works on row chunks of at most this many target-center cells
+# (32 MB of float64).  Computing a chunk's distances holds the distance
+# buffer plus one scratch buffer of the same size; the kernel fill then holds
+# the distances plus one output of that size and one small block (see
+# kernels._fill).  Both buffers are dropped before the next chunk starts, so
+# evaluation peaks at two chunk-sized buffers.
 _CHUNK_CELLS = 4_000_000
 # Identity columns solved at a time for the inverse diagonal.
 _INVDIAG_BLOCK = 256
@@ -120,6 +122,8 @@ def _fit_distances(points: PointSet, augmented: bool) -> np.ndarray:
 
     Distinct points have positive distances and the diagonal is exactly
     zero, so duplicates exist exactly when more than n entries are zero.
+    The distances are also checked finite here, once, so that kernel fills
+    on them need no check of their own.
     """
     if points.values is None:
         raise ConfigError("assemble needs points with values")
@@ -129,6 +133,7 @@ def _fit_distances(points: PointSet, augmented: bool) -> np.ndarray:
         raise DegenerateInputError("duplicate points: minimum pairwise distance is 0")
     if augmented and n < s + 1:
         raise ConfigError(f"augmented fit needs at least {s + 1} points, got {n}")
+    _check_distances(d)
     return d
 
 
@@ -137,7 +142,7 @@ def _system(
 ) -> AssembledSystem:
     """Kernel fill on checked self-distances (see :func:`_fit_distances`)."""
     n, s = points.n, points.dim
-    a = eval_kernel_batch(kernel, distances)
+    a = _fill(kernel, distances)
     if not augmented:
         return AssembledSystem(a, points.values.copy(), n_centers=n, n_poly=0)
     p = _poly_block(points.coords)
@@ -178,27 +183,30 @@ def _factorize(matrix: np.ndarray):
     return (lu, piv), cond
 
 
-def _fit(
-    points: PointSet, distances: np.ndarray, kernel: KernelSpec, augmented: bool
-) -> InterpolationModel:
-    """Solve the system built on checked self-distances."""
-    system = _system(points, distances, kernel, augmented)
+def _solve(system: AssembledSystem) -> tuple[np.ndarray, float]:
+    """Solve an assembled system; returns (solution, condition estimate)."""
     try:
         factors, cond = _factorize(system.matrix)
     except SingularSystemError as exc:
-        if augmented:
+        if system.augmented:
             raise SingularSystemError(
                 f"{exc} ({_UNISOLVENCY_HINT})", index=exc.index
             ) from exc
         raise
-    solution = sla.lu_solve(factors, system.rhs, check_finite=False)
-    n = system.n_centers
-    poly = solution[n:] if augmented else None
+    return sla.lu_solve(factors, system.rhs, check_finite=False), cond
+
+
+def _fit(
+    points: PointSet, distances: np.ndarray, kernel: KernelSpec, augmented: bool
+) -> InterpolationModel:
+    """Solve the system built on checked self-distances."""
+    solution, cond = _solve(_system(points, distances, kernel, augmented))
+    n = points.n
     return InterpolationModel(
         centers=points,
         kernel=kernel,
         coeffs=solution[:n],
-        poly_coeffs=poly,
+        poly_coeffs=solution[n:] if augmented else None,
         condition_estimate=cond,
     )
 
@@ -213,9 +221,9 @@ def _predict(
 ) -> np.ndarray:
     """Interpolant values at target coordinates, in row chunks.
 
-    distances, when given, is the full target-to-center matrix; otherwise
-    each chunk's distances are computed as it is reached.  Both give the
-    same chunks, so the values agree bit for bit.
+    distances, when given, is the full, already checked target-to-center
+    matrix; otherwise each chunk's distances are computed and checked as it
+    is reached.  Both give the same chunks, so the values agree bit for bit.
     """
     m = targets.shape[0]
     out = np.empty(m)
@@ -224,9 +232,11 @@ def _predict(
         stop = start + step
         if distances is None:
             block = pairwise_distances(targets[start:stop], model.centers)
+            _check_distances(block)
         else:
             block = distances[start:stop]
-        out[start:stop] = eval_kernel_batch(model.kernel, block) @ model.coeffs
+        out[start:stop] = _fill(model.kernel, block) @ model.coeffs
+        del block
     if model.augmented:
         out += _poly_block(targets) @ model.poly_coeffs
     return out
@@ -297,7 +307,7 @@ def model_to_text(model: InterpolationModel) -> str:
         f"augmented: {'true' if model.augmented else 'false'}",
         f"condition_estimate: {float(model.condition_estimate)!r}",
         "centers:",
-        points_to_csv_text(model.centers).rstrip("\n"),
+        *points_to_csv_text(model.centers).splitlines(),
         "end-centers",
         "coeffs:",
     ]
@@ -329,9 +339,13 @@ def model_from_text(text: str) -> InterpolationModel:
     for line in lines[1:]:
         stripped = line.strip()
         if stripped in ("centers:", "coeffs:", "poly-coeffs:"):
+            if section is not None:
+                raise ConfigError(f"model file is missing 'end-{section}'")
             section = stripped[:-1]
             continue
         if stripped in ("end-centers", "end-coeffs", "end-poly-coeffs"):
+            if stripped != f"end-{section}":
+                raise ConfigError(f"model file has {stripped!r} outside its section")
             section = None
             continue
         if section == "centers":
@@ -343,6 +357,8 @@ def model_from_text(text: str) -> InterpolationModel:
         elif stripped:
             key, _, value = stripped.partition(":")
             fields[key.strip()] = value.strip()
+    if section is not None:
+        raise ConfigError(f"model file is missing 'end-{section}'")
     try:
         kernel = KernelSpec.from_record(fields["kernel"])
         augmented = fields["augmented"] == "true"

@@ -6,9 +6,11 @@ needs no truth.  LOOCV errors come from Rippa's shortcut
 
     e_k = c_k / (A**-1)_kk
 
-using one full-data factorization; a brute-force variant that actually
-refits N reduced systems serves as the independent oracle and as the
-fallback for augmented fits, where the shortcut is not established.
+using one full-data factorization.  Augmented LOOCV refits N reduced
+systems instead.  That brute-force path is kept because the perfbench
+loocv-augmented check compares a search's cost with it bit for bit; an
+augmented shortcut needs that check to accept a tolerance first.  It also
+serves as the independent oracle for the plain shortcut.
 
 A parameter search repeats one problem with different kernels, so
 :func:`prepare_search` computes the kernel-independent part once -- the data
@@ -32,17 +34,19 @@ from .errors import (
 )
 from .geometry import EvaluationGrid, PointSet, pairwise_distances
 from .interpolation import (
+    AssembledSystem,
     InterpolationModel,
     _factorize,
     _fit,
     _fit_distances,
     _invdiag_from_factors,
     _predict,
+    _solve,
     _system,
     evaluate,
     fit,  # noqa: F401  (kept importable from this module)
 )
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _check_distances
 
 # Cost assigned to parameter trials whose linear algebra fails; finite so a
 # swarm can keep moving through bad regions of the search box.
@@ -140,21 +144,33 @@ def loocv_cost_rippa(points: PointSet, kernel: KernelSpec) -> CostValue:
 def _loocv_brute(
     points: PointSet, distances: np.ndarray, kernel: KernelSpec, augmented: bool
 ) -> CostValue:
-    """Refit without each point in turn, reusing the full distance matrix."""
+    """Refit without each point in turn, from one fill of the full system.
+
+    Kernel entries depend only on their own distance, so deleting row and
+    column k of the full system gives exactly the system a refit without
+    point k would assemble, and row k gives the kernel values that predict
+    point k.
+    """
     n = points.n
+    full = _system(points, distances, kernel, augmented)
     errors = np.empty(n)
     for k in range(n):
-        keep = np.arange(n) != k
-        subset = PointSet(points.coords[keep], points.values[keep])
+        keep = np.arange(full.size) != k
+        reduced = AssembledSystem(
+            full.matrix[np.ix_(keep, keep)], full.rhs[keep], n - 1, full.n_poly
+        )
         try:
-            reduced = _fit(subset, distances[np.ix_(keep, keep)], kernel, augmented)
+            solution, _ = _solve(reduced)
         except SingularSystemError as exc:
             raise SingularSystemError(
                 f"leave-one-out refit failed excluding point {k}: {exc}",
                 index=exc.index,
             ) from exc
-        # One 2-D row keeps the matrix-vector product that evaluate uses.
-        prediction = _predict(reduced, points.coords[k : k + 1], distances[k : k + 1, keep])
+        # The same two products as evaluate: one 2-D kernel row times the
+        # coefficients, plus the polynomial row times its coefficients.
+        prediction = full.matrix[k : k + 1, :n][:, keep[:n]] @ solution[: n - 1]
+        if augmented:
+            prediction += full.matrix[k : k + 1, n:] @ solution[n - 1 :]
         errors[k] = points.values[k] - prediction[0]
     return CostValue(float(np.linalg.norm(errors)), errors)
 
@@ -184,14 +200,17 @@ def prepare_search(spec: ObjectiveSpec, points: PointSet) -> SearchData:
     """Compute once what every trial of ``spec`` on ``points`` shares.
 
     Raises the input errors a trial would raise: DomainError for too few
-    LOOCV points or a grid of the wrong dimension, ConfigError for missing
-    values, DegenerateInputError for duplicate points.
+    LOOCV points, a grid of the wrong dimension or distances that overflow,
+    ConfigError for missing values, DegenerateInputError for duplicate
+    points.
     """
     if spec.kind == "loocv":
         _require_loocv_points(points, spec.augmented)
     distances = _fit_distances(points, spec.augmented)
     if spec.kind == "rms":
-        return SearchData(distances, pairwise_distances(spec.grid, points))
+        grid_distances = pairwise_distances(spec.grid, points)
+        _check_distances(grid_distances)
+        return SearchData(distances, grid_distances)
     return SearchData(distances)
 
 

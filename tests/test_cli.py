@@ -1,9 +1,22 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hybridrbf
+from hybridrbf import KernelSpec, geometry
 from hybridrbf.cli import main
-from hybridrbf.geometry import PointSet, make_tensor_grid, read_points_csv, write_points_csv
-from hybridrbf.interpolation import evaluate, load_model
+from hybridrbf.geometry import (
+    PointSet,
+    make_tensor_grid,
+    min_separation,
+    read_points_csv,
+    write_points_csv,
+)
+from hybridrbf.interpolation import evaluate, fit, load_model
 from hybridrbf.bench import synthetic_fault_surface
 
 TWO_POINT_C = (1.1565176427496657, -0.4254590641196608)
@@ -279,3 +292,72 @@ def test_eval_output_round_trips_through_reader(tmp_path):
           "--output", str(out_path)])
     again = read_points_csv(out_path)
     assert again.n == 16 and again.values is not None
+
+
+def count_distance_calls(monkeypatch) -> list:
+    """Count pairwise_distances calls through every hybridrbf namespace."""
+    calls = []
+    original = geometry.pairwise_distances
+
+    def counting(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hybridrbf") and getattr(module, "pairwise_distances", None) is original:
+            monkeypatch.setattr(module, "pairwise_distances", counting)
+    return calls
+
+
+@pytest.mark.parametrize("augment", [False, True])
+def test_fit_builds_one_distance_matrix_and_prints_the_same(tmp_path, capsys, monkeypatch, augment):
+    points = synthetic_fault_surface(30, seed=4)
+    data, model_path = tmp_path / "fault.csv", tmp_path / "model.txt"
+    write_points_csv(data, points)
+    kernel = KernelSpec.hybrid(2.5, 0.8, 1e-3)
+    flags = ["--epsilon", "2.5", "--alpha", "0.8", "--beta", "0.001"]
+    # The printout of one fit, evaluate and min_separation, each on its own matrix.
+    model = fit(points, kernel, augmented=augment)
+    residual = float(np.max(np.abs(evaluate(model, points) - points.values)))
+    expected = (
+        f"fit: n=30 dim=2 kernel={kernel.to_record()}\n"
+        f"min separation: {min_separation(points):.6g}\n"
+        f"data-site residual max: {residual:.6g}\n"
+        f"condition estimate: {model.condition_estimate:.6g}\n"
+        f"model written to {model_path}\n"
+    )
+    calls = count_distance_calls(monkeypatch)
+    argv = ["fit", "--input", str(data), "--output", str(model_path), *flags]
+    assert main(argv + (["--augment"] if augment else [])) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == expected
+    assert np.array_equal(load_model(model_path).coeffs, model.coeffs)
+
+
+def run_fresh_python(*args) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this package's source tree."""
+    src = str(Path(hybridrbf.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def test_overflowing_distances_are_one_error_line(tmp_path):
+    data = tmp_path / "far.csv"
+    write_points_csv(data, PointSet([[0.0, 0.0], [1e200, 0.0], [0.0, 1.0]], [1.0, 2.0, 3.0]))
+    result = run_fresh_python(
+        "-m", "hybridrbf", "fit", "--input", str(data), "--output", str(tmp_path / "m.txt")
+    )
+    assert result.returncode == 1
+    assert result.stderr == "error: all distances must be finite\n"
+
+
+def test_cli_import_does_not_load_scipy_spatial():
+    """scipy.spatial costs over 100 ms at import; the CLI must not pull it in."""
+    result = run_fresh_python("-c", "import sys, hybridrbf.cli; print('scipy.spatial' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

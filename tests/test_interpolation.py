@@ -18,6 +18,7 @@ from hybridrbf import (
     make_tensor_grid,
     save_model,
     spectral_report,
+    write_points_csv,
 )
 from hybridrbf.bench import franke
 from hybridrbf.interpolation import model_from_text, model_to_text
@@ -260,3 +261,39 @@ def test_model_text_round_trip_is_stable():
 def test_model_parse_rejects_garbage():
     with pytest.raises(ConfigError):
         model_from_text("not a model\n")
+
+
+def test_overflowing_distances_raise_domain_error(recwarn):
+    far = PointSet([[0.0, 0.0], [1e200, 0.0], [0.0, 1.0]], [1.0, 2.0, 3.0])
+    kernel = KernelSpec.hybrid(2.0, 0.7, 0.1)
+    for augmented in (False, True):
+        with pytest.raises(DomainError, match="finite"):
+            fit(far, kernel, augmented=augmented)
+    model = fit(franke_data(3), kernel)
+    with pytest.raises(DomainError, match="finite"):
+        evaluate(model, [[0.5, 0.5], [0.0, -1e200]])
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_model_file_is_lf_only_and_old_crlf_centers_still_load(tmp_path):
+    model = fit(franke_data(3), KernelSpec.hybrid(3.0, 0.8, 0.1), augmented=True)
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    raw = path.read_bytes()
+    assert b"\r" not in raw
+    text = raw.decode()
+    start, stop = text.index("centers:\n") + 9, text.index("end-centers")
+    crlf = text[:start] + text[start:stop].replace("\n", "\r\n") + text[stop:]
+    assert model_to_text(model_from_text(crlf)) == text
+    # points CSVs keep their CRLF rows
+    write_points_csv(tmp_path / "points.csv", model.centers)
+    assert (tmp_path / "points.csv").read_bytes().count(b"\r\n") == model.centers.n + 1
+
+
+@pytest.mark.parametrize("marker", ["end-centers", "end-coeffs", "end-poly-coeffs"])
+def test_model_parse_requires_section_end(marker):
+    model = fit(franke_data(3), KernelSpec.hybrid(3.0, 0.8, 0.1), augmented=True)
+    lines = model_to_text(model).splitlines(keepends=True)
+    lines.remove(marker + "\n")
+    with pytest.raises(ConfigError, match=marker):
+        model_from_text("".join(lines))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridrbf import (
     ConfigError,
@@ -10,6 +12,7 @@ from hybridrbf import (
     eval_kernel,
     eval_kernel_batch,
 )
+from hybridrbf.kernels import _FILL_BLOCK, _fill, _phi
 
 E_INV = 0.36787944117144233  # exp(-1)
 
@@ -152,3 +155,58 @@ def test_record_rejects_malformed():
         KernelSpec.from_record("hybrid,1.0,0.5")
     with pytest.raises(ConfigError):
         KernelSpec.from_record("hybrid,one,0.5,0.5")
+
+
+# --- the blocked fill against the _phi oracle ---------------------------------
+
+FILL_SHAPES = [
+    (0,),
+    (0, 5),
+    (1,),
+    (1, 1),
+    (_FILL_BLOCK - 1,),
+    (_FILL_BLOCK,),
+    (_FILL_BLOCK + 1,),
+    (3 * _FILL_BLOCK + 17,),
+    (181, 367),  # rectangular, blocks that split rows
+]
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+@pytest.mark.parametrize("shape", FILL_SHAPES, ids=str)
+def test_fill_bit_equal_to_phi(kind, shape):
+    params = HybridParams(2.7, 0.6, 0.4)
+    r = np.random.default_rng(len(shape) + sum(shape)).uniform(0.0, 1.5, size=shape)
+    out = _fill(KernelSpec(kind, params), r)
+    assert out.shape == r.shape
+    assert np.array_equal(out, _phi(kind, params, r))
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_fill_bit_equal_to_phi_on_non_contiguous_input(kind):
+    params = HybridParams(5.5, 0.7, 1e-6)
+    spec = KernelSpec(kind, params)
+    base = np.random.default_rng(21).uniform(0.0, 1.2, size=(260, 300))
+    for r in (base.T, base[:, ::3], base[7:, 1:-1]):
+        assert not r.flags.c_contiguous
+        assert np.array_equal(_fill(spec, r), _phi(kind, params, r))
+
+
+_radii = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(KERNEL_KINDS),
+    epsilon=st.floats(min_value=0.0, max_value=30.0),
+    beta=st.floats(min_value=0.0, max_value=1.0),
+    radii=st.lists(_radii, min_size=1, max_size=40),
+)
+def test_scalar_and_batch_agree_entry_for_entry(kind, epsilon, beta, radii):
+    alpha = 1.0 if beta == 0.0 else 1.0 - beta
+    spec = KernelSpec(kind, HybridParams(epsilon, alpha, beta))
+    r = np.array(radii)
+    for shaped in (r, r.reshape(1, -1), r.reshape(-1, 1)):
+        batch = eval_kernel_batch(spec, shaped)
+        for idx in np.ndindex(shaped.shape):
+            assert batch[idx] == eval_kernel(spec, float(shaped[idx]))

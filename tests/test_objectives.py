@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -203,14 +205,18 @@ def test_kernel_objective_zero_weights_sentinel():
 # --- the per-trial path against the compositions it replaced ---------------
 
 
-def brute_refit_oracle(points: PointSet, kernel: KernelSpec, augmented: bool) -> float:
-    """Leave-one-out cost from public fit and evaluate on fresh distances."""
+def brute_refit_errors(points: PointSet, kernel: KernelSpec, augmented: bool) -> np.ndarray:
+    """Leave-one-out errors from public fit and evaluate on fresh distances."""
     errors = np.empty(points.n)
     for k in range(points.n):
         keep = np.arange(points.n) != k
         model = fit(PointSet(points.coords[keep], points.values[keep]), kernel, augmented)
         errors[k] = points.values[k] - evaluate(model, points.coords[k : k + 1])[0]
-    return float(np.linalg.norm(errors))
+    return errors
+
+
+def brute_refit_oracle(points: PointSet, kernel: KernelSpec, augmented: bool) -> float:
+    return float(np.linalg.norm(brute_refit_errors(points, kernel, augmented)))
 
 
 def composed_cost(spec: ObjectiveSpec, points: PointSet, kernel: KernelSpec) -> float:
@@ -277,11 +283,20 @@ def test_trial_cost_bit_equal_when_evaluation_is_chunked(monkeypatch):
 
 
 def test_brute_loocv_bit_equal_to_refit_oracle():
-    pts = halton_franke(20)
-    for kernel in trial_kernels(seed=9)[:-1]:
-        for augmented in (False, True):
-            cost = loocv_cost_brute(pts, kernel, augmented=augmented).value
-            assert cost == brute_refit_oracle(pts, kernel, augmented)
+    """One fill per trial, sliced per refit, against N fresh public fits."""
+    cases = (halton_franke(20), make_halton_set(12, 3).with_values(np.arange(12.0) ** 0.5))
+    for pts, augmented in itertools.product(cases, (False, True)):
+        *kernels, singular = trial_kernels(seed=9)
+        for kernel in kernels:
+            cost = loocv_cost_brute(pts, kernel, augmented=augmented)
+            errors = brute_refit_errors(pts, kernel, augmented)
+            assert np.array_equal(cost.per_point_errors, errors)
+            assert cost.value == float(np.linalg.norm(errors))
+        with pytest.raises(SingularSystemError):
+            brute_refit_errors(pts, singular, augmented)
+        with pytest.raises(SingularSystemError, match="excluding point 0"):
+            loocv_cost_brute(pts, singular, augmented=augmented)
+        assert objective_value(ObjectiveSpec.loocv(augmented), pts, singular) == SENTINEL_COST
 
 
 def test_duplicate_points_raise_degenerate_everywhere():
@@ -302,3 +317,18 @@ def test_duplicate_points_raise_degenerate_everywhere():
                 kernel_objective(spec, pts)
     with pytest.raises(DegenerateInputError):
         loocv_cost_rippa(pts, kernel)
+
+
+def test_overflowing_distances_raise_domain_error(recwarn):
+    far = PointSet([[0.0, 0.0], [1e200, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 2.0, 3.0, 4.0])
+    near = franke_data(3)
+    far_grid = EvaluationGrid([[0.5, 0.5], [-1e200, 0.0]])
+    kernel = KernelSpec.hybrid(2.0, 0.7, 0.1)
+    for augmented in (False, True):
+        with pytest.raises(DomainError, match="finite"):
+            kernel_objective(ObjectiveSpec.loocv(augmented), far)
+        with pytest.raises(DomainError, match="finite"):
+            kernel_objective(ObjectiveSpec.rms(far_grid, [0.0, 0.0], augmented), near)
+        with pytest.raises(DomainError, match="finite"):
+            objective_value(ObjectiveSpec.loocv(augmented), far, kernel)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
