@@ -32,6 +32,7 @@ import numpy as np
 from .errors import ConfigError, ToolkitError
 from .geometry import (
     EvaluationGrid,
+    FLOAT_FMT,
     PointSet,
     make_evaluation_grid,
     make_tensor_grid,
@@ -73,7 +74,6 @@ FRANKE_NOTE = (
 FAULT_STEP = 50.0
 FAULT_DOMAIN = (0.0, 50.0)
 
-_FLOAT_FMT = "%.17g"
 _TIMING_RESOLUTION = 1e-5  # seconds; cells faster than this are flagged
 
 # Brute-force LOOCV refits N systems; keep that as report garnish only on
@@ -468,7 +468,7 @@ def _write_spectrum_csv(path: Path, eigenvalues: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("index,eigenvalue\n")
         for i, ev in enumerate(eigenvalues):
-            fh.write(f"{i},{_FLOAT_FMT % ev}\n")
+            fh.write(f"{i},{FLOAT_FMT % ev}\n")
 
 
 def objective_comparison_study(spec: ExperimentSpec) -> ExperimentReport:
@@ -690,7 +690,7 @@ def _format_field(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return _FLOAT_FMT % value
+        return FLOAT_FMT % value
     return str(value)
 
 

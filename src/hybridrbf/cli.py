@@ -8,7 +8,6 @@ repeated runs are bit-reproducible on the same platform.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 import numpy as np
@@ -24,9 +23,11 @@ from .bench import (
 )
 from .errors import ConfigError, ToolkitError
 from .geometry import (
-    FLOAT_FMT,
     PointSet,
+    _csv_header,
     _min_off_diagonal,
+    _row_template,
+    _write_header,
     make_evaluation_grid,
     make_tensor_grid,
     read_points_csv,
@@ -157,9 +158,8 @@ def cmd_eval(args) -> int:
     coords, _ = read_points_table(args.input)
     if coords.shape[0] == 0:
         # empty target file: emit a header-only values CSV
-        dim = coords.shape[1] if coords.ndim == 2 and coords.shape[1] else model.centers.dim
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join([f"x{j + 1}" for j in range(dim)] + ["value"]) + "\n")
+            _write_header(fh, _csv_header(coords.shape[1], True))
         print(f"evaluated 0 points; wrote {args.output}")
         return 0
     values = evaluate(model, coords)
@@ -211,9 +211,8 @@ def cmd_optimize(args) -> int:
     result = pso_minimize(kernel_objective(ospec, points), config)
     eps, alpha, beta = result.best_position
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epsilon", "alpha", "beta", "cost"])
-        writer.writerow([FLOAT_FMT % v for v in (eps, alpha, beta, result.best_value)])
+        _write_header(fh, ["epsilon", "alpha", "beta", "cost"])
+        fh.write(_row_template(4) % (eps, alpha, beta, result.best_value))
     if args.trace:
         write_trace_csv(args.trace, result.trace, param_names=("epsilon", "alpha", "beta"))
     print(

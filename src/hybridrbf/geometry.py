@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +20,9 @@ HALTON_BASES = (2, 3, 5, 7, 11, 13)
 
 # Fixed CSV precision: 17 significant digits round-trip float64 exactly.
 FLOAT_FMT = "%.17g"
+
+# Points CSVs are written this many rows per format call and write.
+_ROWS_PER_BLOCK = 2048
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -197,6 +201,20 @@ def _csv_header(dim: int, with_values: bool) -> list[str]:
     return cols
 
 
+def _write_header(fh, names) -> None:
+    """One CSV header row, quoted and CRLF-terminated as ``csv.writer`` does."""
+    csv.writer(fh).writerow(names)
+
+
+def _row_template(width: int) -> str:
+    """%-template of one CSV row of ``width`` 17-digit floats, CRLF-terminated.
+
+    ``%.17g`` of a float never contains a delimiter, quote or line break, so
+    the filled template equals what ``csv.writer`` writes for the same row.
+    """
+    return ",".join([FLOAT_FMT] * width) + "\r\n"
+
+
 def write_points_csv(target, points: PointSet) -> None:
     """Write a PointSet as CSV: header ``x1,...,xs[,value]``, one row per point."""
     if hasattr(target, "write"):
@@ -207,20 +225,24 @@ def write_points_csv(target, points: PointSet) -> None:
 
 
 def _write_points(fh, points: PointSet) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(_csv_header(points.dim, points.values is not None))
-    for i in range(points.n):
-        row = [FLOAT_FMT % c for c in points.coords[i]]
-        if points.values is not None:
-            row.append(FLOAT_FMT % points.values[i])
-        writer.writerow(row)
+    values = points.values
+    _write_header(fh, _csv_header(points.dim, values is not None))
+    template = _row_template(points.dim + (values is not None))
+    # One format and one write per block; only the block is ever stacked.
+    for start in range(0, points.n, _ROWS_PER_BLOCK):
+        stop = start + _ROWS_PER_BLOCK
+        block = points.coords[start:stop]
+        if values is not None:
+            block = np.column_stack((block, values[start:stop]))
+        fh.write((template * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def read_points_table(source) -> tuple[np.ndarray, np.ndarray | None]:
     """Parse a points CSV into (coords, values-or-None); may be empty.
 
     The header fixes the arity; any row with a different field count is
-    rejected with its 1-based line number.
+    rejected with its 1-based line number.  Rows stream into one flat float
+    array, so no per-row Python list outlives its line.
     """
     if hasattr(source, "read"):
         return _read_table(source, name="<stream>")
@@ -242,25 +264,26 @@ def _read_table(fh, name: str) -> tuple[np.ndarray, np.ndarray | None]:
         raise ConfigError(
             f"{name}:1: header must be x1,...,xs[,value], got {','.join(header)!r}"
         )
-    coords_rows: list[list[float]] = []
-    values_rows: list[float] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue  # blank line
-        if len(row) != len(header):
-            raise ConfigError(
-                f"{name}:{lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        try:
-            nums = [float(c) for c in row]
-        except ValueError:
-            raise ConfigError(f"{name}:{lineno}: non-numeric field in {row!r}") from None
-        coords_rows.append(nums[:dim])
-        if with_values:
-            values_rows.append(nums[dim])
-    coords = np.array(coords_rows, dtype=float).reshape(len(coords_rows), dim)
-    values = np.array(values_rows, dtype=float) if with_values else None
-    return coords, values
+    width = len(header)
+    last = [0, None]  # line number and fields of the last row handed out
+
+    def rows():
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue  # blank line
+            if len(row) != width:
+                raise ConfigError(f"{name}:{lineno}: expected {width} fields, got {len(row)}")
+            last[:] = lineno, row
+            yield row
+
+    try:
+        flat = np.fromiter(map(float, itertools.chain.from_iterable(rows())), float)
+    except ValueError:
+        raise ConfigError(f"{name}:{last[0]}: non-numeric field in {last[1]!r}") from None
+    table = flat.reshape(-1, width)
+    if not with_values:
+        return table, None
+    return np.ascontiguousarray(table[:, :dim]), table[:, dim].copy()
 
 
 def read_points_csv(source) -> PointSet:

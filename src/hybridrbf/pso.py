@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .geometry import _row_template, _write_header
 
 DEFAULT_C1 = 1.49445
 DEFAULT_C2 = 1.49445
@@ -33,8 +34,6 @@ DEFAULT_INERTIA = 0.729
 # The weights are constrained to [0, 1]; epsilon only needs to be >= 0, and
 # the cap at 20 comfortably covers the optima seen on unit-square problems.
 DEFAULT_BOUNDS = ((0.01, 20.0), (0.0, 1.0), (0.0, 1.0))
-
-_FLOAT_FMT = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -174,10 +173,10 @@ def write_trace_csv(target, trace: OptimizationTrace, param_names=None) -> None:
 
 
 def _write_trace(fh, trace: OptimizationTrace, names: list[str]) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["generation", "gbest_val", *names])
+    _write_header(fh, ["generation", "gbest_val", *names])
+    template = "%d," + _row_template(1 + len(names))
     for gen, (val, pos) in enumerate(zip(trace.gbest_val, trace.gbest_pos)):
-        writer.writerow([gen, _FLOAT_FMT % val, *(_FLOAT_FMT % p for p in pos)])
+        fh.write(template % (gen, val, *pos))
 
 
 def read_trace_csv(source) -> OptimizationTrace:

@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -125,6 +127,23 @@ def test_eval_empty_targets(tmp_path, capsys):
     assert out_path.read_text() == "x1,value\n"
 
 
+def test_eval_empty_targets_header_is_crlf_like_every_values_csv(tmp_path):
+    data, model_path = tmp_path / "two.csv", tmp_path / "model.txt"
+    write_two_point_csv(data)
+    main(["fit", "--input", str(data), "--output", str(model_path),
+          "--kernel", "gaussian", "--epsilon", "1.0"])
+    outputs = {}
+    for name, targets in (("empty", "x1\n"), ("one", "x1\n0.5\n")):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(targets)
+        out = tmp_path / f"values-{name}.csv"
+        assert main(["eval", "--model", str(model_path), "--input", str(path),
+                     "--output", str(out)]) == 0
+        outputs[name] = out.read_bytes()
+    assert outputs["empty"] == b"x1,value\r\n"
+    assert outputs["one"].startswith(outputs["empty"])
+
+
 def test_eval_dimension_mismatch(tmp_path, capsys):
     data = tmp_path / "two.csv"
     model_path = tmp_path / "model.txt"
@@ -174,6 +193,14 @@ def test_optimize_is_reproducible(tmp_path):
         assert rc == 0
         outputs.append(best.read_bytes())
     assert outputs[0] == outputs[1]
+    # 17-digit CRLF rows, byte for byte what csv.writer writes for them
+    rows = list(csv.reader(io.StringIO(outputs[0].decode("utf-8"), newline="")))
+    assert rows[0] == ["epsilon", "alpha", "beta", "cost"]
+    oracle = io.StringIO(newline="")
+    writer = csv.writer(oracle)
+    writer.writerow(rows[0])
+    writer.writerow(["%.17g" % float(field) for field in rows[1]])
+    assert outputs[0] == oracle.getvalue().encode("utf-8")
 
 
 def test_optimize_rejects_unstable_config(tmp_path, capsys):

@@ -1,3 +1,7 @@
+import csv
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +19,14 @@ from hybridrbf import (
     read_points_csv,
     write_points_csv,
 )
-from hybridrbf.geometry import read_points_table
+from hybridrbf.geometry import (
+    _ROWS_PER_BLOCK,
+    FLOAT_FMT,
+    _csv_header,
+    _read_table,
+    points_to_csv_text,
+    read_points_table,
+)
 
 
 def test_tensor_grid_corners():
@@ -231,3 +242,183 @@ def test_csv_empty_data_rows(tmp_path):
     assert coords.shape == (0, 2) and values is None
     with pytest.raises(ConfigError, match="no data rows"):
         read_points_csv(path)
+
+
+# --- CSV I/O against the row-at-a-time implementations it replaced ----------
+
+
+def _write_points_oracle(fh, points):
+    """The csv.writer loop the blocked writer replaced: one row per point."""
+    writer = csv.writer(fh)
+    writer.writerow(_csv_header(points.dim, points.values is not None))
+    for i in range(points.n):
+        row = [FLOAT_FMT % c for c in points.coords[i]]
+        if points.values is not None:
+            row.append(FLOAT_FMT % points.values[i])
+        writer.writerow(row)
+
+
+def _read_table_oracle(fh, name):
+    """The list-per-row reader the streaming reader replaced."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ConfigError(f"{name}: empty file, expected a header line") from None
+    header = [h.strip() for h in header]
+    with_values = bool(header) and header[-1] == "value"
+    dim = len(header) - (1 if with_values else 0)
+    if dim < 1 or header[:dim] != _csv_header(dim, False):
+        raise ConfigError(
+            f"{name}:1: header must be x1,...,xs[,value], got {','.join(header)!r}"
+        )
+    coords_rows, values_rows = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(header):
+            raise ConfigError(
+                f"{name}:{lineno}: expected {len(header)} fields, got {len(row)}"
+            )
+        try:
+            nums = [float(c) for c in row]
+        except ValueError:
+            raise ConfigError(f"{name}:{lineno}: non-numeric field in {row!r}") from None
+        coords_rows.append(nums[:dim])
+        if with_values:
+            values_rows.append(nums[dim])
+    coords = np.array(coords_rows, dtype=float).reshape(len(coords_rows), dim)
+    values = np.array(values_rows, dtype=float) if with_values else None
+    return coords, values
+
+
+def _oracle_text(points):
+    buf = io.StringIO(newline="")
+    _write_points_oracle(buf, points)
+    return buf.getvalue()
+
+
+def _bits(a):
+    return None if a is None else (a.dtype, a.shape, a.tobytes())
+
+
+def _assert_bit_equal(got, want):
+    assert _bits(got) == _bits(want)
+    if got is not None:
+        assert got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("with_values", [False, True])
+@pytest.mark.parametrize(
+    "n", [1, _ROWS_PER_BLOCK - 1, _ROWS_PER_BLOCK, _ROWS_PER_BLOCK + 1, 3 * _ROWS_PER_BLOCK + 17]
+)
+def test_csv_writer_bytes_equal_row_writer_oracle(tmp_path, n, with_values):
+    rng = np.random.default_rng(n)
+    coords = rng.normal(scale=1e3, size=(n, 3)) ** 3
+    pts = PointSet(coords, rng.normal(size=n) if with_values else None)
+    path = tmp_path / "pts.csv"
+    write_points_csv(path, pts)
+    assert path.read_bytes() == _oracle_text(pts).encode("utf-8")
+    assert points_to_csv_text(pts) == _oracle_text(pts)
+    again = read_points_csv(path)
+    _assert_bit_equal(again.coords, pts.coords)
+    _assert_bit_equal(again.values, pts.values)
+
+
+def test_csv_writer_golden_bytes(tmp_path):
+    pts = PointSet([[0.1, -0.0], [1e-300, 2.5]], [1.0 / 3.0, -7.0])
+    path = tmp_path / "golden.csv"
+    write_points_csv(path, pts)
+    assert path.read_bytes() == (
+        b"x1,x2,value\r\n"
+        b"0.10000000000000001,-0,0.33333333333333331\r\n"
+        b"1e-300,2.5,-7\r\n"
+    )
+
+
+_finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+@st.composite
+def _point_sets(draw):
+    n = draw(st.integers(1, 12))
+    dim = draw(st.integers(1, 6))
+    coords = draw(arrays(np.float64, (n, dim), elements=_finite))
+    values = draw(st.none() | arrays(np.float64, (n,), elements=_finite))
+    return PointSet(coords, values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_point_sets())
+def test_csv_property_bytes_and_bit_exact_round_trip(pts):
+    text = points_to_csv_text(pts)
+    assert text == _oracle_text(pts)
+    again = read_points_csv(io.StringIO(text, newline=""))
+    _assert_bit_equal(again.coords, pts.coords)
+    _assert_bit_equal(again.values, pts.values)
+
+
+_READER_INPUTS = {
+    "blank lines LF": "x1,x2,value\n\n0,1,2\n\n \n3,4,5\n\n",
+    "blank lines CRLF": "x1,x2,value\r\n\r\n0,1,2\r\n\r\n3,4,5\r\n\r\n",
+    "one column with blanks": "x1\n1\n\n  \n2\n",
+    "short row": "x1,x2,value\n0,1,2\n3,4\n",
+    "trailing comma": "x1,x2\n0,1,\n",
+    "non-numeric after good rows": "x1,x2,value\n0,1,2\n3,4,5\n6,seven,8\n9,10,11\n",
+    "non-numeric first field": "x1,x2\nabc,1\n",
+    "quoted numbers": 'x1,x2,value\n"0.5","1e-3",2\n',
+    "padded numbers": "x1 , x2,value \n 0.5 ,\t1e-3 ,  2\n",
+    "header only": "x1,x2,value\n",
+    "header only no values": "x1,x2\n",
+    "empty file": "",
+    "bad header": "a,b\n0,0\n",
+    "header out of order": "x2,x1\n0,0\n",
+    "value only": "value\n1\n",
+    "overflow": "x1,value\n1e400,-1e400\n",
+}
+
+
+@pytest.mark.parametrize("text", _READER_INPUTS.values(), ids=_READER_INPUTS.keys())
+def test_csv_reader_matches_list_reader_oracle(text):
+    def run(reader):
+        try:
+            return reader(io.StringIO(text, newline=""), "in.csv"), None
+        except ConfigError as exc:
+            return None, str(exc)
+
+    got, got_err = run(_read_table)
+    want, want_err = run(_read_table_oracle)
+    assert got_err == want_err
+    if want_err is None:
+        _assert_bit_equal(got[0], want[0])
+        _assert_bit_equal(got[1], want[1])
+
+
+def test_csv_reader_without_values_returns_the_table():
+    coords, values = read_points_table(io.StringIO("x1,x2\n0,1\n2,3\n"))
+    assert values is None
+    assert coords.base is not None and coords.flags.c_contiguous
+    assert coords.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+
+
+def test_csv_io_memory_stays_near_one_table(tmp_path):
+    n = 200_000
+    rng = np.random.default_rng(5)
+    pts = PointSet(rng.uniform(size=(n, 2)), rng.normal(size=n))
+    table_bytes = n * 3 * 8  # 4.8 MB
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        write_points_csv(path, pts)
+        _, write_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        coords, values = read_points_table(path)
+        _, read_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert write_peak < 1_000_000
+    assert read_peak < 3 * table_bytes
+    assert np.array_equal(coords, pts.coords) and np.array_equal(values, pts.values)

@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -106,6 +107,25 @@ def test_trace_csv_round_trip():
     again = read_trace_csv(buf)
     assert np.array_equal(again.gbest_val, result.trace.gbest_val)
     assert np.array_equal(again.gbest_pos, result.trace.gbest_pos)
+
+
+def _trace_oracle_text(trace, names):
+    """The csv.writer loop the row-template trace writer replaced."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["generation", "gbest_val", *names])
+    for gen, (val, pos) in enumerate(zip(trace.gbest_val, trace.gbest_pos)):
+        writer.writerow([gen, "%.17g" % val, *("%.17g" % p for p in pos)])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("names", [("a", "b", "c"), ("eps, scaled", 'say "b"', "")])
+def test_trace_csv_bytes_equal_row_writer_oracle(tmp_path, names):
+    config = PsoConfig(swarm_size=6, generations=12, bounds=BOX3, seed=4)
+    result = pso_minimize(sphere, config)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, result.trace, param_names=names)
+    assert path.read_bytes() == _trace_oracle_text(result.trace, names).encode("utf-8")
 
 
 @pytest.mark.parametrize(
