@@ -277,10 +277,7 @@ def _optimized_cell(
     start = perf_counter()
     try:
         augmented = _variant_augmented(variant)
-        if objective == "rms":
-            ospec = ObjectiveSpec.rms(grid, truth_values, augmented=augmented)
-        else:
-            ospec = ObjectiveSpec.loocv(augmented=augmented)
+        ospec = ObjectiveSpec.from_kind(objective, grid, truth_values, augmented)
         seed = (
             shared_seed
             if shared_seed is not None
@@ -453,10 +450,7 @@ def _spectra_params(
             return entry.epsilon, entry.alpha, entry.beta
         return tuple(float(v) for v in entry)
     augmented = _variant_augmented(variant)
-    if spec.objective == "rms":
-        ospec = ObjectiveSpec.rms(grid, truth_values, augmented=augmented)
-    else:
-        ospec = ObjectiveSpec.loocv(augmented=augmented)
+    ospec = ObjectiveSpec.from_kind(spec.objective, grid, truth_values, augmented)
     seed = _cell_seed(spec, spec.study, n, variant, spec.objective)
     kernel, _ = _optimize_variant(points, ospec, spec.pso, "hybrid+poly" if augmented else "hybrid", seed)
     p = kernel.params

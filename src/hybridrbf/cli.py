@@ -200,14 +200,13 @@ def cmd_optimize(args) -> int:
             print(violation, file=sys.stderr)
         return 2
     points = _optimize_data(args)
+    grid = truth_values = None
     if args.objective == "rms":
         if not args.truth:
             raise ConfigError("rms objective needs --truth to define the error")
         grid = make_evaluation_grid(args.grid_n, dim=points.dim)
         truth_values = _TRUTHS[args.truth](grid.points[:, 0], grid.points[:, 1])
-        ospec = ObjectiveSpec.rms(grid, truth_values, augmented=args.augment)
-    else:
-        ospec = ObjectiveSpec.loocv(augmented=args.augment)
+    ospec = ObjectiveSpec.from_kind(args.objective, grid, truth_values, args.augment)
     result = pso_minimize(kernel_objective(ospec, points), config)
     eps, alpha, beta = result.best_position
     with open(args.output, "w", encoding="utf-8", newline="") as fh:

@@ -47,8 +47,9 @@ PIVOT_RTOL = 1e-14
 # kernels._fill).  Both buffers are dropped before the next chunk starts, so
 # evaluation peaks at two chunk-sized buffers.
 _CHUNK_CELLS = 4_000_000
-# Identity columns solved at a time for the inverse diagonal.
-_INVDIAG_BLOCK = 256
+# Rows of the inverse diagonal combined at a time from the two triangular
+# inverses (see _inverse_diagonal); each block holds B x N scratch.
+_INVDIAG_BLOCK = 128
 
 _UNISOLVENCY_HINT = (
     "augmented system is singular; if the kernel block is positive definite "
@@ -159,13 +160,16 @@ def assemble(points: PointSet, kernel: KernelSpec, augmented: bool = False) -> A
 def _factorize(matrix: np.ndarray):
     """LU-factor with partial pivoting; returns ((lu, piv), condition estimate).
 
-    Raises SingularSystemError, carrying the failing pivot index, when the
-    smallest |U_kk| drops below PIVOT_RTOL times the largest.
+    The factors overwrite ``matrix``, which the caller must own and which
+    must be exactly symmetric: LAPACK factors ``matrix.T``, the same matrix
+    in Fortran order, without a copy.  Raises SingularSystemError, carrying
+    the failing pivot index, when the smallest |U_kk| drops below PIVOT_RTOL
+    times the largest.
     """
     anorm = np.linalg.norm(matrix, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(matrix, check_finite=False)
+        lu, piv = sla.lu_factor(matrix.T, overwrite_a=True, check_finite=False)
     absdiag = np.abs(np.diag(lu))
     max_pivot = float(absdiag.max()) if absdiag.size else 0.0
     if max_pivot == 0.0 or absdiag.min() <= PIVOT_RTOL * max_pivot:
@@ -184,7 +188,10 @@ def _factorize(matrix: np.ndarray):
 
 
 def _solve(system: AssembledSystem) -> tuple[np.ndarray, float]:
-    """Solve an assembled system; returns (solution, condition estimate)."""
+    """Solve an assembled system; returns (solution, condition estimate).
+
+    The factorization overwrites ``system.matrix`` (see :func:`_factorize`).
+    """
     try:
         factors, cond = _factorize(system.matrix)
     except SingularSystemError as exc:
@@ -269,29 +276,54 @@ def spectral_report(system: AssembledSystem) -> SpectralReport:
     return SpectralReport(eigenvalues, cond, negative_count)
 
 
-def _invdiag_from_factors(factors, n: int) -> np.ndarray:
-    """Diagonal of the inverse by solving identity columns in blocks."""
-    diag = np.empty(n)
+def _inverse_diagonal(factors) -> np.ndarray:
+    """Diagonal of A**-1 from the LU factors of A, overwriting the factors.
+
+    With A = P L U, A**-1 = U**-1 L**-1 P**T.  Two in-place triangular
+    inverses leave U**-1 on and above the diagonal of ``lu`` and L**-1 (unit
+    diagonal) below it.  P**T A = A[rows], where ``rows`` is 0..n-1 with the
+    interchanges of ``piv`` applied, and q inverts it (rows[q_k] = k), so
+
+        (A**-1)_kk = sum over j >= max(k, q_k) of (U**-1)_kj (L**-1)_j,q_k
+
+    which is summed _INVDIAG_BLOCK rows at a time.
+    """
+    lu, piv = factors
+    n = lu.shape[0]
+    for lower in (0, 1):  # U**-1, then L**-1 with its unit diagonal
+        _, info = sla.lapack.dtrtri(lu, lower=lower, unitdiag=lower, overwrite_c=1)
+        if info != 0:
+            raise SingularSystemError(
+                f"triangular inverse failed (info={info})", index=max(info - 1, 0)
+            )
+    rows = sla.lapack.dlaswp(np.arange(n, dtype=float)[:, None], piv)[:, 0]
+    q = np.empty(n, dtype=np.intp)
+    q[rows.astype(np.intp)] = np.arange(n)
+    k = np.arange(n)
+    # The j = q_k term, where (L**-1)_q_k,q_k = 1 is not stored, comes
+    # first; every later j has both factors stored in lu.
+    diag = np.where(q >= k, lu[k, q], 0.0)
+    first = np.maximum(k, q + 1)
     for start in range(0, n, _INVDIAG_BLOCK):
         stop = min(start + _INVDIAG_BLOCK, n)
-        width = stop - start
-        unit = np.zeros((n, width))
-        unit[np.arange(start, stop), np.arange(width)] = 1.0
-        x = sla.lu_solve(factors, unit, check_finite=False)
-        diag[start:stop] = x[np.arange(start, stop), np.arange(width)]
+        terms = lu.T[q[start:stop], start:]
+        terms *= lu[start:stop, start:]
+        diag[start:stop] += np.add.reduce(
+            terms, axis=1, where=k[start:] >= first[start:stop, None]
+        )
     return diag
 
 
 def inverse_diagonal(system: AssembledSystem) -> np.ndarray:
     """Diagonal of A**-1 for a plain system, from a single factorization.
 
-    Solves against identity columns in blocks; only the working columns are
-    ever materialized.
+    Factors a copy of the matrix, so ``system`` is left unchanged, and
+    inverts the two triangular factors in place.
     """
     if system.augmented:
         raise ConfigError("inverse_diagonal is defined for plain systems only")
-    factors, _ = _factorize(system.matrix)
-    return _invdiag_from_factors(factors, system.size)
+    factors, _ = _factorize(system.matrix.copy())
+    return _inverse_diagonal(factors)
 
 
 # --- model serialization -------------------------------------------------

@@ -148,7 +148,10 @@ def eval_kernel(spec: KernelSpec, r: float) -> float:
         raise DomainError("eval_kernel expects a scalar radius; use eval_kernel_batch")
     if not np.isfinite(rv) or rv < 0.0:
         raise DomainError(f"radius must be finite and >= 0, got {r}")
-    return float(_phi(spec.kind, spec.params, rv))
+    # A one-element array runs the ufunc loops a batch runs; numpy's scalar
+    # arithmetic can round differently (a scalar x**4 calls pow, the array
+    # loop multiplies).
+    return float(_phi(spec.kind, spec.params, rv.reshape(1))[0])
 
 
 def _check_distances(d: np.ndarray) -> None:

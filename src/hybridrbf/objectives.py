@@ -6,11 +6,14 @@ needs no truth.  LOOCV errors come from Rippa's shortcut
 
     e_k = c_k / (A**-1)_kk
 
-using one full-data factorization.  Augmented LOOCV refits N reduced
-systems instead.  That brute-force path is kept because the perfbench
-loocv-augmented check compares a search's cost with it bit for bit; an
-augmented shortcut needs that check to accept a tolerance first.  It also
-serves as the independent oracle for the plain shortcut.
+using one full-data factorization.  A trial factors, solves and inverts
+inside the one N x N kernel matrix it filled: the LU overwrites the matrix,
+and the diagonal of A**-1 comes from two in-place triangular inverses of
+the factors, so the solve for c runs before the inverse.  Augmented LOOCV
+refits N reduced systems instead.  That brute-force path is kept because
+the perfbench loocv-augmented check compares a search's cost with it bit
+for bit; an augmented shortcut needs that check to accept a tolerance
+first.  It also serves as the independent oracle for the plain shortcut.
 
 A parameter search repeats one problem with different kernels, so
 :func:`prepare_search` computes the kernel-independent part once -- the data
@@ -39,7 +42,7 @@ from .interpolation import (
     _factorize,
     _fit,
     _fit_distances,
-    _invdiag_from_factors,
+    _inverse_diagonal,
     _predict,
     _solve,
     _system,
@@ -99,6 +102,13 @@ class ObjectiveSpec:
     def loocv(cls, augmented: bool = False):
         return cls("loocv", augmented=augmented)
 
+    @classmethod
+    def from_kind(cls, kind: str, grid=None, truth_values=None, augmented: bool = False):
+        """The objective named by ``kind``; loocv ignores grid and truth."""
+        if kind == "rms":
+            return cls(kind, grid, truth_values, augmented)
+        return cls(kind, augmented=augmented)
+
 
 def _rms(values: np.ndarray, truth: np.ndarray) -> float:
     residual = values - truth
@@ -124,8 +134,9 @@ def _require_loocv_points(points: PointSet, augmented: bool) -> None:
 def _loocv_rippa(points: PointSet, distances: np.ndarray, kernel: KernelSpec) -> CostValue:
     system = _system(points, distances, kernel, augmented=False)
     factors, _ = _factorize(system.matrix)
+    # Solve first: the inverse diagonal overwrites the factors.
     coeffs = sla.lu_solve(factors, system.rhs, check_finite=False)
-    diag = _invdiag_from_factors(factors, system.size)
+    diag = _inverse_diagonal(factors)
     if np.any(np.abs(diag) <= _BREAKDOWN_TOL):
         k = int(np.argmin(np.abs(diag)))
         raise NumericalBreakdownError(

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridrbf import (
     AssembledSystem,
@@ -14,14 +17,25 @@ from hybridrbf import (
     fit,
     inverse_diagonal,
     load_model,
+    loocv_cost_rippa,
     make_evaluation_grid,
+    make_halton_set,
     make_tensor_grid,
     save_model,
     spectral_report,
     write_points_csv,
 )
 from hybridrbf.bench import franke
-from hybridrbf.interpolation import model_from_text, model_to_text
+from hybridrbf.interpolation import (
+    _INVDIAG_BLOCK,
+    _factorize,
+    _fit_distances,
+    _inverse_diagonal,
+    _system,
+    model_from_text,
+    model_to_text,
+)
+from hybridrbf.kernels import _FILL_BLOCK, KERNEL_KINDS, HybridParams
 
 E_INV = 0.36787944117144233
 TWO_POINT_C = (1.1565176427496657, -0.4254590641196608)  # analytic 2x2 solve
@@ -233,6 +247,166 @@ def test_inverse_diagonal_rejects_augmented():
     system = assemble(pts, KernelSpec.gaussian(2.0), augmented=True)
     with pytest.raises(ConfigError):
         inverse_diagonal(system)
+
+
+# --- the in-place inverse diagonal against the identity-solve oracle ----------
+
+
+def identity_solve_invdiag(matrix: np.ndarray) -> np.ndarray:
+    """Diagonal of the inverse by solving identity columns, 256 at a time."""
+    n = matrix.shape[0]
+    factors = sla.lu_factor(matrix.copy(), check_finite=False)
+    diag = np.empty(n)
+    for start in range(0, n, 256):
+        stop = min(start + 256, n)
+        width = stop - start
+        unit = np.zeros((n, width))
+        unit[np.arange(start, stop), np.arange(width)] = 1.0
+        x = sla.lu_solve(factors, unit, check_finite=False)
+        diag[start:stop] = x[np.arange(start, stop), np.arange(width)]
+    return diag
+
+
+def old_factorize(matrix: np.ndarray):
+    """The factorization before it ran in place: LU of a copy, then gecon."""
+    lu, piv = sla.lu_factor(matrix.copy(), check_finite=False)
+    gecon = sla.get_lapack_funcs("gecon", (lu,))
+    rcond, info = gecon(lu, np.linalg.norm(matrix, 1), norm="1")
+    assert info == 0
+    return lu, piv, 1.0 / rcond
+
+
+B = _INVDIAG_BLOCK
+INVDIAG_SIZES = (1, 2, 3, B - 1, B, B + 1, 2 * B + 17, 300)
+
+
+def pivoting_system(n: int, kind: str) -> AssembledSystem:
+    """A plain system whose LU pivots wherever partial pivoting can.
+
+    Up to three points lie on a line where an off-diagonal entry beats the
+    diagonal (hybrid) or where the second Schur step swaps rows (Gaussian);
+    larger sets are Halton points.  A 1- or 2-point Gaussian system never
+    pivots: its diagonal is the largest entry of every column.
+    """
+    if n <= 3:
+        line = np.array([0.0, 1.0, 1.1])[:n] * (2.0 if kind == "hybrid" else 1.0)
+        pts = PointSet(line[:, None], np.cos(np.arange(n)))
+        kernel = KernelSpec.gaussian(1.0)
+    else:
+        pts = make_halton_set(n, 2).with_values(np.cos(np.arange(n)))
+        kernel = KernelSpec.gaussian(8.0)
+    if kind == "hybrid":
+        kernel = KernelSpec.hybrid(3.0, 0.5, 0.5)
+    return assemble(pts, kernel)
+
+
+@pytest.mark.parametrize("kind", ("hybrid", "gaussian"))
+@pytest.mark.parametrize("n", INVDIAG_SIZES)
+def test_inverse_diagonal_matches_identity_solve_oracle(n, kind):
+    system = pivoting_system(n, kind)
+    _, piv, cond = old_factorize(system.matrix)
+    if n >= (2 if kind == "hybrid" else 3):
+        assert not np.array_equal(piv, np.arange(n))
+    assert cond <= 1e10
+    expected = identity_solve_invdiag(system.matrix)
+    got = inverse_diagonal(system)
+    assert np.max(np.abs(got - expected) / np.abs(expected)) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 70),
+    dim=st.integers(1, 3),
+    epsilon=st.floats(0.5, 20.0),
+    beta=st.floats(0.0, 1.0),
+)
+def test_inverse_diagonal_property_against_oracle(seed, n, dim, epsilon, beta):
+    pts = PointSet(np.random.default_rng(seed).uniform(0.0, 1.0, (n, dim)), np.ones(n))
+    alpha = 1.0 if beta == 0.0 else 1.0 - beta
+    system = assemble(pts, KernelSpec.hybrid(epsilon, alpha, beta))
+    try:
+        _, _, cond = old_factorize(system.matrix)
+        _factorize(system.matrix.copy())
+    except SingularSystemError:
+        with pytest.raises(SingularSystemError):
+            inverse_diagonal(system)
+        return
+    expected = identity_solve_invdiag(system.matrix)
+    got = inverse_diagonal(system)
+    if cond <= 1e10:
+        assert np.max(np.abs(got - expected) / np.abs(expected)) <= 1e-10
+
+
+def test_inverse_diagonal_leaves_system_unchanged():
+    system = pivoting_system(300, "hybrid")
+    before = system.matrix.copy()
+    inverse_diagonal(system)
+    assert np.array_equal(system.matrix, before)
+
+
+def test_triangular_inverse_failure_raises_singular():
+    lu = np.array([[1.0, 2.0], [0.5, 0.0]], order="F")  # U has a zero pivot
+    with pytest.raises(SingularSystemError) as err:
+        _inverse_diagonal((lu, np.array([0, 1], dtype=np.int32)))
+    assert err.value.index == 1
+
+
+# --- the in-place factorization contract -------------------------------------
+
+
+@pytest.mark.parametrize("augmented", (False, True))
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_system_matrix_exactly_symmetric(kind, augmented):
+    """The transposed, in-place LU relies on A == A.T entry for entry."""
+    kernel = KernelSpec(kind, HybridParams(2.7, 0.6, 0.4))
+    side = int(np.sqrt(_FILL_BLOCK))
+    for n in (5, side, side + 1, 2 * side):
+        pts = make_halton_set(n, 2).with_values(np.zeros(n))
+        matrix = _system(pts, _fit_distances(pts, augmented), kernel, augmented).matrix
+        assert np.array_equal(matrix, matrix.T)
+
+
+@pytest.mark.parametrize("kind", ("hybrid", "gaussian"))
+def test_factorize_in_place_bit_equal_to_copy(kind):
+    for n in (3, _INVDIAG_BLOCK + 1, 300):
+        matrix = pivoting_system(n, kind).matrix
+        lu0, piv0, cond0 = old_factorize(matrix)
+        owned = matrix.copy()
+        (lu, piv), cond = _factorize(owned)
+        assert np.shares_memory(lu, owned)
+        assert np.array_equal(lu, lu0) and np.array_equal(piv, piv0)
+        assert cond == cond0
+
+
+@pytest.mark.parametrize("augmented", (False, True))
+def test_fit_bit_equal_to_factoring_a_copy(augmented):
+    pts = make_halton_set(150, 2).with_values(np.sin(np.arange(150.0)))
+    kernel = KernelSpec.hybrid(5.5, 0.7, 1e-3)
+    system = assemble(pts, kernel, augmented=augmented)
+    lu, piv, cond = old_factorize(system.matrix)
+    solution = sla.lu_solve((lu, piv), system.rhs, check_finite=False)
+    model = fit(pts, kernel, augmented=augmented)
+    assert np.array_equal(model.coeffs, solution[: pts.n])
+    if augmented:
+        assert np.array_equal(model.poly_coeffs, solution[pts.n :])
+    assert model.condition_estimate == cond
+
+
+def test_singular_kernel_raises_the_old_pivot_index():
+    pts = franke_data(5)
+    kernel = KernelSpec.gaussian(1e-4)
+    lu, _ = sla.lu_factor(assemble(pts, kernel).matrix.copy(), check_finite=False)
+    expected = int(np.argmin(np.abs(np.diag(lu))))
+    calls = (
+        lambda: fit(pts, kernel),
+        lambda: inverse_diagonal(assemble(pts, kernel)),
+        lambda: loocv_cost_rippa(pts, kernel),
+    )
+    for call in calls:
+        with pytest.raises(SingularSystemError) as err:
+            call()
+        assert err.value.index == expected
 
 
 def test_model_round_trip_bit_exact(tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridrbf import (
@@ -202,6 +202,8 @@ _radii = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
     beta=st.floats(min_value=0.0, max_value=1.0),
     radii=st.lists(_radii, min_size=1, max_size=40),
 )
+# numpy's scalar x**4 rounds differently from the array loop here
+@example(kind="wendland", epsilon=0.7454337761917519, beta=0.0, radii=[0.7454337761917519])
 def test_scalar_and_batch_agree_entry_for_entry(kind, epsilon, beta, radii):
     alpha = 1.0 if beta == 0.0 else 1.0 - beta
     spec = KernelSpec(kind, HybridParams(epsilon, alpha, beta))

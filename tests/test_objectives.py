@@ -195,6 +195,22 @@ def test_objective_spec_validation():
         ObjectiveSpec.rms(grid, np.zeros(5))
 
 
+def test_objective_spec_from_kind():
+    grid = make_evaluation_grid(4)
+    truth = np.arange(16.0)
+    for augmented in (False, True):
+        rms = ObjectiveSpec.from_kind("rms", grid, truth, augmented)
+        assert (rms.kind, rms.grid, rms.augmented) == ("rms", grid, augmented)
+        assert np.array_equal(rms.truth_values, truth)
+        assert ObjectiveSpec.from_kind("loocv", grid, truth, augmented) == ObjectiveSpec.loocv(
+            augmented
+        )
+    with pytest.raises(ConfigError):
+        ObjectiveSpec.from_kind("rms", augmented=True)
+    with pytest.raises(ConfigError):
+        ObjectiveSpec.from_kind("mse", grid, truth)
+
+
 def test_kernel_objective_zero_weights_sentinel():
     pts = franke_data(4)
     objective = kernel_objective(ObjectiveSpec.loocv(), pts)
