@@ -47,8 +47,10 @@ PIVOT_RTOL = 1e-14
 # kernels._fill).  Both buffers are dropped before the next chunk starts, so
 # evaluation peaks at two chunk-sized buffers.
 _CHUNK_CELLS = 4_000_000
-# Rows of the inverse diagonal combined at a time from the two triangular
-# inverses (see _inverse_diagonal); each block holds B x N scratch.
+# Block size of the inverse diagonal.  A triangle of at most this many rows
+# is inverted by LAPACK dtrtri, a larger one by halving (see
+# _invert_triangle); the two inverses are then combined this many rows at a
+# time, each block holding B x N scratch (see _inverse_diagonal).
 _INVDIAG_BLOCK = 128
 
 _UNISOLVENCY_HINT = (
@@ -166,7 +168,8 @@ def _factorize(matrix: np.ndarray):
     the failing pivot index, when the smallest |U_kk| drops below PIVOT_RTOL
     times the largest.
     """
-    anorm = np.linalg.norm(matrix, 1)
+    # The 1-norm of matrix.T (its row sums) is that of matrix: no temporary.
+    anorm = sla.lapack.dlange("1", matrix.T)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sla.LinAlgWarning)
         lu, piv = sla.lu_factor(matrix.T, overwrite_a=True, check_finite=False)
@@ -276,13 +279,53 @@ def spectral_report(system: AssembledSystem) -> SpectralReport:
     return SpectralReport(eigenvalues, cond, negative_count)
 
 
+def _invert_triangle(a: np.ndarray, lo: int, hi: int, lower: int) -> None:
+    """Invert one triangle of ``a[lo:hi, lo:hi]`` in place, by halves.
+
+    The upper triangle (lower=0) is inverted with its diagonal, the lower
+    one (lower=1) as unit triangular.  Blocks of at most _INVDIAG_BLOCK rows
+    go to LAPACK ``dtrtri``; a larger block inverts both halves and then
+    joins them with two level-3 ``dtrmm`` products (Elmroth, Gustavson,
+    Jonsson and Kagstrom, SIAM Review 46, 2004):
+
+        U12 <- -U11**-1 U12 U22**-1,    L21 <- -L22**-1 L21 L11**-1.
+
+    ``dtrmm`` reads only the named triangle, so the opposite triangle of
+    ``a`` is left unchanged.  A zero pivot raises SingularSystemError with
+    its index in ``a``.
+    """
+    if hi - lo <= _INVDIAG_BLOCK:
+        # In place when the block is the whole (Fortran-order) matrix, and
+        # then the write-back is a no-op; otherwise f2py inverts a copy.
+        block, info = sla.lapack.dtrtri(
+            a[lo:hi, lo:hi], lower=lower, unitdiag=lower, overwrite_c=1
+        )
+        if info != 0:
+            raise SingularSystemError(
+                f"triangular inverse failed (info={info})", index=lo + max(info - 1, 0)
+            )
+        a[lo:hi, lo:hi] = block
+        return
+    mid = lo + (hi - lo) // 2
+    _invert_triangle(a, lo, mid, lower)
+    _invert_triangle(a, mid, hi, lower)
+    first, second = a[lo:mid, lo:mid], a[mid:hi, mid:hi]
+    if lower:
+        off, left, right = (slice(mid, hi), slice(lo, mid)), second, first
+    else:
+        off, left, right = (slice(lo, mid), slice(mid, hi)), first, second
+    block = sla.blas.dtrmm(1.0, right, a[off], side=1, lower=lower, diag=lower)
+    a[off] = sla.blas.dtrmm(-1.0, left, block, lower=lower, diag=lower, overwrite_b=1)
+
+
 def _inverse_diagonal(factors) -> np.ndarray:
     """Diagonal of A**-1 from the LU factors of A, overwriting the factors.
 
     With A = P L U, A**-1 = U**-1 L**-1 P**T.  Two in-place triangular
-    inverses leave U**-1 on and above the diagonal of ``lu`` and L**-1 (unit
-    diagonal) below it.  P**T A = A[rows], where ``rows`` is 0..n-1 with the
-    interchanges of ``piv`` applied, and q inverts it (rows[q_k] = k), so
+    inverses (:func:`_invert_triangle`) leave U**-1 on and above the
+    diagonal of ``lu`` and L**-1 (unit diagonal) below it.  P**T A = A[rows],
+    where ``rows`` is 0..n-1 with the interchanges of ``piv`` applied, and q
+    inverts it (rows[q_k] = k), so
 
         (A**-1)_kk = sum over j >= max(k, q_k) of (U**-1)_kj (L**-1)_j,q_k
 
@@ -290,12 +333,8 @@ def _inverse_diagonal(factors) -> np.ndarray:
     """
     lu, piv = factors
     n = lu.shape[0]
-    for lower in (0, 1):  # U**-1, then L**-1 with its unit diagonal
-        _, info = sla.lapack.dtrtri(lu, lower=lower, unitdiag=lower, overwrite_c=1)
-        if info != 0:
-            raise SingularSystemError(
-                f"triangular inverse failed (info={info})", index=max(info - 1, 0)
-            )
+    _invert_triangle(lu, 0, n, lower=0)  # U**-1
+    _invert_triangle(lu, 0, n, lower=1)  # L**-1, with its unit diagonal
     rows = sla.lapack.dlaswp(np.arange(n, dtype=float)[:, None], piv)[:, 0]
     q = np.empty(n, dtype=np.intp)
     q[rows.astype(np.intp)] = np.arange(n)
@@ -318,7 +357,7 @@ def inverse_diagonal(system: AssembledSystem) -> np.ndarray:
     """Diagonal of A**-1 for a plain system, from a single factorization.
 
     Factors a copy of the matrix, so ``system`` is left unchanged, and
-    inverts the two triangular factors in place.
+    inverts the two triangular factors in place by recursive halving.
     """
     if system.augmented:
         raise ConfigError("inverse_diagonal is defined for plain systems only")

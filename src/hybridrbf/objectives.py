@@ -8,12 +8,13 @@ needs no truth.  LOOCV errors come from Rippa's shortcut
 
 using one full-data factorization.  A trial factors, solves and inverts
 inside the one N x N kernel matrix it filled: the LU overwrites the matrix,
-and the diagonal of A**-1 comes from two in-place triangular inverses of
-the factors, so the solve for c runs before the inverse.  Augmented LOOCV
-refits N reduced systems instead.  That brute-force path is kept because
-the perfbench loocv-augmented check compares a search's cost with it bit
-for bit; an augmented shortcut needs that check to accept a tolerance
-first.  It also serves as the independent oracle for the plain shortcut.
+and the diagonal of A**-1 comes from the two triangular factors, each
+inverted in place by recursive halving, so the solve for c runs before the
+inverse.  Augmented LOOCV refits N reduced systems instead.  That
+brute-force path is kept because the perfbench loocv-augmented check
+compares a search's cost with it bit for bit; an augmented shortcut needs
+that check to accept a tolerance first.  It also serves as the independent
+oracle for the plain shortcut.
 
 A parameter search repeats one problem with different kernels, so
 :func:`prepare_search` computes the kernel-independent part once -- the data

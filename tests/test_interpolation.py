@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridrbf import (
@@ -31,6 +31,7 @@ from hybridrbf.interpolation import (
     _factorize,
     _fit_distances,
     _inverse_diagonal,
+    _invert_triangle,
     _system,
     model_from_text,
     model_to_text,
@@ -273,11 +274,11 @@ def old_factorize(matrix: np.ndarray):
     gecon = sla.get_lapack_funcs("gecon", (lu,))
     rcond, info = gecon(lu, np.linalg.norm(matrix, 1), norm="1")
     assert info == 0
-    return lu, piv, 1.0 / rcond
+    return lu, piv, float("inf") if rcond == 0.0 else 1.0 / rcond
 
 
 B = _INVDIAG_BLOCK
-INVDIAG_SIZES = (1, 2, 3, B - 1, B, B + 1, 2 * B + 17, 300)
+INVDIAG_SIZES = (1, 2, 3, B - 1, B, B + 1, 2 * B, 2 * B + 17, 300, 1024)
 
 
 def pivoting_system(n: int, kind: str) -> AssembledSystem:
@@ -285,8 +286,10 @@ def pivoting_system(n: int, kind: str) -> AssembledSystem:
 
     Up to three points lie on a line where an off-diagonal entry beats the
     diagonal (hybrid) or where the second Schur step swaps rows (Gaussian);
-    larger sets are Halton points.  A 1- or 2-point Gaussian system never
-    pivots: its diagonal is the largest entry of every column.
+    larger sets are Halton points, with a Gaussian narrow enough beyond 300
+    points to keep the condition estimate below 1e10.  A 1- or 2-point
+    Gaussian system never pivots: its diagonal is the largest entry of every
+    column.
     """
     if n <= 3:
         line = np.array([0.0, 1.0, 1.1])[:n] * (2.0 if kind == "hybrid" else 1.0)
@@ -294,7 +297,7 @@ def pivoting_system(n: int, kind: str) -> AssembledSystem:
         kernel = KernelSpec.gaussian(1.0)
     else:
         pts = make_halton_set(n, 2).with_values(np.cos(np.arange(n)))
-        kernel = KernelSpec.gaussian(8.0)
+        kernel = KernelSpec.gaussian(8.0 if n <= 300 else 16.0)
     if kind == "hybrid":
         kernel = KernelSpec.hybrid(3.0, 0.5, 0.5)
     return assemble(pts, kernel)
@@ -314,6 +317,7 @@ def test_inverse_diagonal_matches_identity_solve_oracle(n, kind):
 
 
 @settings(max_examples=40, deadline=None)
+@example(seed=0, n=1, dim=1, epsilon=1.0, beta=1.0)  # the 1 x 1 zero matrix
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 70),
@@ -352,19 +356,51 @@ def test_triangular_inverse_failure_raises_singular():
     assert err.value.index == 1
 
 
+@pytest.mark.parametrize("lower", (0, 1))
+@pytest.mark.parametrize("kind", ("hybrid", "gaussian"))
+@pytest.mark.parametrize("n", INVDIAG_SIZES)
+def test_invert_triangle_matches_dtrtri(n, kind, lower):
+    lu, _, _ = old_factorize(pivoting_system(n, kind).matrix)
+    expected, info = sla.lapack.dtrtri(
+        lu.copy(order="F"), lower=lower, unitdiag=lower, overwrite_c=1
+    )
+    assert info == 0
+    got = lu.copy(order="F")
+    _invert_triangle(got, 0, n, lower)
+    opposite = np.triu_indices(n, 1) if lower else np.tril_indices(n, -1)
+    assert np.array_equal(got[opposite], lu[opposite])
+    if n <= B:
+        assert np.array_equal(got, expected)
+    else:
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_zero_pivot_in_a_later_block_raises_the_global_index():
+    lu, piv, _ = old_factorize(pivoting_system(300, "hybrid").matrix)
+    lu[200, 200] = 0.0  # inside the base block of rows 150..224
+    with pytest.raises(SingularSystemError) as err:
+        _inverse_diagonal((lu, piv))
+    assert err.value.index == 200
+
+
 # --- the in-place factorization contract -------------------------------------
 
 
 @pytest.mark.parametrize("augmented", (False, True))
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
 def test_system_matrix_exactly_symmetric(kind, augmented):
-    """The transposed, in-place LU relies on A == A.T entry for entry."""
+    """The transposed, in-place LU relies on A == A.T entry for entry.
+
+    So does the condition estimate: _factorize takes the 1-norm of matrix.T
+    with LAPACK dlange, which must equal numpy's norm of matrix bit for bit.
+    """
     kernel = KernelSpec(kind, HybridParams(2.7, 0.6, 0.4))
     side = int(np.sqrt(_FILL_BLOCK))
     for n in (5, side, side + 1, 2 * side):
         pts = make_halton_set(n, 2).with_values(np.zeros(n))
         matrix = _system(pts, _fit_distances(pts, augmented), kernel, augmented).matrix
         assert np.array_equal(matrix, matrix.T)
+        assert sla.lapack.dlange("1", matrix.T) == np.linalg.norm(matrix, 1)
 
 
 @pytest.mark.parametrize("kind", ("hybrid", "gaussian"))
