@@ -13,6 +13,10 @@ experiment cell plus a human-readable table:
 * fault: LOOCV-tuned reconstruction of a synthetic normal-fault surface.
 * scaling: wall-time of single fits across N with a log-log slope row.
 
+linear-reproduction, franke and objective-comparison run one loop of
+optimized cells.  After its search, each cell builds the data distances once
+and fits, takes the spectrum and, for rms cells, the LOOCV cost on them.
+
 The Franke surface here uses the standard Franke (1979) signs: every
 exponential argument is negative.
 """
@@ -38,13 +42,22 @@ from .geometry import (
     make_tensor_grid,
     write_points_csv,
 )
-from .interpolation import assemble, evaluate, fit, spectral_report
+from .interpolation import (
+    InterpolationModel,
+    _fit,
+    _fit_distances,
+    _system,
+    assemble,
+    evaluate,
+    fit,
+    spectral_report,
+)
 from .kernels import HybridParams, KernelSpec
 from .objectives import (
     ObjectiveSpec,
+    _loocv_brute,
+    _loocv_rippa,
     kernel_objective,
-    loocv_cost_brute,
-    loocv_cost_rippa,
     objective_value,
     rms_error,
 )
@@ -225,38 +238,60 @@ def _grid_data(n: int, truth: Callable) -> PointSet:
     return pts.with_values(truth(pts.coords[:, 0], pts.coords[:, 1]))
 
 
+def _truth_grid(points_per_side: int, truth: Callable, dim: int = 2):
+    """Evaluation grid on the unit cube and the truth at its first two coordinates."""
+    grid = make_evaluation_grid(points_per_side, dim=dim)
+    return grid, truth(grid.points[:, 0], grid.points[:, 1])
+
+
 def _variant_augmented(variant: str) -> bool:
     return variant.endswith("+poly")
-
-
-def _variant_search(variant: str, pso: PsoConfig, seed: int):
-    """Search config and position -> kernel mapping for one variant."""
-    if variant == "cubic":
-        return None, None
-    if variant == "gaussian":
-        cfg = replace(pso, bounds=(pso.bounds[0],), seed=seed)
-        return cfg, lambda p: KernelSpec.gaussian(p[0])
-    cfg = replace(pso, seed=seed)
-    return cfg, lambda p: KernelSpec.hybrid(p[0], p[1], p[2])
 
 
 def _optimize_variant(
     points: PointSet, ospec: ObjectiveSpec, pso: PsoConfig, variant: str, seed: int
 ) -> tuple[KernelSpec, float]:
-    cfg, to_kernel = _variant_search(variant, pso, seed)
-    if cfg is None:
+    """Best kernel of one variant and its cost; cubic has nothing to search."""
+    if variant == "cubic":
         kernel = KernelSpec.cubic()
         return kernel, objective_value(ospec, points, kernel)
+    if variant == "gaussian":
+        cfg = replace(pso, bounds=(pso.bounds[0],), seed=seed)
+        to_kernel = lambda p: KernelSpec.gaussian(p[0])
+    else:
+        cfg = replace(pso, seed=seed)
+        to_kernel = lambda p: KernelSpec.hybrid(p[0], p[1], p[2])
     result = pso_minimize(kernel_objective(ospec, points, to_kernel), cfg)
     return to_kernel(result.best_position), result.best_value
 
 
-def _loocv_garnish(points: PointSet, kernel: KernelSpec, augmented: bool) -> float | None:
+def _fit_step(
+    cell: CellRecord, points: PointSet, distances: np.ndarray, kernel: KernelSpec, augmented: bool
+) -> InterpolationModel:
+    """Fit on checked data distances; record the kernel and spectrum in ``cell``.
+
+    The private steps of ``fit`` and ``assemble`` on one distance matrix give
+    the same model and spectrum, bit for bit, as the public calls.
+    """
+    model = _fit(points, distances, kernel, augmented)
+    spectrum = spectral_report(_system(points, distances, kernel, augmented))
+    cell.epsilon = kernel.params.epsilon
+    cell.alpha = kernel.params.alpha
+    cell.beta = kernel.params.beta
+    cell.condition_number = spectrum.condition_number
+    cell.negative_count = spectrum.negative_count
+    return model
+
+
+def _loocv_garnish(
+    points: PointSet, distances: np.ndarray, kernel: KernelSpec, augmented: bool
+) -> float | None:
+    """LOOCV cost of an rms-tuned kernel; node counts >= 4 suit either path."""
     try:
         if not augmented:
-            return loocv_cost_rippa(points, kernel).value
+            return _loocv_rippa(points, distances, kernel).value
         if points.n <= _BRUTE_LOOCV_MAX_N:
-            return loocv_cost_brute(points, kernel, augmented=True).value
+            return _loocv_brute(points, distances, kernel, augmented=True).value
     except ToolkitError:
         return None
     return None
@@ -268,33 +303,23 @@ def _optimized_cell(
     grid: EvaluationGrid,
     truth_values: np.ndarray,
     variant: str,
-    n: int,
-    objective: str | None = None,
-    shared_seed: int | None = None,
+    objective: str,
+    seed: int,
 ) -> CellRecord:
-    objective = spec.objective if objective is None else objective
-    cell = CellRecord(study=spec.study, variant=variant, n=n, objective=objective)
+    cell = CellRecord(study=spec.study, variant=variant, n=points.n, objective=objective)
     start = perf_counter()
     try:
         augmented = _variant_augmented(variant)
         ospec = ObjectiveSpec.from_kind(objective, grid, truth_values, augmented)
-        seed = (
-            shared_seed
-            if shared_seed is not None
-            else _cell_seed(spec, spec.study, n, variant, objective)
-        )
         kernel, best_cost = _optimize_variant(points, ospec, spec.pso, variant, seed)
-        model = fit(points, kernel, augmented=augmented)
-        spectrum = spectral_report(assemble(points, kernel, augmented=augmented))
-        cell.epsilon = kernel.params.epsilon
-        cell.alpha = kernel.params.alpha
-        cell.beta = kernel.params.beta
+        distances = _fit_distances(points, augmented)
+        model = _fit_step(cell, points, distances, kernel, augmented)
         cell.rms = rms_error(model, grid, truth_values)
         cell.loocv_cost = (
-            best_cost if objective == "loocv" else _loocv_garnish(points, kernel, augmented)
+            best_cost
+            if objective == "loocv"
+            else _loocv_garnish(points, distances, kernel, augmented)
         )
-        cell.condition_number = spectrum.condition_number
-        cell.negative_count = spectrum.negative_count
     except ToolkitError as exc:
         cell.status = "failed"
         cell.detail = str(exc)
@@ -318,33 +343,36 @@ def _finish(spec: ExperimentSpec, cells: list[CellRecord], notes: tuple[str, ...
 # --- studies --------------------------------------------------------------
 
 
-def linear_reproduction_study(spec: ExperimentSpec) -> ExperimentReport:
-    """Optimized linear reproduction per node count and kernel variant."""
-    _expect_study(spec, "linear-reproduction")
-    grid = make_evaluation_grid(spec.eval_grid_n)
-    truth_values = linear_truth(grid.points[:, 0], grid.points[:, 1])
-    cells = []
-    for n in spec.node_counts:
-        points = _grid_data(n, linear_truth)
-        for variant in spec.variants:
-            cells.append(_optimized_cell(spec, points, grid, truth_values, variant, n))
-    notes = ("truth: f(x, y) = (x + y)/2 on the unit square",)
-    return _finish(spec, cells, notes)
+# Truth surface and report notes of each study made of optimized cells.
+_OPTIMIZED_STUDIES = {
+    "linear-reproduction": (linear_truth, ("truth: f(x, y) = (x + y)/2 on the unit square",)),
+    "franke": (franke, (FRANKE_NOTE,)),
+    "objective-comparison": (franke, (FRANKE_NOTE, "seeds shared between objectives")),
+}
 
 
-def franke_convergence_study(spec: ExperimentSpec) -> ExperimentReport:
-    """Optimized Franke interpolation per node count, plus epsilon sweeps."""
-    _expect_study(spec, "franke")
-    grid = make_evaluation_grid(spec.eval_grid_n)
-    truth_values = franke(grid.points[:, 0], grid.points[:, 1])
+def _optimized_study(spec: ExperimentSpec) -> ExperimentReport:
+    """Optimized cells per node count and kernel variant.
+
+    objective-comparison runs both objectives from one seed per cell; franke
+    adds the epsilon sweep.
+    """
+    truth, notes = _OPTIMIZED_STUDIES[spec.study]
+    grid, truth_values = _truth_grid(spec.eval_grid_n, truth)
+    compare = spec.study == "objective-comparison"
     cells = []
     for n in spec.node_counts:
-        points = _grid_data(n, franke)
+        points = _grid_data(n, truth)
         for variant in spec.variants:
-            cells.append(_optimized_cell(spec, points, grid, truth_values, variant, n))
-    if spec.sweep_points > 0:
+            for objective in ("rms", "loocv") if compare else (spec.objective,):
+                key = (n, variant) if compare else (n, variant, objective)
+                seed = _cell_seed(spec, spec.study, *key)
+                cells.append(
+                    _optimized_cell(spec, points, grid, truth_values, variant, objective, seed)
+                )
+    if spec.study == "franke" and spec.sweep_points > 0:
         cells.extend(_epsilon_sweep(spec, grid, truth_values, cells))
-    return _finish(spec, cells, (FRANKE_NOTE,))
+    return _finish(spec, cells, notes)
 
 
 def _epsilon_sweep(
@@ -363,14 +391,13 @@ def _epsilon_sweep(
     except StopIteration:
         alpha, beta = 0.7, 1e-6  # no optimized hybrid cell to anchor on
     points = _grid_data(n_max, franke)
+    # One matrix serves plain and augmented cells: a square >= 4 passes both checks.
+    distances = _fit_distances(points, augmented=True)
     out = []
     for eps in np.geomspace(0.05, 20.0, spec.sweep_points):
         for base in ("gaussian", "hybrid", "hybrid+poly"):
             augmented = _variant_augmented(base)
-            if base == "gaussian":
-                kernel = KernelSpec.gaussian(eps)
-            else:
-                kernel = KernelSpec.hybrid(eps, alpha, beta)
+            kernel = KernelSpec.from_name(base.removesuffix("+poly"), eps, alpha, beta)
             cell = CellRecord(
                 study=spec.study,
                 variant=f"sweep:{base}",
@@ -381,11 +408,8 @@ def _epsilon_sweep(
             )
             start = perf_counter()
             try:
-                model = fit(points, kernel, augmented=augmented)
-                spectrum = spectral_report(assemble(points, kernel, augmented=augmented))
+                model = _fit_step(cell, points, distances, kernel, augmented)
                 cell.rms = rms_error(model, grid, truth_values)
-                cell.condition_number = spectrum.condition_number
-                cell.negative_count = spectrum.negative_count
             except ToolkitError as exc:
                 # sweeping into the flat regime is expected to hit singular
                 # systems; that is the curve's story, not a failed cell
@@ -398,9 +422,7 @@ def _epsilon_sweep(
 
 def spectra_study(spec: ExperimentSpec) -> ExperimentReport:
     """Eigenvalue spectra of plain and augmented hybrid systems per N."""
-    _expect_study(spec, "spectra")
-    grid = make_evaluation_grid(spec.eval_grid_n)
-    truth_values = franke(grid.points[:, 0], grid.points[:, 1])
+    grid, truth_values = _truth_grid(spec.eval_grid_n, franke)
     cells: list[CellRecord] = []
     files: list[Path] = []
     digest = spec_digest(spec)
@@ -452,7 +474,7 @@ def _spectra_params(
     augmented = _variant_augmented(variant)
     ospec = ObjectiveSpec.from_kind(spec.objective, grid, truth_values, augmented)
     seed = _cell_seed(spec, spec.study, n, variant, spec.objective)
-    kernel, _ = _optimize_variant(points, ospec, spec.pso, "hybrid+poly" if augmented else "hybrid", seed)
+    kernel, _ = _optimize_variant(points, ospec, spec.pso, variant, seed)
     p = kernel.params
     return p.epsilon, p.alpha, p.beta
 
@@ -463,32 +485,6 @@ def _write_spectrum_csv(path: Path, eigenvalues: np.ndarray) -> None:
         fh.write("index,eigenvalue\n")
         for i, ev in enumerate(eigenvalues):
             fh.write(f"{i},{FLOAT_FMT % ev}\n")
-
-
-def objective_comparison_study(spec: ExperimentSpec) -> ExperimentReport:
-    """RMS- versus LOOCV-driven optimization from identical starting swarms."""
-    _expect_study(spec, "objective-comparison")
-    grid = make_evaluation_grid(spec.eval_grid_n)
-    truth_values = franke(grid.points[:, 0], grid.points[:, 1])
-    cells = []
-    for n in spec.node_counts:
-        points = _grid_data(n, franke)
-        for variant in spec.variants:
-            shared = _cell_seed(spec, spec.study, n, variant)
-            for objective in ("rms", "loocv"):
-                cells.append(
-                    _optimized_cell(
-                        spec,
-                        points,
-                        grid,
-                        truth_values,
-                        variant,
-                        n,
-                        objective=objective,
-                        shared_seed=shared,
-                    )
-                )
-    return _finish(spec, cells, (FRANKE_NOTE, "seeds shared between objectives"))
 
 
 def fault_side(coords) -> np.ndarray:
@@ -528,7 +524,6 @@ def synthetic_fault_surface(n_points: int = 78, seed: int = 0) -> PointSet:
 
 def fault_study(spec: ExperimentSpec) -> ExperimentReport:
     """LOOCV-tuned hybrid reconstruction of the synthetic fault surface."""
-    _expect_study(spec, "fault")
     cell = CellRecord(study=spec.study, variant="hybrid", n=spec.fault_points, objective="loocv")
     cells = [cell]
     files: list[Path] = []
@@ -538,18 +533,12 @@ def fault_study(spec: ExperimentSpec) -> ExperimentReport:
         ospec = ObjectiveSpec.loocv()
         seed = _cell_seed(spec, spec.study, spec.fault_points)
         kernel, best_cost = _optimize_variant(points, ospec, spec.pso, "hybrid", seed)
-        model = fit(points, kernel)
-        spectrum = spectral_report(assemble(points, kernel))
+        model = _fit_step(cell, points, _fit_distances(points, False), kernel, False)
         target = make_evaluation_grid(
             spec.fault_grid_n, dim=2, lower=FAULT_DOMAIN[0], upper=FAULT_DOMAIN[1]
         )
         values = evaluate(model, target)
-        cell.epsilon = kernel.params.epsilon
-        cell.alpha = kernel.params.alpha
-        cell.beta = kernel.params.beta
         cell.loocv_cost = best_cost
-        cell.condition_number = spectrum.condition_number
-        cell.negative_count = spectrum.negative_count
         cell.detail = f"reconstructed {target.m} locations"
         if spec.output_dir is not None:
             digest = spec_digest(spec)
@@ -568,7 +557,6 @@ def fault_study(spec: ExperimentSpec) -> ExperimentReport:
 
 def scaling_study(spec: ExperimentSpec) -> ExperimentReport:
     """Wall-time of single fits across N, with a log-log slope row."""
-    _expect_study(spec, "scaling")
     counts = sorted(spec.node_counts)
     if max(counts) < 4 * min(counts):
         raise ConfigError(
@@ -613,9 +601,7 @@ def _timed_fit(points: PointSet, kernel: KernelSpec) -> float:
 
 
 def _timed_optimize_cell(spec: ExperimentSpec, points: PointSet, n: int) -> CellRecord:
-    grid = make_evaluation_grid(spec.eval_grid_n)
-    truth_values = franke(grid.points[:, 0], grid.points[:, 1])
-    ospec = ObjectiveSpec.rms(grid, truth_values)
+    ospec = ObjectiveSpec.rms(*_truth_grid(spec.eval_grid_n, franke))
     cell = CellRecord(study=spec.study, variant="optimize", n=n, objective="rms")
     cfg = replace(spec.pso, generations=1, seed=_cell_seed(spec, spec.study, n, "optimize"))
     start = perf_counter()
@@ -629,10 +615,10 @@ def _timed_optimize_cell(spec: ExperimentSpec, points: PointSet, n: int) -> Cell
 
 
 _STUDY_FUNCS = {
-    "linear-reproduction": linear_reproduction_study,
-    "franke": franke_convergence_study,
+    "linear-reproduction": _optimized_study,
+    "franke": _optimized_study,
     "spectra": spectra_study,
-    "objective-comparison": objective_comparison_study,
+    "objective-comparison": _optimized_study,
     "fault": fault_study,
     "scaling": scaling_study,
 }
@@ -641,11 +627,6 @@ _STUDY_FUNCS = {
 def run_study(spec: ExperimentSpec) -> ExperimentReport:
     """Dispatch a study by its spec.study name."""
     return _STUDY_FUNCS[spec.study](spec)
-
-
-def _expect_study(spec: ExperimentSpec, name: str) -> None:
-    if spec.study != name:
-        raise ConfigError(f"spec.study is {spec.study!r}, expected {name!r}")
 
 
 # --- report I/O -----------------------------------------------------------

@@ -17,6 +17,8 @@ from .bench import (
     FULL_NODE_COUNTS,
     ExperimentSpec,
     STUDIES,
+    _grid_data,
+    _truth_grid,
     franke,
     linear_truth,
     run_study,
@@ -28,14 +30,12 @@ from .geometry import (
     _min_off_diagonal,
     _row_template,
     _write_header,
-    make_evaluation_grid,
-    make_tensor_grid,
     read_points_csv,
     read_points_table,
     write_points_csv,
 )
 from .interpolation import _fit, _fit_distances, _predict, evaluate, load_model, save_model
-from .kernels import KERNEL_KINDS, HybridParams, KernelSpec
+from .kernels import KERNEL_KINDS, KernelSpec
 from .objectives import ObjectiveSpec, kernel_objective
 from .pso import PsoConfig, pso_minimize, validate_config, write_trace_csv
 
@@ -120,23 +120,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _kernel_from_args(args) -> KernelSpec:
-    if args.kernel == "hybrid":
-        return KernelSpec.hybrid(args.epsilon, args.alpha, args.beta)
-    if args.kernel == "gaussian":
-        return KernelSpec.gaussian(args.epsilon)
-    if args.kernel == "cubic":
-        return KernelSpec.cubic()
-    if args.kernel == "thin-plate-spline":
-        return KernelSpec("thin-plate-spline", HybridParams(0.0, 1.0, 0.0))
-    return KernelSpec(args.kernel, HybridParams(args.epsilon, 1.0, 0.0))
+def _pso_config(args) -> PsoConfig:
+    return PsoConfig(
+        swarm_size=args.swarm,
+        generations=args.generations,
+        c1=args.c1,
+        c2=args.c2,
+        inertia_w=args.inertia,
+        bounds=((args.eps_min, args.eps_max), (0.0, 1.0), (0.0, 1.0)),
+        seed=args.seed,
+    )
 
 
 def cmd_fit(args) -> int:
     points = read_points_csv(args.input)
     if points.values is None:
         raise ConfigError(f"{args.input}: fit needs a value column")
-    kernel = _kernel_from_args(args)
+    kernel = KernelSpec.from_name(args.kernel, args.epsilon, args.alpha, args.beta)
     # One distance matrix serves the fit, the data-site residual and the
     # minimum separation.
     distances = _fit_distances(points, args.augment)
@@ -178,22 +178,12 @@ def _optimize_data(args) -> PointSet:
         k = int(round(np.sqrt(args.nodes)))
         if k * k != args.nodes or k < 2:
             raise ConfigError(f"--nodes must be a perfect square >= 4, got {args.nodes}")
-        grid = make_tensor_grid(k, 2)
-        truth = _TRUTHS[args.truth]
-        return grid.with_values(truth(grid.coords[:, 0], grid.coords[:, 1]))
+        return _grid_data(args.nodes, _TRUTHS[args.truth])
     raise ConfigError("optimize needs --input, or --truth together with --nodes")
 
 
 def cmd_optimize(args) -> int:
-    config = PsoConfig(
-        swarm_size=args.swarm,
-        generations=args.generations,
-        c1=args.c1,
-        c2=args.c2,
-        inertia_w=args.inertia,
-        bounds=((args.eps_min, args.eps_max), (0.0, 1.0), (0.0, 1.0)),
-        seed=args.seed,
-    )
+    config = _pso_config(args)
     violations = validate_config(config)
     if violations:
         for violation in violations:
@@ -204,8 +194,12 @@ def cmd_optimize(args) -> int:
     if args.objective == "rms":
         if not args.truth:
             raise ConfigError("rms objective needs --truth to define the error")
-        grid = make_evaluation_grid(args.grid_n, dim=points.dim)
-        truth_values = _TRUTHS[args.truth](grid.points[:, 0], grid.points[:, 1])
+        if points.dim < 2:
+            raise ConfigError(
+                f"rms objective needs points with at least 2 coordinates for "
+                f"--truth {args.truth}, got {points.dim}"
+            )
+        grid, truth_values = _truth_grid(args.grid_n, _TRUTHS[args.truth], points.dim)
     ospec = ObjectiveSpec.from_kind(args.objective, grid, truth_values, args.augment)
     result = pso_minimize(kernel_objective(ospec, points), config)
     eps, alpha, beta = result.best_position
@@ -260,15 +254,7 @@ def cmd_bench(args) -> int:
         node_counts=nodes,
         variants=variants,
         objective=args.objective,
-        pso=PsoConfig(
-            swarm_size=args.swarm,
-            generations=args.generations,
-            c1=args.c1,
-            c2=args.c2,
-            inertia_w=args.inertia,
-            bounds=((args.eps_min, args.eps_max), (0.0, 1.0), (0.0, 1.0)),
-            seed=args.seed,
-        ),
+        pso=_pso_config(args),
         eval_grid_n=args.grid_n,
         seed=args.seed,
         sweep_points=args.sweep_points,
@@ -316,9 +302,12 @@ def _coerce_config_value(action, key: str, value: str, where: str):
         return value.lower() == "true"
     if action.type is not None:
         try:
-            return action.type(value)
+            value = action.type(value)
         except ValueError:
             raise ConfigError(f"{where}: bad value for {key}: {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        expected = ", ".join(map(str, action.choices))
+        raise ConfigError(f"{where}: bad value for {key}: {value!r}; expected one of {expected}")
     return value
 
 

@@ -28,9 +28,6 @@ KERNEL_KINDS = (
     "wendland",
 )
 
-# Kinds whose formula never reads epsilon.
-SHAPE_FREE_KINDS = ("cubic", "thin-plate-spline")
-
 
 @dataclass(frozen=True)
 class HybridParams:
@@ -98,6 +95,23 @@ class KernelSpec:
     @classmethod
     def normalized_hybrid(cls, epsilon: float, beta: float) -> "KernelSpec":
         return cls("hybrid", HybridParams.normalized(epsilon, beta))
+
+    @classmethod
+    def from_name(
+        cls, kind: str, epsilon: float, alpha: float, beta: float
+    ) -> "KernelSpec":
+        """Kernel ``kind`` holding only the parameters its formula reads.
+
+        hybrid takes all three; cubic and thin-plate-spline read none and
+        get fixed parameters; every other kind reads epsilon alone.
+        """
+        if kind == "hybrid":
+            return cls.hybrid(epsilon, alpha, beta)
+        if kind == "cubic":
+            return cls.cubic()
+        if kind == "thin-plate-spline":
+            return cls(kind, HybridParams(0.0, 1.0, 0.0))
+        return cls(kind, HybridParams(epsilon, 1.0, 0.0))
 
     def to_record(self) -> str:
         """Serialize as ``kind,epsilon,alpha,beta`` with round-trip floats."""

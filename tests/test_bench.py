@@ -1,10 +1,23 @@
 import numpy as np
 import pytest
 
-from hybridrbf import ConfigError, KernelSpec, PsoConfig, assemble, spectral_report
+from hybridrbf import (
+    ConfigError,
+    HybridParams,
+    KernelSpec,
+    PsoConfig,
+    assemble,
+    fit,
+    loocv_cost_brute,
+    loocv_cost_rippa,
+    make_evaluation_grid,
+    rms_error,
+    spectral_report,
+)
 from hybridrbf.bench import (
     DESK_NODE_COUNTS,
     FULL_NODE_COUNTS,
+    VARIANTS,
     ExperimentSpec,
     FAULT_STEP,
     fault_elevation,
@@ -73,6 +86,13 @@ def test_spec_digest_tracks_content():
     c = ExperimentSpec(study="franke", node_counts=(25,), pso=QUICK_PSO, output_dir="x")
     assert spec_digest(a) != spec_digest(b)
     assert spec_digest(a) == spec_digest(c)  # output location is not content
+    # Every report file name carries the digest, so a change to the spec
+    # fields renames them all.
+    assert spec_digest(a) == "f9711d9198"
+    fault = ExperimentSpec(
+        study="fault", pso=PsoConfig(swarm_size=6, generations=2), fault_grid_n=101
+    )
+    assert spec_digest(fault) == "10ecc86cd0"
 
 
 def test_linear_reproduction_study_cells():
@@ -287,3 +307,61 @@ def test_report_files_emitted(tmp_path):
     assert csv_path.exists() and txt_path.exists()
     text = txt_path.read_text()
     assert "linear-reproduction" in text and "hybrid" in text
+
+
+SMALL_PSO = PsoConfig(swarm_size=4, generations=2)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ExperimentSpec(study="linear-reproduction", node_counts=(25,), pso=SMALL_PSO),
+        ExperimentSpec(
+            study="franke", node_counts=(25,), variants=VARIANTS, pso=SMALL_PSO,
+            sweep_points=4,
+        ),
+        ExperimentSpec(
+            study="objective-comparison", node_counts=(25,),
+            variants=("hybrid", "hybrid+poly"), pso=SMALL_PSO,
+        ),
+        ExperimentSpec(study="fault", pso=SMALL_PSO, fault_points=30, fault_grid_n=11),
+    ],
+    ids=lambda spec: spec.study,
+)
+def test_cells_match_the_public_fit_chain(spec):
+    # Cells fit, take the spectrum and the LOOCV cost on one distance matrix;
+    # each number must equal what the public calls give for the cell's kernel.
+    report = run_study(spec)
+    if spec.study == "fault":
+        points = synthetic_fault_surface(spec.fault_points, seed=spec.seed)
+        grid = None
+    else:
+        truth = linear_truth if spec.study == "linear-reproduction" else franke
+        k = int(round(np.sqrt(spec.node_counts[0])))
+        points = make_tensor_grid(k, 2)
+        points = points.with_values(truth(points.coords[:, 0], points.coords[:, 1]))
+        grid = make_evaluation_grid(spec.eval_grid_n)
+        truth_values = truth(grid.points[:, 0], grid.points[:, 1])
+    checked = [c for c in report.cells if c.status == "ok"]
+    assert checked
+    for cell in checked:
+        variant = cell.variant.removeprefix("sweep:")
+        augmented = variant.endswith("+poly")
+        kind = variant.removesuffix("+poly")
+        kernel = KernelSpec(kind, HybridParams(cell.epsilon, cell.alpha, cell.beta))
+        model = fit(points, kernel, augmented=augmented)
+        spectrum = spectral_report(assemble(points, kernel, augmented=augmented))
+        assert cell.condition_number == spectrum.condition_number
+        assert cell.negative_count == spectrum.negative_count
+        if grid is None:
+            assert cell.rms is None
+        else:
+            assert cell.rms == rms_error(model, grid, truth_values)
+        if cell.variant.startswith("sweep:"):
+            assert cell.loocv_cost is None
+            continue
+        if augmented:
+            loocv = loocv_cost_brute(points, kernel, augmented=True)
+        else:
+            loocv = loocv_cost_rippa(points, kernel)
+        assert cell.loocv_cost == loocv.value

@@ -226,6 +226,19 @@ def test_optimize_rms_needs_truth(tmp_path, capsys):
     assert "truth" in capsys.readouterr().err
 
 
+def test_optimize_rms_needs_two_coordinates(tmp_path, capsys):
+    data = tmp_path / "line.csv"
+    write_points_csv(data, PointSet([[0.0], [0.5], [1.0]], [1.0, 2.0, 3.0]))
+    rc = main([
+        "optimize", "--input", str(data), "--objective", "rms", "--truth", "franke",
+        "--output", str(tmp_path / "best.csv"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "2 coordinates" in err
+
+
 def test_optimize_synthetic_franke(tmp_path):
     best = tmp_path / "best.csv"
     rc = main([
@@ -305,6 +318,46 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
                "--output", str(tmp_path / "m.txt")])
     assert rc == 2
     assert "unknown flag" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry, argv",
+    [
+        ("study = foo", ["bench", "--out", "reports"]),
+        ("truth = foo", ["optimize", "--nodes", "25", "--output", "best.csv"]),
+    ],
+)
+def test_config_file_values_obey_flag_choices(tmp_path, capsys, entry, argv):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"# choices apply to config values too\n{entry}\n")
+    rc = main(["--config", str(config), *argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}:2: ") and err.count("\n") == 1
+    assert "'foo'" in err
+
+
+@pytest.mark.parametrize(
+    "kind, record",
+    [
+        ("gaussian", "gaussian,2.5,1.0,0.0"),
+        ("cubic", "cubic,0.0,0.0,1.0"),
+        ("hybrid", "hybrid,2.5,0.8,1e-06"),
+        ("multiquadric", "multiquadric,2.5,1.0,0.0"),
+        ("inverse-multiquadric", "inverse-multiquadric,2.5,1.0,0.0"),
+        ("thin-plate-spline", "thin-plate-spline,0.0,1.0,0.0"),
+        ("wendland", "wendland,2.5,1.0,0.0"),
+    ],
+)
+def test_fit_kernel_keeps_the_parameters_its_kind_reads(tmp_path, kind, record):
+    data, model_path = tmp_path / "fault.csv", tmp_path / "model.txt"
+    write_points_csv(data, synthetic_fault_surface(30, seed=4))
+    rc = main([
+        "fit", "--input", str(data), "--output", str(model_path), "--kernel", kind,
+        "--epsilon", "2.5", "--alpha", "0.8", "--beta", "1e-6",
+    ])
+    assert rc == 0
+    assert f"kernel: {record}" in model_path.read_text().splitlines()
 
 
 def test_eval_output_round_trips_through_reader(tmp_path):
