@@ -14,8 +14,9 @@ experiment cell plus a human-readable table:
 * scaling: wall-time of single fits across N with a log-log slope row.
 
 linear-reproduction, franke and objective-comparison run one loop of
-optimized cells.  After its search, each cell builds the data distances once
-and fits, takes the spectrum and, for rms cells, the LOOCV cost on them.
+optimized cells.  Each cell's search builds and checks the data distances
+once; after it, the cell fits, takes the spectrum and, for rms cells, the
+LOOCV cost on those same distances.
 
 The Franke surface here uses the standard Franke (1979) signs: every
 exponential argument is negative.
@@ -26,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import zlib
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from time import perf_counter
@@ -55,10 +57,12 @@ from .interpolation import (
 from .kernels import HybridParams, KernelSpec
 from .objectives import (
     ObjectiveSpec,
+    SearchData,
     _loocv_brute,
     _loocv_rippa,
     kernel_objective,
     objective_value,
+    prepare_search,
     rms_error,
 )
 from .pso import PsoConfig, pso_minimize
@@ -250,19 +254,36 @@ def _variant_augmented(variant: str) -> bool:
 
 def _optimize_variant(
     points: PointSet, ospec: ObjectiveSpec, pso: PsoConfig, variant: str, seed: int
-) -> tuple[KernelSpec, float]:
-    """Best kernel of one variant and its cost; cubic has nothing to search."""
+) -> tuple[KernelSpec, float, SearchData]:
+    """Best kernel of one variant, its cost and the search's checked data.
+
+    cubic has nothing to search.
+    """
+    data = prepare_search(ospec, points)
     if variant == "cubic":
         kernel = KernelSpec.cubic()
-        return kernel, objective_value(ospec, points, kernel)
+        return kernel, objective_value(ospec, points, kernel, data), data
     if variant == "gaussian":
         cfg = replace(pso, bounds=(pso.bounds[0],), seed=seed)
         to_kernel = lambda p: KernelSpec.gaussian(p[0])
     else:
         cfg = replace(pso, seed=seed)
         to_kernel = lambda p: KernelSpec.hybrid(p[0], p[1], p[2])
-    result = pso_minimize(kernel_objective(ospec, points, to_kernel), cfg)
-    return to_kernel(result.best_position), result.best_value
+    result = pso_minimize(kernel_objective(ospec, points, to_kernel, data), cfg)
+    return to_kernel(result.best_position), result.best_value, data
+
+
+@contextmanager
+def _timed(cell: CellRecord, failure: str = "failed"):
+    """Time the block into ``cell.wall_time_s``; a ToolkitError in it sets
+    ``cell.status`` to ``failure`` and ``cell.detail`` to the message."""
+    start = perf_counter()
+    try:
+        yield
+    except ToolkitError as exc:
+        cell.status = failure
+        cell.detail = str(exc)
+    cell.wall_time_s = perf_counter() - start
 
 
 def _fit_step(
@@ -307,23 +328,17 @@ def _optimized_cell(
     seed: int,
 ) -> CellRecord:
     cell = CellRecord(study=spec.study, variant=variant, n=points.n, objective=objective)
-    start = perf_counter()
-    try:
+    with _timed(cell):
         augmented = _variant_augmented(variant)
         ospec = ObjectiveSpec.from_kind(objective, grid, truth_values, augmented)
-        kernel, best_cost = _optimize_variant(points, ospec, spec.pso, variant, seed)
-        distances = _fit_distances(points, augmented)
-        model = _fit_step(cell, points, distances, kernel, augmented)
+        kernel, best_cost, data = _optimize_variant(points, ospec, spec.pso, variant, seed)
+        model = _fit_step(cell, points, data.distances, kernel, augmented)
         cell.rms = rms_error(model, grid, truth_values)
         cell.loocv_cost = (
             best_cost
             if objective == "loocv"
-            else _loocv_garnish(points, distances, kernel, augmented)
+            else _loocv_garnish(points, data.distances, kernel, augmented)
         )
-    except ToolkitError as exc:
-        cell.status = "failed"
-        cell.detail = str(exc)
-    cell.wall_time_s = perf_counter() - start
     return cell
 
 
@@ -406,16 +421,11 @@ def _epsilon_sweep(
                 alpha=kernel.params.alpha,
                 beta=kernel.params.beta,
             )
-            start = perf_counter()
-            try:
+            # sweeping into the flat regime is expected to hit singular
+            # systems; that is the curve's story, not a failed cell
+            with _timed(cell, failure="flagged: unsolvable at this epsilon"):
                 model = _fit_step(cell, points, distances, kernel, augmented)
                 cell.rms = rms_error(model, grid, truth_values)
-            except ToolkitError as exc:
-                # sweeping into the flat regime is expected to hit singular
-                # systems; that is the curve's story, not a failed cell
-                cell.status = "flagged: unsolvable at this epsilon"
-                cell.detail = str(exc)
-            cell.wall_time_s = perf_counter() - start
             out.append(cell)
     return out
 
@@ -432,8 +442,7 @@ def spectra_study(spec: ExperimentSpec) -> ExperimentReport:
             augmented = _variant_augmented(variant)
             params = _spectra_params(spec, points, grid, truth_values, n, variant)
             cell = CellRecord(study=spec.study, variant=variant, n=n)
-            start = perf_counter()
-            try:
+            with _timed(cell):
                 kernel = KernelSpec.hybrid(*params)
                 system = assemble(points, kernel, augmented=augmented)
                 spectrum = spectral_report(system)
@@ -446,10 +455,6 @@ def spectra_study(spec: ExperimentSpec) -> ExperimentReport:
                     _write_spectrum_csv(path, spectrum.eigenvalues)
                     files.append(path)
                     cell.detail = f"spectrum: {path.name}"
-            except ToolkitError as exc:
-                cell.status = "failed"
-                cell.detail = str(exc)
-            cell.wall_time_s = perf_counter() - start
             cells.append(cell)
     report = _finish(spec, cells, (FRANKE_NOTE,))
     report.files.extend(files)
@@ -474,7 +479,7 @@ def _spectra_params(
     augmented = _variant_augmented(variant)
     ospec = ObjectiveSpec.from_kind(spec.objective, grid, truth_values, augmented)
     seed = _cell_seed(spec, spec.study, n, variant, spec.objective)
-    kernel, _ = _optimize_variant(points, ospec, spec.pso, variant, seed)
+    kernel, _, _ = _optimize_variant(points, ospec, spec.pso, variant, seed)
     p = kernel.params
     return p.epsilon, p.alpha, p.beta
 
@@ -527,13 +532,12 @@ def fault_study(spec: ExperimentSpec) -> ExperimentReport:
     cell = CellRecord(study=spec.study, variant="hybrid", n=spec.fault_points, objective="loocv")
     cells = [cell]
     files: list[Path] = []
-    start = perf_counter()
-    try:
+    with _timed(cell):
         points = synthetic_fault_surface(spec.fault_points, seed=spec.seed)
         ospec = ObjectiveSpec.loocv()
         seed = _cell_seed(spec, spec.study, spec.fault_points)
-        kernel, best_cost = _optimize_variant(points, ospec, spec.pso, "hybrid", seed)
-        model = _fit_step(cell, points, _fit_distances(points, False), kernel, False)
+        kernel, best_cost, data = _optimize_variant(points, ospec, spec.pso, "hybrid", seed)
+        model = _fit_step(cell, points, data.distances, kernel, False)
         target = make_evaluation_grid(
             spec.fault_grid_n, dim=2, lower=FAULT_DOMAIN[0], upper=FAULT_DOMAIN[1]
         )
@@ -546,10 +550,6 @@ def fault_study(spec: ExperimentSpec) -> ExperimentReport:
             path.parent.mkdir(parents=True, exist_ok=True)
             write_points_csv(path, PointSet(target.points, values))
             files.append(path)
-    except ToolkitError as exc:
-        cell.status = "failed"
-        cell.detail = str(exc)
-    cell.wall_time_s = perf_counter() - start
     report = _finish(spec, cells, ("synthetic fault: step > %g across the trace" % FAULT_STEP,))
     report.files.extend(files)
     return report
@@ -604,13 +604,8 @@ def _timed_optimize_cell(spec: ExperimentSpec, points: PointSet, n: int) -> Cell
     ospec = ObjectiveSpec.rms(*_truth_grid(spec.eval_grid_n, franke))
     cell = CellRecord(study=spec.study, variant="optimize", n=n, objective="rms")
     cfg = replace(spec.pso, generations=1, seed=_cell_seed(spec, spec.study, n, "optimize"))
-    start = perf_counter()
-    try:
+    with _timed(cell):
         _optimize_variant(points, ospec, cfg, "hybrid", cfg.seed)
-    except ToolkitError as exc:
-        cell.status = "failed"
-        cell.detail = str(exc)
-    cell.wall_time_s = perf_counter() - start
     return cell
 
 

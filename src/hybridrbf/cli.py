@@ -28,8 +28,7 @@ from .geometry import (
     PointSet,
     _csv_header,
     _min_off_diagonal,
-    _row_template,
-    _write_header,
+    _write_table,
     read_points_csv,
     read_points_table,
     write_points_csv,
@@ -158,8 +157,7 @@ def cmd_eval(args) -> int:
     coords, _ = read_points_table(args.input)
     if coords.shape[0] == 0:
         # empty target file: emit a header-only values CSV
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            _write_header(fh, _csv_header(coords.shape[1], True))
+        _write_table(args.output, _csv_header(coords.shape[1], True), coords, np.empty(0))
         print(f"evaluated 0 points; wrote {args.output}")
         return 0
     values = evaluate(model, coords)
@@ -182,13 +180,16 @@ def _optimize_data(args) -> PointSet:
     raise ConfigError("optimize needs --input, or --truth together with --nodes")
 
 
-def cmd_optimize(args) -> int:
-    config = _pso_config(args)
+def _require_stable(config: PsoConfig) -> None:
+    """Raise one ConfigError naming every violation of the swarm settings."""
     violations = validate_config(config)
     if violations:
-        for violation in violations:
-            print(violation, file=sys.stderr)
-        return 2
+        raise ConfigError("; ".join(violations))
+
+
+def cmd_optimize(args) -> int:
+    config = _pso_config(args)
+    _require_stable(config)
     points = _optimize_data(args)
     grid = truth_values = None
     if args.objective == "rms":
@@ -203,9 +204,12 @@ def cmd_optimize(args) -> int:
     ospec = ObjectiveSpec.from_kind(args.objective, grid, truth_values, args.augment)
     result = pso_minimize(kernel_objective(ospec, points), config)
     eps, alpha, beta = result.best_position
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        _write_header(fh, ["epsilon", "alpha", "beta", "cost"])
-        fh.write(_row_template(4) % (eps, alpha, beta, result.best_value))
+    _write_table(
+        args.output,
+        ["epsilon", "alpha", "beta", "cost"],
+        result.best_position[None, :],
+        np.array([result.best_value]),
+    )
     if args.trace:
         write_trace_csv(args.trace, result.trace, param_names=("epsilon", "alpha", "beta"))
     print(
@@ -262,11 +266,7 @@ def cmd_bench(args) -> int:
         fault_grid_n=args.fault_grid_n,
         output_dir=args.out,
     )
-    violations = validate_config(spec.pso)
-    if violations:
-        for violation in violations:
-            print(violation, file=sys.stderr)
-        return 2
+    _require_stable(spec.pso)
     report = run_study(spec)
     for path in report.files:
         print(f"wrote {path}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +22,7 @@ HALTON_BASES = (2, 3, 5, 7, 11, 13)
 # Fixed CSV precision: 17 significant digits round-trip float64 exactly.
 FLOAT_FMT = "%.17g"
 
-# Points CSVs are written this many rows per format call and write.
+# CSV tables are written this many rows per format call and write.
 _ROWS_PER_BLOCK = 2048
 
 
@@ -201,70 +202,44 @@ def _csv_header(dim: int, with_values: bool) -> list[str]:
     return cols
 
 
-def _write_header(fh, names) -> None:
-    """One CSV header row, quoted and CRLF-terminated as ``csv.writer`` does."""
-    csv.writer(fh).writerow(names)
-
-
-def _row_template(width: int) -> str:
-    """%-template of one CSV row of ``width`` 17-digit floats, CRLF-terminated.
-
-    ``%.17g`` of a float never contains a delimiter, quote or line break, so
-    the filled template equals what ``csv.writer`` writes for the same row.
-    """
-    return ",".join([FLOAT_FMT] * width) + "\r\n"
-
-
-def write_points_csv(target, points: PointSet) -> None:
-    """Write a PointSet as CSV: header ``x1,...,xs[,value]``, one row per point."""
-    if hasattr(target, "write"):
-        _write_points(target, points)
+@contextmanager
+def _opened(target, mode: str):
+    """Yield ``(file, name)``: ``target`` itself if it is a stream, else the
+    file it names, opened as CSV text (UTF-8, no newline translation)."""
+    if hasattr(target, "write" if mode == "w" else "read"):
+        yield target, "<stream>"
     else:
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            _write_points(fh, points)
+        path = Path(target)
+        with open(path, mode, encoding="utf-8", newline="") as fh:
+            yield fh, str(path)
 
 
-def _write_points(fh, points: PointSet) -> None:
-    values = points.values
-    _write_header(fh, _csv_header(points.dim, values is not None))
-    template = _row_template(points.dim + (values is not None))
-    # One format and one write per block; only the block is ever stacked.
-    for start in range(0, points.n, _ROWS_PER_BLOCK):
-        stop = start + _ROWS_PER_BLOCK
-        block = points.coords[start:stop]
-        if values is not None:
-            block = np.column_stack((block, values[start:stop]))
-        fh.write((template * block.shape[0]) % tuple(block.ravel().tolist()))
+def _write_table(target, names, *columns) -> None:
+    """Write a float table as CSV: the header row, then one row per entry.
 
-
-def read_points_table(source) -> tuple[np.ndarray, np.ndarray | None]:
-    """Parse a points CSV into (coords, values-or-None); may be empty.
-
-    The header fixes the arity; any row with a different field count is
-    rejected with its 1-based line number.  Rows stream into one flat float
-    array, so no per-row Python list outlives its line.
+    Each column is 1-D or 2-D with one entry per row.  The header is quoted
+    and CRLF-terminated as ``csv.writer`` writes it.  Rows are formatted
+    ``_ROWS_PER_BLOCK`` at a time with one ``%`` and one write, so only a
+    block is ever stacked.  ``%.17g`` of a float never contains a delimiter,
+    quote or line break, and writes a whole number as ``%d`` does, so the
+    rows equal what ``csv.writer`` writes for the same 17-digit fields.
     """
-    if hasattr(source, "read"):
-        return _read_table(source, name="<stream>")
-    path = Path(source)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return _read_table(fh, name=str(path))
+    with _opened(target, "w") as (fh, _):
+        csv.writer(fh).writerow(names)
+        for start in range(0, len(columns[0]), _ROWS_PER_BLOCK):
+            block = np.column_stack([c[start : start + _ROWS_PER_BLOCK] for c in columns])
+            template = ",".join([FLOAT_FMT] * block.shape[1]) + "\r\n"
+            fh.write((template * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
-def _read_table(fh, name: str) -> tuple[np.ndarray, np.ndarray | None]:
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ConfigError(f"{name}: empty file, expected a header line") from None
-    header = [h.strip() for h in header]
-    with_values = bool(header) and header[-1] == "value"
-    dim = len(header) - (1 if with_values else 0)
-    if dim < 1 or header[:dim] != _csv_header(dim, False):
-        raise ConfigError(
-            f"{name}:1: header must be x1,...,xs[,value], got {','.join(header)!r}"
-        )
-    width = len(header)
+def _float_rows(reader, name: str, width: int) -> np.ndarray:
+    """The remaining rows of a ``csv.reader`` as a (rows, width) float table.
+
+    Blank and whitespace-only lines are skipped.  A row with another field
+    count, or a field ``float`` rejects, raises ConfigError with its 1-based
+    line number (the header is line 1).  Rows stream into one flat array, so
+    no per-row Python list outlives its line.
+    """
     last = [0, None]  # line number and fields of the last row handed out
 
     def rows():
@@ -280,7 +255,39 @@ def _read_table(fh, name: str) -> tuple[np.ndarray, np.ndarray | None]:
         flat = np.fromiter(map(float, itertools.chain.from_iterable(rows())), float)
     except ValueError:
         raise ConfigError(f"{name}:{last[0]}: non-numeric field in {last[1]!r}") from None
-    table = flat.reshape(-1, width)
+    return flat.reshape(-1, width)
+
+
+def write_points_csv(target, points: PointSet) -> None:
+    """Write a PointSet as CSV: header ``x1,...,xs[,value]``, one row per point."""
+    columns = (points.coords,) if points.values is None else (points.coords, points.values)
+    _write_table(target, _csv_header(points.dim, points.values is not None), *columns)
+
+
+def read_points_table(source) -> tuple[np.ndarray, np.ndarray | None]:
+    """Parse a points CSV into (coords, values-or-None); may be empty.
+
+    The header fixes the arity; any row with a different field count is
+    rejected with its 1-based line number.
+    """
+    with _opened(source, "r") as (fh, name):
+        return _read_table(fh, name)
+
+
+def _read_table(fh, name: str) -> tuple[np.ndarray, np.ndarray | None]:
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ConfigError(f"{name}: empty file, expected a header line") from None
+    header = [h.strip() for h in header]
+    with_values = bool(header) and header[-1] == "value"
+    dim = len(header) - (1 if with_values else 0)
+    if dim < 1 or header[:dim] != _csv_header(dim, False):
+        raise ConfigError(
+            f"{name}:1: header must be x1,...,xs[,value], got {','.join(header)!r}"
+        )
+    table = _float_rows(reader, name, len(header))
     if not with_values:
         return table, None
     return np.ascontiguousarray(table[:, :dim]), table[:, dim].copy()

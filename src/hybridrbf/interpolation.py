@@ -234,19 +234,22 @@ def _predict(
     distances, when given, is the full, already checked target-to-center
     matrix; otherwise each chunk's distances are computed and checked as it
     is reached.  Both give the same chunks, so the values agree bit for bit.
+    Kernel values that overflow give non-finite results without a warning;
+    callers that need finite values check them.
     """
     m = targets.shape[0]
     out = np.empty(m)
     step = max(1, _CHUNK_CELLS // max(1, model.centers.n))
-    for start in range(0, m, step):
-        stop = start + step
-        if distances is None:
-            block = pairwise_distances(targets[start:stop], model.centers)
-            _check_distances(block)
-        else:
-            block = distances[start:stop]
-        out[start:stop] = _fill(model.kernel, block) @ model.coeffs
-        del block
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, m, step):
+            stop = start + step
+            if distances is None:
+                block = pairwise_distances(targets[start:stop], model.centers)
+                _check_distances(block)
+            else:
+                block = distances[start:stop]
+            out[start:stop] = _fill(model.kernel, block) @ model.coeffs
+            del block
     if model.augmented:
         out += _poly_block(targets) @ model.poly_coeffs
     return out

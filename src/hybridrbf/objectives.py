@@ -263,18 +263,22 @@ def objective_value(
     return cost
 
 
-def kernel_objective(spec: ObjectiveSpec, points: PointSet, to_kernel=None):
+def kernel_objective(
+    spec: ObjectiveSpec, points: PointSet, to_kernel=None, data: SearchData | None = None
+):
     """Bind an objective to a position -> KernelSpec mapping for an optimizer.
 
     The default mapping reads a position as the hybrid triple
     (epsilon, alpha, beta).  Positions that fail kernel construction (for
     example both weights clamped to zero) cost SENTINEL_COST rather than
-    raising, since they are optimizer trials, not user configuration.  The
-    search data is prepared here, once, so input errors raise here too.
+    raising, since they are optimizer trials, not user configuration.
+    ``data`` is ``prepare_search(spec, points)``; without it the search data
+    is prepared here, once, so input errors raise here too.
     """
     if to_kernel is None:
         to_kernel = lambda pos: KernelSpec.hybrid(pos[0], pos[1], pos[2])
-    data = prepare_search(spec, points)
+    if data is None:
+        data = prepare_search(spec, points)
 
     def objective(position) -> float:
         try:

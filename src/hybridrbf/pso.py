@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import _row_template, _write_header
+from .geometry import _float_rows, _opened, _write_table
 
 DEFAULT_C1 = 1.49445
 DEFAULT_C2 = 1.49445
@@ -165,48 +165,25 @@ def write_trace_csv(target, trace: OptimizationTrace, param_names=None) -> None:
     names = list(param_names) if param_names is not None else [f"x{i + 1}" for i in range(dims)]
     if len(names) != dims:
         raise ConfigError(f"got {len(names)} column names for {dims} dimensions")
-    if hasattr(target, "write"):
-        _write_trace(target, trace, names)
-    else:
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            _write_trace(fh, trace, names)
-
-
-def _write_trace(fh, trace: OptimizationTrace, names: list[str]) -> None:
-    _write_header(fh, ["generation", "gbest_val", *names])
-    template = "%d," + _row_template(1 + len(names))
-    for gen, (val, pos) in enumerate(zip(trace.gbest_val, trace.gbest_pos)):
-        fh.write(template % (gen, val, *pos))
+    generations = np.arange(trace.gbest_val.shape[0])
+    _write_table(
+        target, ["generation", "gbest_val", *names], generations, trace.gbest_val, trace.gbest_pos
+    )
 
 
 def read_trace_csv(source) -> OptimizationTrace:
     """Read back a trace CSV written by :func:`write_trace_csv`.
 
-    A row with a different field count than the header, or a non-numeric
-    field, is rejected with its 1-based line number.
+    Rows are read as points rows are: blank lines are skipped, and a row with
+    a different field count than the header, or a non-numeric field
+    (generation included), is rejected with its 1-based line number.
     """
-    if hasattr(source, "read"):
-        return _read_trace(source, name="<stream>")
-    with open(source, "r", encoding="utf-8", newline="") as fh:
-        return _read_trace(fh, name=str(source))
-
-
-def _read_trace(fh, name: str) -> OptimizationTrace:
-    rows = csv.reader(fh)
-    header = next(rows, [])
-    if len(header) < 3 or header[:2] != ["generation", "gbest_val"]:
-        raise ConfigError("not a trace CSV (expected generation,gbest_val,... header)")
-    vals: list[float] = []
-    pos: list[list[float]] = []
-    for lineno, row in enumerate(rows, start=2):
-        if not row:
-            continue  # blank line
-        if len(row) != len(header):
-            raise ConfigError(f"{name}:{lineno}: expected {len(header)} fields, got {len(row)}")
-        try:
-            nums = [float(c) for c in row[1:]]
-        except ValueError:
-            raise ConfigError(f"{name}:{lineno}: non-numeric field in {row!r}") from None
-        vals.append(nums[0])
-        pos.append(nums[1:])
-    return OptimizationTrace(gbest_val=np.array(vals), gbest_pos=np.array(pos))
+    with _opened(source, "r") as (fh, name):
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if len(header) < 3 or header[:2] != ["generation", "gbest_val"]:
+            raise ConfigError("not a trace CSV (expected generation,gbest_val,... header)")
+        table = _float_rows(reader, name, len(header))
+    return OptimizationTrace(
+        gbest_val=table[:, 1].copy(), gbest_pos=np.ascontiguousarray(table[:, 2:])
+    )

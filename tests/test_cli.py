@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +214,22 @@ def test_optimize_rejects_unstable_config(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "c1 + c2 < 4" in err
+    # both violations on one error line
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "; stability requires (c1 + c2)/2 - 1 < w < 1" in err
+
+
+def test_bench_rejects_unstable_config_on_one_error_line(tmp_path, capsys):
+    out = tmp_path / "reports"
+    rc = main([
+        "bench", "--study", "franke", "--nodes", "25", "--out", str(out),
+        "--c1", "3", "--c2", "2",
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "c1 + c2 < 4" in err and "; stability requires (c1 + c2)/2 - 1 < w < 1" in err
+    assert not out.exists()
 
 
 def test_optimize_rms_needs_truth(tmp_path, capsys):
@@ -372,6 +389,25 @@ def test_eval_output_round_trips_through_reader(tmp_path):
           "--output", str(out_path)])
     again = read_points_csv(out_path)
     assert again.n == 16 and again.values is not None
+
+
+def test_eval_overflowing_kernel_values_is_one_error_line(tmp_path, capsys):
+    grid = make_tensor_grid(3, 2)
+    data, model_path = tmp_path / "data.csv", tmp_path / "model.txt"
+    write_points_csv(data, grid.with_values(grid.coords[:, 0]))
+    assert main(["fit", "--input", str(data), "--output", str(model_path),
+                 "--kernel", "cubic"]) == 0
+    far = tmp_path / "far.csv"
+    write_points_csv(far, PointSet([[1e105, 0.5]]))  # r**3 overflows
+    out = tmp_path / "values.csv"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        rc = main(["eval", "--model", str(model_path), "--input", str(far),
+                   "--output", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: values must be finite\n"
+    assert not out.exists()
 
 
 def count_distance_calls(monkeypatch) -> list:

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hybridrbf import (
     AssembledSystem,
@@ -28,6 +29,7 @@ from hybridrbf import (
 from hybridrbf.bench import franke
 from hybridrbf.interpolation import (
     _INVDIAG_BLOCK,
+    InterpolationModel,
     _factorize,
     _fit_distances,
     _inverse_diagonal,
@@ -466,6 +468,76 @@ def test_model_text_round_trip_is_stable():
     model = fit(pts, KernelSpec.gaussian(3.0))
     text = model_to_text(model)
     assert model_to_text(model_from_text(text)) == text
+
+
+_model_floats = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@st.composite
+def _models(draw):
+    n = draw(st.integers(1, 8))
+    dim = draw(st.integers(1, 3))
+    augmented = draw(st.booleans())
+    alpha = draw(st.floats(0.0, 1.0))
+    beta = draw(st.floats(0.0, 1.0).filter(lambda b: b > 0.0 or alpha > 0.0))
+    kernel = KernelSpec(
+        draw(st.sampled_from(KERNEL_KINDS)),
+        HybridParams(draw(st.floats(0.0, 1e300)), alpha, beta),
+    )
+    return InterpolationModel(
+        centers=PointSet(
+            draw(arrays(np.float64, (n, dim), elements=_model_floats)),
+            draw(arrays(np.float64, (n,), elements=_model_floats)),
+        ),
+        kernel=kernel,
+        coeffs=draw(arrays(np.float64, (n,), elements=_model_floats)),
+        poly_coeffs=(
+            draw(arrays(np.float64, (dim + 1,), elements=_model_floats)) if augmented else None
+        ),
+        condition_estimate=draw(st.floats(allow_nan=False)),
+    )
+
+
+def _model_bits(model):
+    arrays_ = (model.centers.coords, model.centers.values, model.coeffs, model.poly_coeffs)
+    return (
+        model.kernel.to_record(),
+        model.augmented,
+        np.float64(model.condition_estimate).tobytes(),
+        tuple(None if a is None else (a.shape, a.tobytes()) for a in arrays_),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_models())
+def test_model_text_property_bit_exact_round_trip(model):
+    text = model_to_text(model)
+    again = model_from_text(text)
+    assert _model_bits(again) == _model_bits(model)
+    assert model_to_text(again) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda dim: arrays(
+            np.float64,
+            st.tuples(st.integers(1, 10), st.just(dim)),
+            elements=st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1e3]),
+        )
+    )
+)
+def test_duplicate_detection_matches_brute_force_row_scan(coords):
+    n = coords.shape[0]
+    duplicate = any(
+        np.array_equal(coords[i], coords[j]) for i in range(n) for j in range(i + 1, n)
+    )
+    points = PointSet(coords, np.zeros(n))
+    if duplicate:
+        with pytest.raises(DegenerateInputError):
+            _fit_distances(points, augmented=False)
+    else:
+        assert _fit_distances(points, augmented=False).shape == (n, n)
 
 
 def test_model_parse_rejects_garbage():

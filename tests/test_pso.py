@@ -3,9 +3,12 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hybridrbf import ConfigError, PsoConfig, pso_minimize, validate_config
-from hybridrbf.pso import read_trace_csv, write_trace_csv
+from hybridrbf.pso import OptimizationTrace, read_trace_csv, write_trace_csv
 
 
 def sphere(x) -> float:
@@ -85,6 +88,44 @@ def test_positions_stay_in_bounds():
     assert result.best_value == pytest.approx(2.0, rel=1e-12)
 
 
+@st.composite
+def _stable_runs(draw):
+    """A random stable config, bounds and a target the box may exclude."""
+    dims = draw(st.integers(1, 4))
+    lows = draw(st.lists(st.floats(-10.0, 10.0), min_size=dims, max_size=dims))
+    widths = draw(st.lists(st.floats(0.0, 10.0), min_size=dims, max_size=dims))
+    c1 = draw(st.floats(0.0, 2.0))
+    c2 = draw(st.floats(0.0, 2.0))
+    lower_w = (c1 + c2) / 2.0 - 1.0
+    w = lower_w + draw(st.floats(0.01, 0.99)) * (1.0 - lower_w)
+    config = PsoConfig(
+        swarm_size=draw(st.integers(1, 8)),
+        generations=draw(st.integers(1, 6)),
+        c1=c1,
+        c2=c2,
+        inertia_w=w,
+        bounds=tuple((lo, lo + width) for lo, width in zip(lows, widths)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    target = np.array(draw(st.lists(st.floats(-30.0, 30.0), min_size=dims, max_size=dims)))
+    return config, target
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stable_runs())
+def test_positions_stay_in_random_bounds_property(run):
+    config, target = run
+    assume(validate_config(config) == [])
+    result = pso_minimize(
+        lambda x: float(np.sum((x - target) ** 2)), config, record_positions=True
+    )
+    lo = np.array([b[0] for b in config.bounds])
+    hi = np.array([b[1] for b in config.bounds])
+    assert result.trace.positions.shape == (config.generations + 1, config.swarm_size, lo.size)
+    assert np.all(result.trace.positions >= lo) and np.all(result.trace.positions <= hi)
+    assert np.all(result.best_position >= lo) and np.all(result.best_position <= hi)
+
+
 def test_beats_random_search_on_matched_budget():
     wins = 0
     for seed in range(10):
@@ -144,3 +185,67 @@ def test_trace_csv_rejects_wrong_names():
     result = pso_minimize(sphere, config)
     with pytest.raises(ConfigError):
         write_trace_csv(io.StringIO(), result.trace, param_names=("onlyone",))
+
+
+def test_trace_csv_skips_whitespace_only_lines_as_points_files_do(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("generation,gbest_val,a,b\n0,1.5,0.1,0.2\n   \n\n1,1.25,0.3,0.4\n")
+    trace = read_trace_csv(path)
+    assert trace.gbest_val.tolist() == [1.5, 1.25]
+    assert trace.gbest_pos.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+
+
+def test_trace_csv_rejects_non_numeric_generation_with_line_number(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("generation,gbest_val,a\n0,1.5,0.1\nfirst,1.25,0.3\n")
+    with pytest.raises(ConfigError, match="trace.csv:3: non-numeric field"):
+        read_trace_csv(path)
+
+
+def test_trace_csv_errors_name_the_path_as_points_files_do(tmp_path):
+    (tmp_path / "trace.csv").write_text("generation,gbest_val,a\n0,1.5\n")
+    with pytest.raises(ConfigError) as err:
+        read_trace_csv(f"{tmp_path}/./trace.csv")
+    assert str(err.value) == f"{tmp_path / 'trace.csv'}:2: expected 3 fields, got 2"
+
+
+def test_header_only_trace_keeps_its_dimensions():
+    trace = read_trace_csv(io.StringIO("generation,gbest_val,a,b,c\r\n", newline=""))
+    assert trace.gbest_val.shape == (0,)
+    assert trace.gbest_pos.shape == (0, 3)
+
+
+_finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.sampled_from([-0.0, 5e-324, -1.7976931348623157e308]),
+)
+
+
+@st.composite
+def _named_traces(draw):
+    dims = draw(st.integers(1, 4))
+    rows = draw(st.integers(0, 6))
+    trace = OptimizationTrace(
+        gbest_val=draw(arrays(np.float64, (rows,), elements=_finite)),
+        gbest_pos=draw(arrays(np.float64, (rows, dims), elements=_finite)),
+    )
+    names = draw(st.lists(st.text('ab ,"\'', max_size=5), min_size=dims, max_size=dims))
+    return trace, names
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_named_traces())
+def test_trace_csv_property_bytes_and_bit_exact_round_trip(case):
+    trace, names = case
+    buf = io.StringIO(newline="")
+    write_trace_csv(buf, trace, param_names=names)
+    text = buf.getvalue()
+    assert text == _trace_oracle_text(trace, names)
+    assert next(csv.reader(io.StringIO(text, newline=""))) == ["generation", "gbest_val", *names]
+    again = read_trace_csv(io.StringIO(text, newline=""))
+    assert _bits(again.gbest_val) == _bits(trace.gbest_val)
+    assert _bits(again.gbest_pos) == _bits(trace.gbest_pos)
