@@ -24,11 +24,12 @@ exponential argument is negative.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import zlib
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, Mapping
@@ -626,33 +627,24 @@ def run_study(spec: ExperimentSpec) -> ExperimentReport:
 
 # --- report I/O -----------------------------------------------------------
 
-_CSV_COLUMNS = (
-    "study",
-    "variant",
-    "n",
-    "objective",
-    "epsilon",
-    "alpha",
-    "beta",
-    "rms",
-    "loocv_cost",
-    "condition_number",
-    "negative_count",
-    "wall_time_s",
-    "slope",
-    "status",
-    "detail",
-)
+# How the CSV reader parses a field, by its CellRecord annotation.
+_PARSERS = {
+    "str": str,
+    "int | None": lambda text: int(text) if text else None,
+    "float | None": lambda text: float(text) if text else None,
+}
 
-_FLOAT_COLUMNS = (
-    "epsilon",
-    "alpha",
-    "beta",
-    "rms",
-    "loocv_cost",
-    "condition_number",
-    "wall_time_s",
-    "slope",
+# The report columns: CellRecord's fields, in order, each with its parser.
+# A field whose annotation has no parser fails here, at import.
+_COLUMNS = {f.name: _PARSERS[f.type] for f in fields(CellRecord)}
+
+# The text table: (header, CellRecord field, width) per column.  Text fields
+# are left-aligned, numbers right-aligned; the detail follows the row.
+_TEXT_TABLE = (
+    ("variant", "variant", 16), ("N", "n", 6), ("obj", "objective", 6),
+    ("epsilon", "epsilon", 12), ("alpha", "alpha", 10), ("beta", "beta", 12),
+    ("rms", "rms", 12), ("loocv", "loocv_cost", 12), ("cond", "condition_number", 12),
+    ("neg", "negative_count", 4), ("time[s]", "wall_time_s", 10), ("status", "status", 8),
 )
 
 
@@ -666,76 +658,69 @@ def _format_field(value) -> str:
 
 def write_report_csv(path, report: ExperimentReport) -> None:
     """One CSV row per cell, preceded by '#' header notes."""
-    import csv as _csv
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# study: {report.study}  digest: {report.digest}  seed: {report.seed}\n")
         for note in report.notes:
             fh.write(f"# {note}\n")
-        writer = _csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
+        writer = csv.writer(fh)
+        writer.writerow(_COLUMNS)
         for cell in report.cells:
-            writer.writerow([_format_field(getattr(cell, col)) for col in _CSV_COLUMNS])
+            writer.writerow([_format_field(getattr(cell, name)) for name in _COLUMNS])
 
 
 def read_report_csv(path) -> list[CellRecord]:
-    """Read back a report CSV written by :func:`write_report_csv`."""
-    import csv as _csv
+    """Read back a report CSV written by :func:`write_report_csv`.
 
+    A row with the wrong field count, or a field its column's type rejects,
+    raises ConfigError naming the line the row ends on.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [r for r in _csv.reader(fh) if r and not r[0].startswith("#")]
-    if not rows or tuple(rows[0]) != _CSV_COLUMNS:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
+    if not rows or tuple(rows[0][1]) != tuple(_COLUMNS):
         raise ConfigError(f"{path}: not a report CSV")
     cells = []
-    for row in rows[1:]:
-        data = dict(zip(_CSV_COLUMNS, row))
-        kwargs = {
-            "study": data["study"],
-            "variant": data["variant"],
-            "n": int(data["n"]) if data["n"] else None,
-            "objective": data["objective"],
-            "negative_count": int(data["negative_count"]) if data["negative_count"] else None,
-            "status": data["status"],
-            "detail": data["detail"],
-        }
-        for col in _FLOAT_COLUMNS:
-            kwargs[col] = float(data[col]) if data[col] else None
-        cells.append(CellRecord(**kwargs))
+    for lineno, row in rows[1:]:
+        if len(row) != len(_COLUMNS):
+            raise ConfigError(f"{path}:{lineno}: expected {len(_COLUMNS)} fields, got {len(row)}")
+        try:
+            values = {name: parse(text) for (name, parse), text in zip(_COLUMNS.items(), row)}
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: bad numeric field in {row!r}") from None
+        cells.append(CellRecord(**values))
     return cells
 
 
+def _text_field(value, name: str, width: int) -> str:
+    """One text-table entry or header: '-' for None, 4 significant digits
+    for a float; text fields left-aligned, numbers right-aligned."""
+    if value is None:
+        value = "-"
+    elif isinstance(value, float):
+        value = f"{value:.4g}"
+    return f"{value:<{width}}" if _COLUMNS[name] is str else f"{value:>{width}}"
+
+
 def report_text(report: ExperimentReport) -> str:
-    """Human-readable fixed-width table of the report cells."""
+    """Human-readable fixed-width table of the report cells; the variant
+    column widens to the longest variant."""
+    widths = {name: width for _, name, width in _TEXT_TABLE}
+    widths["variant"] = max([widths["variant"]] + [len(c.variant) for c in report.cells])
     lines = [
         f"study: {report.study}   digest: {report.digest}   seed: {report.seed}",
     ]
     lines.extend(f"note: {note}" for note in report.notes)
-    header = (
-        f"{'variant':<16} {'N':>6} {'obj':<6} {'epsilon':>12} {'alpha':>10} "
-        f"{'beta':>12} {'rms':>12} {'loocv':>12} {'cond':>12} {'neg':>4} "
-        f"{'time[s]':>10} {'status':<8}"
-    )
+    header = " ".join(_text_field(h, name, widths[name]) for h, name, _ in _TEXT_TABLE)
     lines.append(header)
     lines.append("-" * len(header))
-
-    def num(v, width, sig=4):
-        if v is None:
-            return " " * (width - 1) + "-"
-        return f"{v:>{width}.{sig}g}"
-
     for c in report.cells:
-        lines.append(
-            f"{c.variant:<16} {c.n if c.n is not None else '-':>6} {c.objective:<6} "
-            f"{num(c.epsilon, 12)} {num(c.alpha, 10)} {num(c.beta, 12)} "
-            f"{num(c.rms, 12)} {num(c.loocv_cost, 12)} {num(c.condition_number, 12)} "
-            f"{c.negative_count if c.negative_count is not None else '-':>4} "
-            f"{num(c.wall_time_s, 10)} {c.status:<8}"
-            + (f"  {c.detail}" if c.detail else "")
+        row = " ".join(
+            _text_field(getattr(c, name), name, widths[name]) for _, name, _ in _TEXT_TABLE
         )
-    if any(c.slope is not None for c in report.cells):
-        for c in report.cells:
-            if c.slope is not None:
-                lines.append(f"log-log slope: {c.slope:.4g} ({c.detail})")
+        lines.append(row + (f"  {c.detail}" if c.detail else ""))
+    for c in report.cells:
+        if c.slope is not None:
+            lines.append(f"log-log slope: {c.slope:.4g} ({c.detail})")
     return "\n".join(lines) + "\n"
 
 

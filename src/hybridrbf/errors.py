@@ -26,7 +26,7 @@ class SingularSystemError(ToolkitError):
 
 
 class NumericalBreakdownError(ToolkitError):
-    """An intermediate quantity underflowed below usable magnitude."""
+    """An intermediate quantity overflowed, or underflowed below usable magnitude."""
 
 
 class EigensolverError(ToolkitError):

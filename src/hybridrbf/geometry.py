@@ -295,9 +295,10 @@ def _read_table(fh, name: str) -> tuple[np.ndarray, np.ndarray | None]:
 
 def read_points_csv(source) -> PointSet:
     """Read a nonempty PointSet from CSV (see :func:`write_points_csv`)."""
-    coords, values = read_points_table(source)
+    with _opened(source, "r") as (fh, name):
+        coords, values = _read_table(fh, name)
     if coords.shape[0] == 0:
-        raise ConfigError(f"{source}: no data rows")
+        raise ConfigError(f"{name}: no data rows")
     return PointSet(coords, values)
 
 

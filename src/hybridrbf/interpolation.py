@@ -14,6 +14,7 @@ on unisolvent nodes and makes the interpolant reproduce linear data exactly.
 from __future__ import annotations
 
 import io
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ from .errors import (
     DegenerateInputError,
     DomainError,
     EigensolverError,
+    NumericalBreakdownError,
     SingularSystemError,
 )
 from .geometry import (
@@ -166,10 +168,13 @@ def _factorize(matrix: np.ndarray):
     must be exactly symmetric: LAPACK factors ``matrix.T``, the same matrix
     in Fortran order, without a copy.  Raises SingularSystemError, carrying
     the failing pivot index, when the smallest |U_kk| drops below PIVOT_RTOL
-    times the largest.
+    times the largest, and NumericalBreakdownError, before the LU, when the
+    matrix holds kernel values that overflowed.
     """
     # The 1-norm of matrix.T (its row sums) is that of matrix: no temporary.
     anorm = sla.lapack.dlange("1", matrix.T)
+    if not math.isfinite(anorm):
+        raise NumericalBreakdownError("kernel matrix is not finite: kernel values overflow")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sla.LinAlgWarning)
         lu, piv = sla.lu_factor(matrix.T, overwrite_a=True, check_finite=False)

@@ -164,8 +164,10 @@ def eval_kernel(spec: KernelSpec, r: float) -> float:
         raise DomainError(f"radius must be finite and >= 0, got {r}")
     # A one-element array runs the ufunc loops a batch runs; numpy's scalar
     # arithmetic can round differently (a scalar x**4 calls pow, the array
-    # loop multiplies).
-    return float(_phi(spec.kind, spec.params, rv.reshape(1))[0])
+    # loop multiplies).  An overflow gives inf without a warning, as a batch
+    # does.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_phi(spec.kind, spec.params, rv.reshape(1))[0])
 
 
 def _check_distances(d: np.ndarray) -> None:
@@ -192,13 +194,16 @@ def eval_kernel_batch(spec: KernelSpec, distances) -> np.ndarray:
 _FILL_BLOCK = 32_768
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _fill(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     """phi on checked distances, bit-equal to :func:`_phi`.
 
     For the gaussian, cubic and hybrid kinds, the ufuncs of ``_phi`` run in
     place on one block at a time of one preallocated output, so a fill holds
     the output plus one block of scratch instead of several full-size
-    temporaries.  The other kinds use ``_phi`` as it is.
+    temporaries.  The other kinds use ``_phi`` as it is.  Values that
+    overflow become inf or nan without a warning; ``_factorize`` rejects a
+    kernel matrix holding them.
     """
     kind, params = spec.kind, spec.params
     if kind not in ("gaussian", "cubic", "hybrid"):

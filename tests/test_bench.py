@@ -1,5 +1,10 @@
+import struct
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hybridrbf import (
     ConfigError,
@@ -17,7 +22,10 @@ from hybridrbf import (
 from hybridrbf.bench import (
     DESK_NODE_COUNTS,
     FULL_NODE_COUNTS,
+    STUDIES,
     VARIANTS,
+    CellRecord,
+    ExperimentReport,
     ExperimentSpec,
     FAULT_STEP,
     fault_elevation,
@@ -25,6 +33,7 @@ from hybridrbf.bench import (
     franke,
     linear_truth,
     read_report_csv,
+    report_text,
     run_study,
     spec_digest,
     synthetic_fault_surface,
@@ -133,6 +142,15 @@ def test_franke_study_convergence_and_sweep():
     assert all(c.n == 81 for c in sweep)
     eps_values = sorted({c.epsilon for c in sweep})
     assert len(eps_values) == 4
+    # sweep:hybrid+poly is wider than the default variant column; every row's
+    # N field still ends where the header's N does
+    lines = report_text(report).splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("variant"))
+    n_end = lines[header].index(" N ") + 2
+    rows = lines[header + 2 : header + 2 + len(report.cells)]
+    assert [row[n_end - 7 : n_end + 1] for row in rows] == [
+        f" {c.n:>6} " for c in report.cells
+    ]
 
 
 def test_report_cells_are_self_describing():
@@ -294,6 +312,87 @@ def test_report_csv_round_trip(tmp_path):
         assert got.condition_number == want.condition_number
         assert got.negative_count == want.negative_count
         assert got.status == want.status
+
+
+def _report(cells) -> ExperimentReport:
+    return ExperimentReport(
+        study="franke", digest="0123456789", seed=0, notes=("a note",), cells=cells
+    )
+
+
+def _same(a, b) -> bool:
+    """Equal and of one type; floats compared bit for bit."""
+    if isinstance(a, float) and isinstance(b, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    return type(a) is type(b) and a == b
+
+
+_opt_int = st.none() | st.integers(min_value=-(2**63), max_value=2**63)
+_opt_float = st.none() | st.floats(allow_nan=False)
+_cells = st.builds(
+    CellRecord,
+    study=st.sampled_from(STUDIES),
+    variant=st.text(),
+    n=_opt_int,
+    objective=st.text(),
+    epsilon=_opt_float,
+    alpha=_opt_float,
+    beta=_opt_float,
+    rms=_opt_float,
+    loocv_cost=_opt_float,
+    condition_number=_opt_float,
+    negative_count=_opt_int,
+    wall_time_s=_opt_float,
+    slope=_opt_float,
+    status=st.text(),
+    detail=st.text(),
+)
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(cells=st.lists(_cells, max_size=4))
+@example(cells=[CellRecord(study="fault", variant="", status="", detail="")])
+@example(
+    cells=[
+        CellRecord(
+            study="spectra", variant="sweep:hybrid+poly", n=-1, condition_number=float("inf"),
+            negative_count=0, detail='a, "quoted"\r\nline\nbreak,',
+        )
+    ]
+)
+def test_report_csv_round_trips_every_field(tmp_path, cells):
+    path = tmp_path / "report.csv"
+    write_report_csv(path, _report(cells))
+    got = read_report_csv(path)
+    assert len(got) == len(cells)
+    for a, b in zip(got, cells):
+        for f in fields(CellRecord):
+            assert _same(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
+def _rewritten(tmp_path, cells, edit):
+    """Path of a report CSV of ``cells`` whose lines ``edit`` rewrote."""
+    path = tmp_path / "report.csv"
+    write_report_csv(path, _report(cells))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    return path
+
+
+def test_report_csv_rejects_malformed_rows(tmp_path):
+    cells = [
+        CellRecord(study="franke", variant="hybrid", n=25),
+        CellRecord(study="franke", variant="cubic", n=49),
+    ]
+    # lines: 2 notes, header, then the rows
+    short = _rewritten(tmp_path, cells, lambda lines: lines[:4] + [lines[4].rsplit(",", 1)[0]])
+    with pytest.raises(ConfigError, match=r"report\.csv:5: expected 15 fields, got 14"):
+        read_report_csv(short)
+    bad_n = _rewritten(tmp_path, cells, lambda lines: lines[:4] + [lines[4].replace(",49,", ",x,")])
+    with pytest.raises(ConfigError, match=r"report\.csv:5: bad numeric field in .*'x'"):
+        read_report_csv(bad_n)
 
 
 def test_report_files_emitted(tmp_path):

@@ -477,3 +477,15 @@ def test_cli_import_does_not_load_scipy_spatial():
     result = run_fresh_python("-c", "import sys, hybridrbf.cli; print('scipy.spatial' in sys.modules)")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_overflowing_kernel_values_are_one_error_line(tmp_path):
+    data = tmp_path / "far.csv"
+    write_points_csv(data, PointSet([[0.0, 0.0], [1e103, 0.0], [0.0, 1e103]], [1.0, 2.0, 3.0]))
+    result = run_fresh_python(
+        "-m", "hybridrbf", "fit", "--kernel", "cubic",
+        "--input", str(data), "--output", str(tmp_path / "m.txt"),
+    )
+    assert result.returncode == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr

@@ -242,6 +242,8 @@ def test_csv_empty_data_rows(tmp_path):
     assert coords.shape == (0, 2) and values is None
     with pytest.raises(ConfigError, match="no data rows"):
         read_points_csv(path)
+    with pytest.raises(ConfigError, match="^<stream>: no data rows$"):
+        read_points_csv(io.StringIO("x1,x2\n"))
 
 
 # --- CSV I/O against the row-at-a-time implementations it replaced ----------

@@ -212,3 +212,12 @@ def test_scalar_and_batch_agree_entry_for_entry(kind, epsilon, beta, radii):
         batch = eval_kernel_batch(spec, shaped)
         for idx in np.ndindex(shaped.shape):
             assert batch[idx] == eval_kernel(spec, float(shaped[idx]))
+
+
+def test_overflowing_kernel_values_are_inf_without_warning(recwarn):
+    """The scalar and batch paths both overflow to inf silently."""
+    r = 1e103  # r**3 overflows float64
+    for spec, at_zero in ((KernelSpec.cubic(), 0.0), (KernelSpec.hybrid(1.0, 0.5, 0.5), 0.5)):
+        assert eval_kernel(spec, r) == np.inf
+        assert np.array_equal(eval_kernel_batch(spec, [[0.0, r]]), [[at_zero, np.inf]])
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

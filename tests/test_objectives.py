@@ -348,3 +348,20 @@ def test_overflowing_distances_raise_domain_error(recwarn):
         with pytest.raises(DomainError, match="finite"):
             objective_value(ObjectiveSpec.loocv(augmented), far, kernel)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_overflowing_kernel_values_break_down_before_the_lu(recwarn):
+    """A kernel matrix holding inf fails fit with one clear error, and a
+    search trial on it costs the sentinel."""
+    far = PointSet([[0.0, 0.0], [1e103, 0.0], [0.0, 1e103], [1e103, 1e103]], [1.0, 2.0, 3.0, 4.0])
+    grid = EvaluationGrid([[0.5, 0.5], [1.0, 0.0]])
+    for kernel in (KernelSpec.cubic(), KernelSpec.hybrid(1.0, 0.5, 0.5)):
+        for augmented in (False, True):
+            with pytest.raises(NumericalBreakdownError, match="kernel values overflow"):
+                fit(far, kernel, augmented=augmented)
+            for spec in (
+                ObjectiveSpec.loocv(augmented),
+                ObjectiveSpec.rms(grid, [0.0, 0.0], augmented),
+            ):
+                assert objective_value(spec, far, kernel) == SENTINEL_COST
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
