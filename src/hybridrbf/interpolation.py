@@ -36,19 +36,12 @@ from .geometry import (
     points_to_csv_text,
     read_points_table,
 )
-from .kernels import KernelSpec, _check_distances, _fill
+from .kernels import _FILL_BLOCK, KernelSpec, _check_distances, _fill
 
 # A factorization whose smallest |U_kk| falls below this fraction of the
 # largest is treated as numerically singular.
 PIVOT_RTOL = 1e-14
 
-# Evaluation works on row chunks of at most this many target-center cells
-# (32 MB of float64).  Computing a chunk's distances holds the distance
-# buffer plus one scratch buffer of the same size; the kernel fill then holds
-# the distances plus one output of that size and one small block (see
-# kernels._fill).  Both buffers are dropped before the next chunk starts, so
-# evaluation peaks at two chunk-sized buffers.
-_CHUNK_CELLS = 4_000_000
 # Block size of the inverse diagonal.  A triangle of at most this many rows
 # is inverted by LAPACK dtrtri, a larger one by halving (see
 # _invert_triangle); the two inverses are then combined this many rows at a
@@ -234,34 +227,37 @@ def fit(points: PointSet, kernel: KernelSpec, augmented: bool = False) -> Interp
 def _predict(
     model: InterpolationModel, targets: np.ndarray, distances: np.ndarray | None = None
 ) -> np.ndarray:
-    """Interpolant values at target coordinates, in row chunks.
+    """Interpolant values at target coordinates, one row block at a time.
 
-    distances, when given, is the full, already checked target-to-center
-    matrix; otherwise each chunk's distances are computed and checked as it
-    is reached.  Both give the same chunks, so the values agree bit for bit.
-    Kernel values that overflow give non-finite results without a warning;
-    callers that need finite values check them.
+    A block is _FILL_BLOCK // n rows (at least one) for n centers; its kernel
+    values fill one reused buffer, whose product with the coefficients goes
+    straight into the output.  distances, when given, is the full, already
+    checked target-to-center matrix; otherwise each block's distances are
+    computed and checked as it is reached.  Both give the same blocks, so the
+    values agree bit for bit.  Kernel values that overflow give non-finite
+    results without a warning; callers that need finite values check them.
     """
-    m = targets.shape[0]
+    m, n = targets.shape[0], model.centers.n
     out = np.empty(m)
-    step = max(1, _CHUNK_CELLS // max(1, model.centers.n))
+    step = max(1, _FILL_BLOCK // max(1, n))
+    kernel_values = np.empty((min(step, m), n))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, m, step):
-            stop = start + step
+            stop = min(start + step, m)
             if distances is None:
                 block = pairwise_distances(targets[start:stop], model.centers)
                 _check_distances(block)
             else:
                 block = distances[start:stop]
-            out[start:stop] = _fill(model.kernel, block) @ model.coeffs
-            del block
+            values = _fill(model.kernel, block, out=kernel_values[: stop - start])
+            np.matmul(values, model.coeffs, out=out[start:stop])
     if model.augmented:
         out += _poly_block(targets) @ model.poly_coeffs
     return out
 
 
 def evaluate(model: InterpolationModel, grid) -> np.ndarray:
-    """Evaluate the interpolant at each grid point (chunked, order preserved)."""
+    """Evaluate the interpolant at each grid point (in row blocks, order preserved)."""
     targets = _as_coords(grid)
     if targets.shape[1] != model.centers.dim:
         raise DomainError(

@@ -138,9 +138,9 @@ def _phi(kind: str, params: HybridParams, r: np.ndarray) -> np.ndarray:
     if kind == "gaussian":
         return np.exp(-((eps * r) ** 2))
     if kind == "cubic":
-        return r**3
+        return r * r * r
     if kind == "hybrid":
-        return alpha * np.exp(-((eps * r) ** 2)) + beta * r**3
+        return alpha * np.exp(-((eps * r) ** 2)) + beta * (r * r * r)
     if kind == "multiquadric":
         return np.sqrt(1.0 + (eps * r) ** 2)
     if kind == "inverse-multiquadric":
@@ -189,34 +189,41 @@ def eval_kernel_batch(spec: KernelSpec, distances) -> np.ndarray:
     return _fill(spec, d)
 
 
-# Cells per block of the in-place fill: 32k float64 cells are 256 KB, so a
-# block and its scratch stay in L2 cache between the ufunc passes.
+# Cells per block of the in-place fill and of evaluation: 32k float64 cells
+# are 256 KB, so a block and its scratch stay in L2 cache between passes.
 _FILL_BLOCK = 32_768
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _fill(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
+def _fill(spec: KernelSpec, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """phi on checked distances, bit-equal to :func:`_phi`.
 
     For the gaussian, cubic and hybrid kinds, the ufuncs of ``_phi`` run in
-    place on one block at a time of one preallocated output, so a fill holds
-    the output plus one block of scratch instead of several full-size
-    temporaries.  The other kinds use ``_phi`` as it is.  Values that
-    overflow become inf or nan without a warning; ``_factorize`` rejects a
-    kernel matrix holding them.
+    place on one block at a time of one output, so a fill holds the output
+    plus one block of scratch instead of several full-size temporaries; the
+    cube is two multiplications, whose bits no SIMD dispatch changes.  The
+    other kinds use ``_phi`` as it is.  The output is ``out`` when given (a
+    C-contiguous float array of ``r``'s shape), else a new array.  Values
+    that overflow become inf or nan without a warning; ``_factorize``
+    rejects a kernel matrix holding them.
     """
     kind, params = spec.kind, spec.params
     if kind not in ("gaussian", "cubic", "hybrid"):
-        return _phi(kind, params, r)
+        if out is None:
+            return _phi(kind, params, r)
+        out[...] = _phi(kind, params, r)
+        return out
     eps, alpha, beta = params.epsilon, params.alpha, params.beta
-    out = np.empty(r.shape)
+    if out is None:
+        out = np.empty(r.shape)
     flat_r, flat_out = r.reshape(-1), out.reshape(-1)
     scratch = np.empty(min(_FILL_BLOCK, flat_r.size)) if kind == "hybrid" else None
     for start in range(0, flat_r.size, _FILL_BLOCK):
         src = flat_r[start : start + _FILL_BLOCK]
         dst = flat_out[start : start + _FILL_BLOCK]
         if kind == "cubic":
-            np.power(src, 3, out=dst)
+            np.multiply(src, src, out=dst)
+            dst *= src
             continue
         np.multiply(eps, src, out=dst)
         np.square(dst, out=dst)
@@ -225,7 +232,8 @@ def _fill(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
         if kind == "hybrid":
             dst *= alpha
             cube = scratch[: src.size]
-            np.power(src, 3, out=cube)
+            np.multiply(src, src, out=cube)
+            cube *= src
             cube *= beta
             dst += cube
     return out

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -26,7 +28,9 @@ from hybridrbf import (
     spectral_report,
     write_points_csv,
 )
+from hybridrbf import interpolation
 from hybridrbf.bench import franke
+from hybridrbf.geometry import pairwise_distances
 from hybridrbf.interpolation import (
     _INVDIAG_BLOCK,
     InterpolationModel,
@@ -34,11 +38,13 @@ from hybridrbf.interpolation import (
     _fit_distances,
     _inverse_diagonal,
     _invert_triangle,
+    _poly_block,
+    _predict,
     _system,
     model_from_text,
     model_to_text,
 )
-from hybridrbf.kernels import _FILL_BLOCK, KERNEL_KINDS, HybridParams
+from hybridrbf.kernels import _FILL_BLOCK, KERNEL_KINDS, HybridParams, _phi
 
 E_INV = 0.36787944117144233
 TWO_POINT_C = (1.1565176427496657, -0.4254590641196608)  # analytic 2x2 solve
@@ -185,6 +191,55 @@ def test_evaluate_reproduces_values_at_centers():
     model = fit(pts, KernelSpec.hybrid(3.0, 0.8, 1e-4))
     residual = np.max(np.abs(evaluate(model, pts) - pts.values))
     assert residual <= 1e-8 * (1.0 + np.max(np.abs(pts.values)))
+
+
+@pytest.mark.parametrize("kind", ("cubic", "hybrid", "multiquadric"))
+def test_predict_blocks_agree_with_the_unblocked_oracle(monkeypatch, kind):
+    """Block edges around a patched block of 7 rows, with both distance sources."""
+    pts = franke_data(6)
+    model = fit(pts, KernelSpec(kind, HybridParams(4.0, 0.6, 0.4)), augmented=True)
+    step = 7
+    monkeypatch.setattr(interpolation, "_FILL_BLOCK", step * pts.n)
+    fills = []
+    fill = interpolation._fill
+
+    def counted_fill(*args, **kwargs):
+        fills.append(args)
+        return fill(*args, **kwargs)
+
+    monkeypatch.setattr(interpolation, "_fill", counted_fill)
+    rng = np.random.default_rng(17)
+    for m in (1, step - 1, step, step + 1, 3 * step + 5):
+        targets = rng.uniform(0.0, 1.0, size=(m, 2))
+        distances = pairwise_distances(targets, pts)
+        fills.clear()
+        blocked = _predict(model, targets)
+        assert len(fills) == -(-m // step)
+        assert np.array_equal(_predict(model, targets, distances), blocked)
+        kernel_values, poly = _phi(kind, model.kernel.params, distances), _poly_block(targets)
+        oracle = kernel_values @ model.coeffs
+        oracle += poly @ model.poly_coeffs
+        # BLAS sums a block in another order than the whole matrix; bound the
+        # difference relative to the sum of the terms' magnitudes.
+        scale = np.abs(kernel_values) @ np.abs(model.coeffs)
+        scale += np.abs(poly) @ np.abs(model.poly_coeffs)
+        assert np.all(np.abs(blocked - oracle) <= 1e-13 * scale)
+
+
+def test_evaluation_memory_is_one_block_beside_the_output():
+    """The fault pipeline's shape: 251,001 targets against 78 centers."""
+    centers = make_halton_set(78, 2)
+    values = franke(*centers.coords.T)
+    model = fit(centers.with_values(values), KernelSpec.hybrid(3.0, 0.6, 0.4))
+    targets = make_tensor_grid(501, 2).coords
+    m, dim = targets.shape
+    tracemalloc.start()
+    try:
+        evaluate(model, targets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < m * (dim + 1) * 8 + 4 * 2**20
 
 
 def test_spectral_report_identity():

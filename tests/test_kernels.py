@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hybridrbf
 from hybridrbf import (
     ConfigError,
     DomainError,
@@ -180,6 +186,9 @@ def test_fill_bit_equal_to_phi(kind, shape):
     out = _fill(KernelSpec(kind, params), r)
     assert out.shape == r.shape
     assert np.array_equal(out, _phi(kind, params, r))
+    buffer = np.full(r.shape, np.nan)
+    assert _fill(KernelSpec(kind, params), r, out=buffer) is buffer
+    assert np.array_equal(buffer, out)
 
 
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
@@ -221,3 +230,47 @@ def test_overflowing_kernel_values_are_inf_without_warning(recwarn):
         assert eval_kernel(spec, r) == np.inf
         assert np.array_equal(eval_kernel_batch(spec, [[0.0, r]]), [[at_zero, np.inf]])
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+# The Franke study's 1600 x 625 grid-to-node distances, on which numpy's
+# pow(r, 3) gives other bits when its AVX-512 and AVX2 loops are disabled.
+_CUBE_HASH = """
+import hashlib
+from hybridrbf import KernelSpec, make_evaluation_grid, make_tensor_grid
+from hybridrbf.geometry import pairwise_distances
+from hybridrbf.kernels import _fill
+r = pairwise_distances(make_evaluation_grid(40), make_tensor_grid(25, 2))
+print(hashlib.sha256(_fill(KernelSpec.cubic(), r).tobytes()).hexdigest())
+"""
+
+
+def test_cube_bits_do_not_follow_simd_dispatch():
+    """The cube is two IEEE multiplications, so numpy's SIMD level leaves it.
+
+    numpy ignores disabled feature names the CPU lacks, so both runs start
+    on any host.
+    """
+    src = str(Path(hybridrbf.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = src
+    digests = []
+    for disabled in (None, "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"):
+        run_env = env if disabled is None else {**env, "NPY_DISABLE_CPU_FEATURES": disabled}
+        result = subprocess.run(
+            [sys.executable, "-c", _CUBE_HASH],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=run_env,
+            check=True,
+        )
+        digests.append(result.stdout.strip())
+    assert len(digests[0]) == 64  # a SHA-256 hex digest: both runs printed one
+    assert digests[0] == digests[1]
+
+
+def test_cube_is_two_multiplications():
+    # 1.3**3 rounds to 2.197 once; r * r * r rounds twice, to 2.1970000000000005.
+    r = 1.3
+    assert eval_kernel(KernelSpec.cubic(), r) == r * r * r
+    assert eval_kernel_batch(KernelSpec.cubic(), [r])[0] == r * r * r

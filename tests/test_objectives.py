@@ -292,7 +292,7 @@ def test_trial_cost_bit_equal_to_composition(name):
 
 def test_trial_cost_bit_equal_when_evaluation_is_chunked(monkeypatch):
     spec, pts = trial_specs()["rms-augmented"]
-    monkeypatch.setattr(interpolation, "_CHUNK_CELLS", 7 * pts.n)  # 12 chunks of 7 rows
+    monkeypatch.setattr(interpolation, "_FILL_BLOCK", 7 * pts.n)  # 12 blocks of 7 rows
     data = prepare_search(spec, pts)
     for kernel in trial_kernels(seed=4)[:-1]:
         assert objective_value(spec, pts, kernel, data) == composed_cost(spec, pts, kernel)
