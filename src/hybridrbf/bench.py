@@ -293,9 +293,11 @@ def _fit_step(
     """Fit on checked data distances; record the kernel and spectrum in ``cell``.
 
     The private steps of ``fit`` and ``assemble`` on one distance matrix give
-    the same model and spectrum, bit for bit, as the public calls.
+    the same coefficients and spectrum, bit for bit, as the public calls.  The
+    report takes its condition number from the spectrum, so the model skips
+    the LU's condition estimate (its condition_estimate is nan).
     """
-    model = _fit(points, distances, kernel, augmented)
+    model = _fit(points, distances, kernel, augmented, estimate=False)
     spectrum = spectral_report(_system(points, distances, kernel, augmented))
     cell.epsilon = kernel.params.epsilon
     cell.alpha = kernel.params.alpha

@@ -97,7 +97,8 @@ class EvaluationGrid:
 def _as_coords(obj) -> np.ndarray:
     if isinstance(obj, (PointSet, EvaluationGrid)):
         return obj.coords
-    return np.array(obj, dtype=float, ndmin=2)
+    # A view of float64 input, not a copy: callers only read coordinates.
+    return np.atleast_2d(np.asarray(obj, dtype=float))
 
 
 def make_tensor_grid(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import io
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +40,10 @@ from .kernels import _FILL_BLOCK, KernelSpec, _check_distances, _fill
 # A factorization whose smallest |U_kk| falls below this fraction of the
 # largest is treated as numerically singular.
 PIVOT_RTOL = 1e-14
+
+# Every matrix the package factors is float64, so the LAPACK routines are
+# bound once here rather than looked up on each call.
+_dgetrf, _dgetrs, _dgecon = sla.lapack.dgetrf, sla.lapack.dgetrs, sla.lapack.dgecon
 
 # Block size of the inverse diagonal.  A triangle of at most this many rows
 # is inverted by LAPACK dtrtri, a larger one by halving (see
@@ -154,7 +157,7 @@ def assemble(points: PointSet, kernel: KernelSpec, augmented: bool = False) -> A
     return _system(points, _fit_distances(points, augmented), kernel, augmented)
 
 
-def _factorize(matrix: np.ndarray):
+def _factorize(matrix: np.ndarray, estimate: bool = True):
     """LU-factor with partial pivoting; returns ((lu, piv), condition estimate).
 
     The factors overwrite ``matrix``, which the caller must own and which
@@ -163,16 +166,22 @@ def _factorize(matrix: np.ndarray):
     the failing pivot index, when the smallest |U_kk| drops below PIVOT_RTOL
     times the largest, and NumericalBreakdownError, before the LU, when the
     matrix holds kernel values that overflowed.
+
+    The 1-norm condition estimate (LAPACK ``dgecon``, several triangular
+    solves) is computed only when ``estimate`` is true; otherwise nan takes
+    its place.  No cost depends on it, so search trials, LOOCV costs and the
+    inverse diagonal skip it, while ``fit`` keeps it for the model.
     """
     # The 1-norm of matrix.T (its row sums) is that of matrix: no temporary.
     anorm = sla.lapack.dlange("1", matrix.T)
     if not math.isfinite(anorm):
         raise NumericalBreakdownError("kernel matrix is not finite: kernel values overflow")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(matrix.T, overwrite_a=True, check_finite=False)
+    lu, piv, info = _dgetrf(matrix.T, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgetrf")
+    # info > 0 flags an exact zero pivot, which the check below rejects.
     absdiag = np.abs(np.diag(lu))
-    max_pivot = float(absdiag.max()) if absdiag.size else 0.0
+    max_pivot = float(absdiag.max())
     if max_pivot == 0.0 or absdiag.min() <= PIVOT_RTOL * max_pivot:
         index = int(np.argmin(absdiag))
         raise SingularSystemError(
@@ -180,35 +189,53 @@ def _factorize(matrix: np.ndarray):
             f"{absdiag[index]:.3e} <= {PIVOT_RTOL:g} * {max_pivot:.3e}",
             index=index,
         )
-    gecon = sla.get_lapack_funcs("gecon", (lu,))
-    rcond, info = gecon(lu, anorm, norm="1")
+    if not estimate:
+        return (lu, piv), float("nan")
+    rcond, info = _dgecon(lu, anorm, norm="1")
     if info != 0:
         raise SingularSystemError(f"condition estimation failed (info={info})")
     cond = float("inf") if rcond == 0.0 else 1.0 / float(rcond)
     return (lu, piv), cond
 
 
-def _solve(system: AssembledSystem) -> tuple[np.ndarray, float]:
+def _lu_solve(factors, rhs: np.ndarray) -> np.ndarray:
+    """Solve A x = rhs from the factors of :func:`_factorize`; rhs is kept."""
+    lu, piv = factors
+    x, info = _dgetrs(lu, piv, rhs)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dgetrs")
+    return x
+
+
+def _solve(system: AssembledSystem, estimate: bool = True) -> tuple[np.ndarray, float]:
     """Solve an assembled system; returns (solution, condition estimate).
 
-    The factorization overwrites ``system.matrix`` (see :func:`_factorize`).
+    The factorization overwrites ``system.matrix`` (see :func:`_factorize`,
+    which also says what ``estimate`` skips).
     """
     try:
-        factors, cond = _factorize(system.matrix)
+        factors, cond = _factorize(system.matrix, estimate)
     except SingularSystemError as exc:
         if system.augmented:
             raise SingularSystemError(
                 f"{exc} ({_UNISOLVENCY_HINT})", index=exc.index
             ) from exc
         raise
-    return sla.lu_solve(factors, system.rhs, check_finite=False), cond
+    return _lu_solve(factors, system.rhs), cond
 
 
 def _fit(
-    points: PointSet, distances: np.ndarray, kernel: KernelSpec, augmented: bool
+    points: PointSet,
+    distances: np.ndarray,
+    kernel: KernelSpec,
+    augmented: bool,
+    estimate: bool = True,
 ) -> InterpolationModel:
-    """Solve the system built on checked self-distances."""
-    solution, cond = _solve(_system(points, distances, kernel, augmented))
+    """Solve the system built on checked self-distances.
+
+    With ``estimate`` false the model's condition_estimate is nan.
+    """
+    solution, cond = _solve(_system(points, distances, kernel, augmented), estimate)
     n = points.n
     return InterpolationModel(
         centers=points,
@@ -231,7 +258,8 @@ def _predict(
 
     A block is _FILL_BLOCK // n rows (at least one) for n centers; its kernel
     values fill one reused buffer, whose product with the coefficients goes
-    straight into the output.  distances, when given, is the full, already
+    straight into the output, and an augmented model adds the block's
+    polynomial tail there too.  distances, when given, is the full, already
     checked target-to-center matrix; otherwise each block's distances are
     computed and checked as it is reached.  Both give the same blocks, so the
     values agree bit for bit.  Kernel values that overflow give non-finite
@@ -251,8 +279,13 @@ def _predict(
                 block = distances[start:stop]
             values = _fill(model.kernel, block, out=kernel_values[: stop - start])
             np.matmul(values, model.coeffs, out=out[start:stop])
-    if model.augmented:
-        out += _poly_block(targets) @ model.poly_coeffs
+            if model.augmented:
+                # A one-row product rounds differently from a taller one, so
+                # a one-row block takes its tail from two rows when m allows.
+                lo = min(start, max(0, stop - 2))
+                hi = max(stop, min(m, lo + 2))
+                tail = _poly_block(targets[lo:hi]) @ model.poly_coeffs
+                out[start:stop] += tail[start - lo : stop - lo]
     return out
 
 
@@ -365,7 +398,7 @@ def inverse_diagonal(system: AssembledSystem) -> np.ndarray:
     """
     if system.augmented:
         raise ConfigError("inverse_diagonal is defined for plain systems only")
-    factors, _ = _factorize(system.matrix.copy())
+    factors, _ = _factorize(system.matrix.copy(), estimate=False)
     return _inverse_diagonal(factors)
 
 

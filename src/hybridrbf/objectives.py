@@ -10,7 +10,8 @@ using one full-data factorization.  A trial factors, solves and inverts
 inside the one N x N kernel matrix it filled: the LU overwrites the matrix,
 and the diagonal of A**-1 comes from the two triangular factors, each
 inverted in place by recursive halving, so the solve for c runs before the
-inverse.  Augmented LOOCV refits N reduced systems instead.  That
+inverse.  No trial computes the LU's condition estimate: no cost depends on
+it.  Augmented LOOCV refits N reduced systems instead.  That
 brute-force path is kept because the perfbench loocv-augmented check
 compares a search's cost with it bit for bit; an augmented shortcut needs
 that check to accept a tolerance first.  It also serves as the independent
@@ -28,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     ConfigError,
@@ -44,6 +44,7 @@ from .interpolation import (
     _fit,
     _fit_distances,
     _inverse_diagonal,
+    _lu_solve,
     _predict,
     _solve,
     _system,
@@ -134,9 +135,9 @@ def _require_loocv_points(points: PointSet, augmented: bool) -> None:
 
 def _loocv_rippa(points: PointSet, distances: np.ndarray, kernel: KernelSpec) -> CostValue:
     system = _system(points, distances, kernel, augmented=False)
-    factors, _ = _factorize(system.matrix)
+    factors, _ = _factorize(system.matrix, estimate=False)
     # Solve first: the inverse diagonal overwrites the factors.
-    coeffs = sla.lu_solve(factors, system.rhs, check_finite=False)
+    coeffs = _lu_solve(factors, system.rhs)
     diag = _inverse_diagonal(factors)
     if np.any(np.abs(diag) <= _BREAKDOWN_TOL):
         k = int(np.argmin(np.abs(diag)))
@@ -172,7 +173,7 @@ def _loocv_brute(
             full.matrix[np.ix_(keep, keep)], full.rhs[keep], n - 1, full.n_poly
         )
         try:
-            solution, _ = _solve(reduced)
+            solution, _ = _solve(reduced, estimate=False)
         except SingularSystemError as exc:
             raise SingularSystemError(
                 f"leave-one-out refit failed excluding point {k}: {exc}",
@@ -230,7 +231,7 @@ def _trial_cost(
     spec: ObjectiveSpec, points: PointSet, kernel: KernelSpec, data: SearchData
 ) -> float:
     if spec.kind == "rms":
-        model = _fit(points, data.distances, kernel, spec.augmented)
+        model = _fit(points, data.distances, kernel, spec.augmented, estimate=False)
         values = _predict(model, spec.grid.coords, data.grid_distances)
         return _rms(values, spec.truth_values)
     if spec.augmented:

@@ -1,4 +1,6 @@
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -226,6 +228,16 @@ def test_predict_blocks_agree_with_the_unblocked_oracle(monkeypatch, kind):
         assert np.all(np.abs(blocked - oracle) <= 1e-13 * scale)
 
 
+def evaluation_peak(model: InterpolationModel, targets) -> int:
+    tracemalloc.start()
+    try:
+        evaluate(model, targets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 def test_evaluation_memory_is_one_block_beside_the_output():
     """The fault pipeline's shape: 251,001 targets against 78 centers."""
     centers = make_halton_set(78, 2)
@@ -233,13 +245,27 @@ def test_evaluation_memory_is_one_block_beside_the_output():
     model = fit(centers.with_values(values), KernelSpec.hybrid(3.0, 0.6, 0.4))
     targets = make_tensor_grid(501, 2).coords
     m, dim = targets.shape
-    tracemalloc.start()
-    try:
-        evaluate(model, targets)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < m * (dim + 1) * 8 + 4 * 2**20
+    assert evaluation_peak(model, targets) < m * (dim + 1) * 8 + 4 * 2**20
+    # An ndarray of targets is read in place, not copied.
+    assert evaluation_peak(model, targets) < m * 8 + 4 * 2**20
+    # The polynomial tail is added one block at a time.
+    augmented = fit(centers.with_values(values), KernelSpec.hybrid(3.0, 0.6, 0.4), True)
+    assert evaluation_peak(augmented, targets) < m * (dim + 1) * 8 + 4 * 2**20
+
+
+@pytest.mark.parametrize("step", (1, 2, 7))
+def test_augmented_tail_bit_equal_to_the_whole_tail(monkeypatch, step):
+    """Per-block tails, one-row blocks included, give the bits of one
+    product over every target added to the plain blocked values."""
+    pts = franke_data(6)
+    model = fit(pts, KernelSpec.hybrid(4.0, 0.6, 0.4), augmented=True)
+    plain = replace(model, poly_coeffs=None)
+    monkeypatch.setattr(interpolation, "_FILL_BLOCK", step * pts.n)
+    rng = np.random.default_rng(23)
+    for m in (*range(1, 3 * step + 3), 61):
+        targets = rng.uniform(0.0, 1.0, size=(m, 2))
+        whole = _predict(plain, targets) + _poly_block(targets) @ model.poly_coeffs
+        assert np.array_equal(_predict(model, targets), whole)
 
 
 def test_spectral_report_identity():
@@ -500,6 +526,34 @@ def test_singular_kernel_raises_the_old_pivot_index():
         with pytest.raises(SingularSystemError) as err:
             call()
         assert err.value.index == expected
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    (
+        [[0.0]],
+        [[1.0, 1.0], [1.0, 1.0]],
+        [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]],  # row 3 = row 1 + row 2
+    ),
+)
+def test_exact_zero_pivot_raises_the_old_pivot_index_without_a_warning(matrix):
+    matrix = np.array(matrix)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        lu, _ = sla.lu_factor(matrix.copy(), check_finite=False)
+    expected = int(np.argmin(np.abs(np.diag(lu))))
+    assert lu[expected, expected] == 0.0
+    system = AssembledSystem(matrix, np.ones(len(matrix)), n_centers=len(matrix), n_poly=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda: _factorize(matrix.copy()),
+            lambda: _factorize(matrix.copy(), estimate=False),
+            lambda: inverse_diagonal(system),
+        ):
+            with pytest.raises(SingularSystemError) as err:
+                call()
+            assert err.value.index == expected
 
 
 def test_model_round_trip_bit_exact(tmp_path):

@@ -13,6 +13,7 @@ from hybridrbf import (
     PointSet,
     SENTINEL_COST,
     NumericalBreakdownError,
+    PsoConfig,
     SingularSystemError,
     assemble,
     evaluate,
@@ -24,11 +25,12 @@ from hybridrbf import (
     make_halton_set,
     make_tensor_grid,
     objective_value,
+    pso_minimize,
     rms_error,
 )
-from hybridrbf import interpolation
+from hybridrbf import interpolation, objectives
 from hybridrbf.bench import franke
-from hybridrbf.objectives import prepare_search
+from hybridrbf.objectives import _trial_cost, prepare_search
 
 E_INV = 0.36787944117144233
 
@@ -365,3 +367,75 @@ def test_overflowing_kernel_values_break_down_before_the_lu(recwarn):
             ):
                 assert objective_value(spec, far, kernel) == SENTINEL_COST
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+# --- search trials skip the condition estimate -------------------------------
+
+
+def trial_outcome(spec: ObjectiveSpec, pts: PointSet, kernel: KernelSpec):
+    """A trial's cost bits, or its exception's type, message and index."""
+    try:
+        return np.float64(_trial_cost(spec, pts, kernel, prepare_search(spec, pts))).tobytes()
+    except (SingularSystemError, NumericalBreakdownError) as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+
+
+@pytest.mark.parametrize("path", ("rms", "loocv", "loocv-augmented"))
+def test_trial_without_the_estimate_matches_one_with_it(monkeypatch, path):
+    """Ok, singular and overflowing trials on the RMS, Rippa and brute paths
+    give the same cost bits, or the same error, whether or not the LU's
+    condition estimate is computed."""
+    grid = EvaluationGrid([[0.5, 0.5], [0.2, 0.9], [1.0, 0.0]])
+    far = PointSet(
+        [[0.0, 0.0], [1e103, 0.0], [0.0, 1e103], [1e103, 1e103], [5e102, 5e102]],
+        np.arange(5.0),
+    )
+    spec = {
+        "rms": ObjectiveSpec.rms(grid, franke(*grid.points.T)),
+        "loocv": ObjectiveSpec.loocv(),
+        "loocv-augmented": ObjectiveSpec.loocv(augmented=True),
+    }[path]
+    cases = {
+        "ok": (halton_franke(20), KernelSpec.hybrid(3.0, 0.8, 0.1)),
+        "singular": (halton_franke(20), KernelSpec.hybrid(1e-4, 1.0, 0.0)),
+        "overflow": (far, KernelSpec.cubic()),
+    }
+    skipped = {name: trial_outcome(spec, *case) for name, case in cases.items()}
+    factorize = interpolation._factorize
+
+    def with_estimate(matrix, estimate=True):
+        return factorize(matrix, True)
+
+    monkeypatch.setattr(interpolation, "_factorize", with_estimate)
+    monkeypatch.setattr(objectives, "_factorize", with_estimate)
+    for name, case in cases.items():
+        assert skipped[name] == trial_outcome(spec, *case), name
+    assert isinstance(skipped["ok"], bytes)
+    assert skipped["singular"][0] is SingularSystemError
+    assert skipped["singular"][2] is not None
+    assert skipped["overflow"][0] is NumericalBreakdownError
+
+
+def test_search_computes_no_condition_estimate_and_fit_one(monkeypatch):
+    calls = []
+    dgecon = interpolation._dgecon
+
+    def counted_dgecon(*args, **kwargs):
+        calls.append(args)
+        return dgecon(*args, **kwargs)
+
+    monkeypatch.setattr(interpolation, "_dgecon", counted_dgecon)
+    grid = make_evaluation_grid(6)
+    truth = franke(*grid.points.T)
+    config = PsoConfig(swarm_size=4, generations=2, seed=3)
+    for spec, pts in (
+        (ObjectiveSpec.rms(grid, truth), franke_data(5)),
+        (ObjectiveSpec.rms(grid, truth, augmented=True), franke_data(5)),
+        (ObjectiveSpec.loocv(), halton_franke(30)),
+        (ObjectiveSpec.loocv(augmented=True), halton_franke(12)),
+    ):
+        pso_minimize(kernel_objective(spec, pts), config)
+    assert calls == []
+    model = fit(halton_franke(30), KernelSpec.hybrid(3.0, 0.8, 0.1))
+    assert len(calls) == 1
+    assert np.isfinite(model.condition_estimate)
