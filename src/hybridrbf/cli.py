@@ -28,6 +28,7 @@ from .geometry import (
     PointSet,
     _csv_header,
     _min_off_diagonal,
+    _opened,
     _write_table,
     read_points_csv,
     read_points_table,
@@ -314,7 +315,7 @@ def _coerce_config_value(action, key: str, value: str, where: str):
 def _apply_config_defaults(path: str, parser: argparse.ArgumentParser) -> None:
     """Install 'key = value' file entries as flag defaults (flags still win)."""
     options = _collect_options(parser)
-    with open(path, "r", encoding="utf-8") as fh:
+    with _opened(path, "r") as (fh, _):
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

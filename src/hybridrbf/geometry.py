@@ -206,13 +206,17 @@ def _csv_header(dim: int, with_values: bool) -> list[str]:
 @contextmanager
 def _opened(target, mode: str):
     """Yield ``(file, name)``: ``target`` itself if it is a stream, else the
-    file it names, opened as CSV text (UTF-8, no newline translation)."""
+    file it names, opened as CSV text (UTF-8, no newline translation), where
+    a byte sequence that is not UTF-8 raises ConfigError naming the file."""
     if hasattr(target, "write" if mode == "w" else "read"):
         yield target, "<stream>"
     else:
         path = Path(target)
         with open(path, mode, encoding="utf-8", newline="") as fh:
-            yield fh, str(path)
+            try:
+                yield fh, str(path)
+            except UnicodeDecodeError:
+                raise ConfigError(f"{path}: not UTF-8 text") from None
 
 
 def _write_table(target, names, *columns) -> None:
@@ -254,6 +258,8 @@ def _float_rows(reader, name: str, width: int) -> np.ndarray:
 
     try:
         flat = np.fromiter(map(float, itertools.chain.from_iterable(rows())), float)
+    except UnicodeDecodeError:
+        raise  # the file's fault, not a field's: its opener names the file
     except ValueError:
         raise ConfigError(f"{name}:{last[0]}: non-numeric field in {last[1]!r}") from None
     return flat.reshape(-1, width)

@@ -31,6 +31,7 @@ from .errors import (
 from .geometry import (
     PointSet,
     _as_coords,
+    _opened,
     pairwise_distances,
     points_to_csv_text,
     read_points_table,
@@ -501,5 +502,5 @@ def save_model(model: InterpolationModel, path) -> None:
 
 
 def load_model(path) -> InterpolationModel:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _opened(path, "r") as (fh, _):
         return model_from_text(fh.read())

@@ -133,28 +133,6 @@ class KernelSpec:
         return cls(kind, HybridParams(eps, alpha, beta))
 
 
-def _phi(kind: str, params: HybridParams, r: np.ndarray) -> np.ndarray:
-    eps, alpha, beta = params.epsilon, params.alpha, params.beta
-    if kind == "gaussian":
-        return np.exp(-((eps * r) ** 2))
-    if kind == "cubic":
-        return r * r * r
-    if kind == "hybrid":
-        return alpha * np.exp(-((eps * r) ** 2)) + beta * (r * r * r)
-    if kind == "multiquadric":
-        return np.sqrt(1.0 + (eps * r) ** 2)
-    if kind == "inverse-multiquadric":
-        return 1.0 / np.sqrt(1.0 + (eps * r) ** 2)
-    if kind == "thin-plate-spline":
-        # r**2 * log(r), with the limit value 0 at r = 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(r > 0.0, r * r * np.log(r), 0.0)
-    if kind == "wendland":
-        cut = np.maximum(1.0 - eps * r, 0.0)
-        return cut**4 * (4.0 * eps * r + 1.0)
-    raise ConfigError(f"unknown kernel kind {kind!r}")
-
-
 def eval_kernel(spec: KernelSpec, r: float) -> float:
     """Evaluate phi(r) at a single nonnegative radius."""
     rv = np.asarray(r, dtype=float)
@@ -162,13 +140,9 @@ def eval_kernel(spec: KernelSpec, r: float) -> float:
         raise DomainError("eval_kernel expects a scalar radius; use eval_kernel_batch")
     if not np.isfinite(rv) or rv < 0.0:
         raise DomainError(f"radius must be finite and >= 0, got {r}")
-    # A one-element array runs the ufunc loops a batch runs; numpy's scalar
-    # arithmetic can round differently: on numpy 2.4.6 the array r**4 equals
-    # np.power(r, 4.0) bit for bit, while a scalar x**4 differs from it on
-    # about 5 % of uniform radii in [0, 2), and neither equals r*r*r*r.  An
-    # overflow gives inf without a warning, as a batch does.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(_phi(spec.kind, spec.params, rv.reshape(1))[0])
+    # A one-element array runs the ufunc loops a batch runs, where numpy's
+    # scalar arithmetic could round differently.
+    return float(_fill(spec, rv.reshape(1))[0])
 
 
 def _check_distances(d: np.ndarray) -> None:
@@ -182,8 +156,8 @@ def _check_distances(d: np.ndarray) -> None:
 def eval_kernel_batch(spec: KernelSpec, distances) -> np.ndarray:
     """Evaluate phi elementwise on a matrix of nonnegative distances.
 
-    Applies the same vectorized expressions as :func:`eval_kernel`, so batch
-    entries match the scalar path bit for bit.
+    Runs the fill :func:`eval_kernel` runs, so batch entries match the scalar
+    path bit for bit.
     """
     d = np.asarray(distances, dtype=float)
     _check_distances(d)
@@ -195,46 +169,60 @@ def eval_kernel_batch(spec: KernelSpec, distances) -> np.ndarray:
 _FILL_BLOCK = 32_768
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _fill(spec: KernelSpec, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """phi on checked distances, bit-equal to :func:`_phi`.
+    """phi on checked distances: the one place each kernel formula is written.
 
-    For the gaussian, cubic and hybrid kinds, the ufuncs of ``_phi`` run in
-    place on one block at a time of one output, so a fill holds the output
-    plus one block of scratch instead of several full-size temporaries; the
-    cube is two multiplications, whose bits no SIMD dispatch changes.  The
-    other kinds use ``_phi`` as it is.  The output is ``out`` when given (a
+    Each kind's ufuncs run in place on one block at a time of one output, so
+    a fill holds the output plus one block of scratch.  Powers are products:
+    the cube is two multiplications and wendland's fourth power two squares,
+    whose bits no SIMD dispatch changes.  The output is ``out`` when given (a
     C-contiguous float array of ``r``'s shape), else a new array.  Values
     that overflow become inf or nan without a warning; ``_factorize``
     rejects a kernel matrix holding them.
     """
     kind, params = spec.kind, spec.params
-    if kind not in ("gaussian", "cubic", "hybrid"):
-        if out is None:
-            return _phi(kind, params, r)
-        out[...] = _phi(kind, params, r)
-        return out
     eps, alpha, beta = params.epsilon, params.alpha, params.beta
     if out is None:
         out = np.empty(r.shape)
     flat_r, flat_out = r.reshape(-1), out.reshape(-1)
-    scratch = np.empty(min(_FILL_BLOCK, flat_r.size)) if kind == "hybrid" else None
+    scratch = np.empty(min(_FILL_BLOCK, flat_r.size))
     for start in range(0, flat_r.size, _FILL_BLOCK):
         src = flat_r[start : start + _FILL_BLOCK]
         dst = flat_out[start : start + _FILL_BLOCK]
-        if kind == "cubic":
+        tmp = scratch[: src.size]
+        if kind in ("cubic", "thin-plate-spline"):
             np.multiply(src, src, out=dst)
-            dst *= src
+            if kind == "cubic":
+                dst *= src
+            else:  # r**2 * log(r), with the limit value 0 at r = 0
+                np.log(src, out=tmp)
+                dst *= tmp
+                dst[~(src > 0.0)] = 0.0
             continue
         np.multiply(eps, src, out=dst)
+        if kind == "wendland":  # (1 - eps*r)_+**4 * (4*eps*r + 1)
+            np.subtract(1.0, dst, out=dst)
+            np.maximum(dst, 0.0, out=dst)
+            np.square(dst, out=dst)
+            np.square(dst, out=dst)
+            np.multiply(4.0 * eps, src, out=tmp)
+            tmp += 1.0
+            dst *= tmp
+            continue
         np.square(dst, out=dst)
-        np.negative(dst, out=dst)
+        if kind in ("multiquadric", "inverse-multiquadric"):  # (1 + (eps*r)**2)**(+-1/2)
+            dst += 1.0
+            np.sqrt(dst, out=dst)
+            if kind == "inverse-multiquadric":
+                np.divide(1.0, dst, out=dst)
+            continue
+        np.negative(dst, out=dst)  # gaussian exp(-(eps*r)**2), and hybrid adds beta*r**3
         np.exp(dst, out=dst)
         if kind == "hybrid":
             dst *= alpha
-            cube = scratch[: src.size]
-            np.multiply(src, src, out=cube)
-            cube *= src
-            cube *= beta
-            dst += cube
+            np.multiply(src, src, out=tmp)
+            tmp *= src
+            tmp *= beta
+            dst += tmp
     return out

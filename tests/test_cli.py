@@ -489,3 +489,30 @@ def test_overflowing_kernel_values_are_one_error_line(tmp_path):
     assert result.returncode == 1
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["fit", "--input", "{data}", "--output", "{out}"], "data"),
+        (["optimize", "--input", "{data}", "--objective", "loocv", "--output", "{out}"], "data"),
+        (["eval", "--model", "{model}", "--input", "{data}", "--output", "{out}"], "data"),
+        (["eval", "--model", "{model}", "--input", "{data}", "--output", "{out}"], "model"),
+        (["--config", "{config}", "fit", "--input", "{data}", "--output", "{out}"], "config"),
+    ],
+    ids=["fit-input", "optimize-input", "eval-input", "eval-model", "config"],
+)
+def test_non_utf8_input_is_one_error_line(tmp_path, capsys, argv, bad):
+    paths = {name: tmp_path / f"{name}.txt" for name in ("data", "model", "config", "out")}
+    # 300 rows put the bad byte in the CSV reader's second decoded chunk,
+    # after the header has been read
+    write_points_csv(paths["data"], synthetic_fault_surface(300, seed=4))
+    assert main(["fit", "--input", str(paths["data"]), "--output", str(paths["model"])]) == 0
+    paths["config"].write_text("epsilon = 2.5\n")
+    text = paths[bad].read_bytes()
+    assert bad == "config" or len(text) > 16_384
+    paths[bad].write_bytes(text[:-8] + b"\xff" + text[-8:])
+    capsys.readouterr()
+    rc = main([arg.format(**paths) for arg in argv])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {paths[bad]}: not UTF-8 text\n"

@@ -46,7 +46,8 @@ from hybridrbf.interpolation import (
     model_from_text,
     model_to_text,
 )
-from hybridrbf.kernels import _FILL_BLOCK, KERNEL_KINDS, HybridParams, _phi
+from hybridrbf.kernels import _FILL_BLOCK, KERNEL_KINDS, HybridParams
+from kernel_oracle import phi
 
 E_INV = 0.36787944117144233
 TWO_POINT_C = (1.1565176427496657, -0.4254590641196608)  # analytic 2x2 solve
@@ -218,7 +219,7 @@ def test_predict_blocks_agree_with_the_unblocked_oracle(monkeypatch, kind):
         blocked = _predict(model, targets)
         assert len(fills) == -(-m // step)
         assert np.array_equal(_predict(model, targets, distances), blocked)
-        kernel_values, poly = _phi(kind, model.kernel.params, distances), _poly_block(targets)
+        kernel_values, poly = phi(kind, model.kernel.params, distances), _poly_block(targets)
         oracle = kernel_values @ model.coeffs
         oracle += poly @ model.poly_coeffs
         # BLAS sums a block in another order than the whole matrix; bound the
@@ -352,8 +353,14 @@ def identity_solve_invdiag(matrix: np.ndarray) -> np.ndarray:
 
 
 def old_factorize(matrix: np.ndarray):
-    """The factorization before it ran in place: LU of a copy, then gecon."""
-    lu, piv = sla.lu_factor(matrix.copy(), check_finite=False)
+    """The factorization before it ran in place: LU of a copy, then gecon.
+
+    A singular matrix makes ``lu_factor`` warn; the old factorization
+    ignored that warning and judged the pivots itself.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        lu, piv = sla.lu_factor(matrix.copy(), check_finite=False)
     gecon = sla.get_lapack_funcs("gecon", (lu,))
     rcond, info = gecon(lu, np.linalg.norm(matrix, 1), norm="1")
     assert info == 0

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,8 @@ from hybridrbf import (
     eval_kernel,
     eval_kernel_batch,
 )
-from hybridrbf.kernels import _FILL_BLOCK, _fill, _phi
+from hybridrbf.kernels import _FILL_BLOCK, _fill
+from kernel_oracle import phi
 
 E_INV = 0.36787944117144233  # exp(-1)
 
@@ -163,7 +165,7 @@ def test_record_rejects_malformed():
         KernelSpec.from_record("hybrid,one,0.5,0.5")
 
 
-# --- the blocked fill against the _phi oracle ---------------------------------
+# --- the blocked fill against the phi oracle ----------------------------------
 
 FILL_SHAPES = [
     (0,),
@@ -183,9 +185,14 @@ FILL_SHAPES = [
 def test_fill_bit_equal_to_phi(kind, shape):
     params = HybridParams(2.7, 0.6, 0.4)
     r = np.random.default_rng(len(shape) + sum(shape)).uniform(0.0, 1.5, size=shape)
+    # exact zeros (the TPS limit, wendland and IMQ at r = 0) at the ends of
+    # the array and of its first block, and every tenth cell
+    flat = r.reshape(-1)
+    flat[::10] = 0.0
+    flat[[i for i in (_FILL_BLOCK - 1, _FILL_BLOCK, flat.size - 1) if 0 <= i < flat.size]] = 0.0
     out = _fill(KernelSpec(kind, params), r)
     assert out.shape == r.shape
-    assert np.array_equal(out, _phi(kind, params, r))
+    assert np.array_equal(out, phi(kind, params, r))
     buffer = np.full(r.shape, np.nan)
     assert _fill(KernelSpec(kind, params), r, out=buffer) is buffer
     assert np.array_equal(buffer, out)
@@ -198,7 +205,20 @@ def test_fill_bit_equal_to_phi_on_non_contiguous_input(kind):
     base = np.random.default_rng(21).uniform(0.0, 1.2, size=(260, 300))
     for r in (base.T, base[:, ::3], base[7:, 1:-1]):
         assert not r.flags.c_contiguous
-        assert np.array_equal(_fill(spec, r), _phi(kind, params, r))
+        assert np.array_equal(_fill(spec, r), phi(kind, params, r))
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_fill_holds_the_output_plus_two_blocks(kind):
+    spec = KernelSpec(kind, HybridParams(2.7, 0.6, 0.4))
+    r = np.random.default_rng(5).uniform(0.0, 1.5, size=(625, 625))
+    tracemalloc.start()
+    try:
+        out = _fill(spec, r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 2 * _FILL_BLOCK * out.itemsize
 
 
 _radii = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
@@ -233,19 +253,22 @@ def test_overflowing_kernel_values_are_inf_without_warning(recwarn):
 
 
 # The Franke study's 1600 x 625 grid-to-node distances, on which numpy's
-# pow(r, 3) gives other bits when its AVX-512 and AVX2 loops are disabled.
+# pow(r, 3) and pow(x, 4) give other bits when its AVX-512 and AVX2 loops are
+# disabled.
 _CUBE_HASH = """
 import hashlib
 from hybridrbf import KernelSpec, make_evaluation_grid, make_tensor_grid
 from hybridrbf.geometry import pairwise_distances
 from hybridrbf.kernels import _fill
 r = pairwise_distances(make_evaluation_grid(40), make_tensor_grid(25, 2))
-print(hashlib.sha256(_fill(KernelSpec.cubic(), r).tobytes()).hexdigest())
+for spec in (KernelSpec.cubic(), KernelSpec.from_name("wendland", 2.7, 1.0, 0.0)):
+    print(hashlib.sha256(_fill(spec, r).tobytes()).hexdigest())
 """
 
 
 def test_cube_bits_do_not_follow_simd_dispatch():
-    """The cube is two IEEE multiplications, so numpy's SIMD level leaves it.
+    """The cube and wendland's fourth power are IEEE multiplications, so
+    numpy's SIMD level leaves them.
 
     numpy ignores disabled feature names the CPU lacks, so both runs start
     on any host.
@@ -264,8 +287,9 @@ def test_cube_bits_do_not_follow_simd_dispatch():
             env=run_env,
             check=True,
         )
-        digests.append(result.stdout.strip())
-    assert len(digests[0]) == 64  # a SHA-256 hex digest: both runs printed one
+        digests.append(result.stdout.split())
+    # two SHA-256 hex digests: both runs printed both
+    assert [len(d) for d in digests[0]] == [64, 64]
     assert digests[0] == digests[1]
 
 
