@@ -16,7 +16,9 @@ experiment cell plus a human-readable table:
 linear-reproduction, franke and objective-comparison run one loop of
 optimized cells.  Each cell's search builds and checks the data distances
 once; after it, the cell fits, takes the spectrum and, for rms cells, the
-LOOCV cost on those same distances.
+LOOCV cost on those same distances.  Spectra cells share those steps: a
+searched cell takes its spectrum on its search's distances, a pinned cell
+on one distance build of its own, and both record it as a fitted cell does.
 
 The Franke surface here uses the standard Franke (1979) signs: every
 exponential argument is negative.
@@ -27,6 +29,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -41,21 +44,22 @@ from .geometry import (
     EvaluationGrid,
     FLOAT_FMT,
     PointSet,
+    _write_table,
     make_evaluation_grid,
     make_tensor_grid,
     write_points_csv,
 )
 from .interpolation import (
     InterpolationModel,
+    SpectralReport,
     _fit,
     _fit_distances,
     _system,
-    assemble,
     evaluate,
     fit,
     spectral_report,
 )
-from .kernels import HybridParams, KernelSpec
+from .kernels import KernelSpec
 from .objectives import (
     ObjectiveSpec,
     SearchData,
@@ -66,7 +70,7 @@ from .objectives import (
     prepare_search,
     rms_error,
 )
-from .pso import PsoConfig, pso_minimize
+from .pso import PsoConfig, pso_minimize, require_valid_config
 
 FULL_NODE_COUNTS = (25, 49, 81, 144, 196, 400, 625, 1296, 2401, 4096)
 # Desk-scale default: the two largest grids cost minutes each under PSO.
@@ -123,11 +127,12 @@ class ExperimentSpec:
     node_counts: tuple[int, ...] = DESK_NODE_COUNTS
     variants: tuple[str, ...] = ("gaussian", "hybrid", "hybrid+poly")
     objective: str = "rms"
-    pso: PsoConfig = field(default_factory=lambda: PsoConfig(swarm_size=20, generations=5))
+    pso: PsoConfig = field(default_factory=PsoConfig)
     eval_grid_n: int = 40
     seed: int = 0
     sweep_points: int = 0
-    params_per_n: Mapping[int, tuple] | None = None
+    # Spectra only: N -> one pinned (epsilon, alpha, beta) triple, no search.
+    params_per_n: Mapping[int, tuple[float, float, float]] | None = None
     fault_points: int = 78
     fault_grid_n: int = 501
     include_optimize_timing: bool = False
@@ -142,11 +147,7 @@ class ExperimentSpec:
             if not self.node_counts:
                 raise ConfigError("node_counts must not be empty")
             for n in self.node_counts:
-                k = int(round(np.sqrt(n)))
-                if k * k != n or k < 2:
-                    raise ConfigError(
-                        f"node count {n} is not a perfect square >= 4 (tensor grids)"
-                    )
+                _grid_side(n)
         if not self.variants:
             raise ConfigError("at least one kernel variant is required")
         for v in self.variants:
@@ -156,6 +157,7 @@ class ExperimentSpec:
             raise ConfigError(f"objective must be rms or loocv, got {self.objective!r}")
         if self.eval_grid_n < 2:
             raise ConfigError(f"eval_grid_n must be >= 2, got {self.eval_grid_n}")
+        require_valid_config(self.pso)
 
 
 @dataclass
@@ -237,9 +239,16 @@ def _cell_seed(spec: ExperimentSpec, *key) -> int:
     return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
 
+def _grid_side(n: int) -> int:
+    """Side k of the square grid of n nodes; ConfigError unless n = k*k, k >= 2."""
+    k = math.isqrt(max(n, 0))
+    if k < 2 or k * k != n:
+        raise ConfigError(f"node count {n} is not a perfect square >= 4 (tensor grids)")
+    return k
+
+
 def _grid_data(n: int, truth: Callable) -> PointSet:
-    k = int(round(np.sqrt(n)))
-    pts = make_tensor_grid(k, 2)
+    pts = make_tensor_grid(_grid_side(n), 2)
     return pts.with_values(truth(pts.coords[:, 0], pts.coords[:, 1]))
 
 
@@ -287,23 +296,30 @@ def _timed(cell: CellRecord, failure: str = "failed"):
     cell.wall_time_s = perf_counter() - start
 
 
+def _spectrum_step(
+    cell: CellRecord, points: PointSet, distances: np.ndarray, kernel: KernelSpec, augmented: bool
+) -> SpectralReport:
+    """Spectrum of the system on checked data distances, bit for bit that of
+    ``assemble``; record the kernel and the spectrum's summary in ``cell``."""
+    spectrum = spectral_report(_system(points, distances, kernel, augmented))
+    p = kernel.params
+    cell.epsilon, cell.alpha, cell.beta = p.epsilon, p.alpha, p.beta
+    cell.condition_number = spectrum.condition_number
+    cell.negative_count = spectrum.negative_count
+    return spectrum
+
+
 def _fit_step(
     cell: CellRecord, points: PointSet, distances: np.ndarray, kernel: KernelSpec, augmented: bool
 ) -> InterpolationModel:
     """Fit on checked data distances; record the kernel and spectrum in ``cell``.
 
-    The private steps of ``fit`` and ``assemble`` on one distance matrix give
-    the same coefficients and spectrum, bit for bit, as the public calls.  The
-    report takes its condition number from the spectrum, so the model skips
-    the LU's condition estimate (its condition_estimate is nan).
+    The private ``_fit`` gives the same coefficients, bit for bit, as ``fit``.
+    The report takes its condition number from the spectrum, so the model
+    skips the LU's condition estimate (its condition_estimate is nan).
     """
     model = _fit(points, distances, kernel, augmented, estimate=False)
-    spectrum = spectral_report(_system(points, distances, kernel, augmented))
-    cell.epsilon = kernel.params.epsilon
-    cell.alpha = kernel.params.alpha
-    cell.beta = kernel.params.beta
-    cell.condition_number = spectrum.condition_number
-    cell.negative_count = spectrum.negative_count
+    _spectrum_step(cell, points, distances, kernel, augmented)
     return model
 
 
@@ -434,8 +450,10 @@ def _epsilon_sweep(
 
 
 def spectra_study(spec: ExperimentSpec) -> ExperimentReport:
-    """Eigenvalue spectra of plain and augmented hybrid systems per N."""
+    """Eigenvalue spectra of plain and augmented hybrid systems per N: the
+    kernel is ``spec.params_per_n[N]`` if given, else searched in the cell."""
     grid, truth_values = _truth_grid(spec.eval_grid_n, franke)
+    pinned = spec.params_per_n or {}
     cells: list[CellRecord] = []
     files: list[Path] = []
     digest = spec_digest(spec)
@@ -443,56 +461,29 @@ def spectra_study(spec: ExperimentSpec) -> ExperimentReport:
         points = _grid_data(n, franke)
         for variant in ("hybrid", "hybrid+poly"):
             augmented = _variant_augmented(variant)
-            params = _spectra_params(spec, points, grid, truth_values, n, variant)
             cell = CellRecord(study=spec.study, variant=variant, n=n)
             with _timed(cell):
-                kernel = KernelSpec.hybrid(*params)
-                system = assemble(points, kernel, augmented=augmented)
-                spectrum = spectral_report(system)
-                cell.epsilon, cell.alpha, cell.beta = params
-                cell.condition_number = spectrum.condition_number
-                cell.negative_count = spectrum.negative_count
+                if n in pinned:
+                    kernel = KernelSpec.hybrid(*pinned[n])
+                    distances = _fit_distances(points, augmented)
+                else:
+                    ospec = ObjectiveSpec.from_kind(spec.objective, grid, truth_values, augmented)
+                    seed = _cell_seed(spec, spec.study, n, variant, spec.objective)
+                    kernel, _, data = _optimize_variant(points, ospec, spec.pso, variant, seed)
+                    distances = data.distances
+                spectrum = _spectrum_step(cell, points, distances, kernel, augmented)
                 if spec.output_dir is not None:
                     tag = "augmented" if augmented else "plain"
                     path = Path(spec.output_dir) / f"spectra-{digest}-n{n}-{tag}.csv"
-                    _write_spectrum_csv(path, spectrum.eigenvalues)
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    index = np.arange(len(spectrum.eigenvalues))
+                    _write_table(path, ["index", "eigenvalue"], index, spectrum.eigenvalues)
                     files.append(path)
                     cell.detail = f"spectrum: {path.name}"
             cells.append(cell)
     report = _finish(spec, cells, (FRANKE_NOTE,))
     report.files.extend(files)
     return report
-
-
-def _spectra_params(
-    spec: ExperimentSpec,
-    points: PointSet,
-    grid: EvaluationGrid,
-    truth_values: np.ndarray,
-    n: int,
-    variant: str,
-) -> tuple[float, float, float]:
-    if spec.params_per_n is not None and n in spec.params_per_n:
-        entry = spec.params_per_n[n]
-        if isinstance(entry, Mapping):
-            entry = entry[variant]
-        if isinstance(entry, HybridParams):
-            return entry.epsilon, entry.alpha, entry.beta
-        return tuple(float(v) for v in entry)
-    augmented = _variant_augmented(variant)
-    ospec = ObjectiveSpec.from_kind(spec.objective, grid, truth_values, augmented)
-    seed = _cell_seed(spec, spec.study, n, variant, spec.objective)
-    kernel, _, _ = _optimize_variant(points, ospec, spec.pso, variant, seed)
-    p = kernel.params
-    return p.epsilon, p.alpha, p.beta
-
-
-def _write_spectrum_csv(path: Path, eigenvalues: np.ndarray) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("index,eigenvalue\n")
-        for i, ev in enumerate(eigenvalues):
-            fh.write(f"{i},{FLOAT_FMT % ev}\n")
 
 
 def fault_side(coords) -> np.ndarray:
@@ -532,18 +523,19 @@ def synthetic_fault_surface(n_points: int = 78, seed: int = 0) -> PointSet:
 
 def fault_study(spec: ExperimentSpec) -> ExperimentReport:
     """LOOCV-tuned hybrid reconstruction of the synthetic fault surface."""
+    # Bad fault settings raise here, before any search or report.
+    points = synthetic_fault_surface(spec.fault_points, seed=spec.seed)
+    target = make_evaluation_grid(
+        spec.fault_grid_n, dim=2, lower=FAULT_DOMAIN[0], upper=FAULT_DOMAIN[1]
+    )
     cell = CellRecord(study=spec.study, variant="hybrid", n=spec.fault_points, objective="loocv")
     cells = [cell]
     files: list[Path] = []
     with _timed(cell):
-        points = synthetic_fault_surface(spec.fault_points, seed=spec.seed)
         ospec = ObjectiveSpec.loocv()
         seed = _cell_seed(spec, spec.study, spec.fault_points)
         kernel, best_cost, data = _optimize_variant(points, ospec, spec.pso, "hybrid", seed)
         model = _fit_step(cell, points, data.distances, kernel, False)
-        target = make_evaluation_grid(
-            spec.fault_grid_n, dim=2, lower=FAULT_DOMAIN[0], upper=FAULT_DOMAIN[1]
-        )
         values = evaluate(model, target)
         cell.loocv_cost = best_cost
         cell.detail = f"reconstructed {target.m} locations"

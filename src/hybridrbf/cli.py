@@ -37,7 +37,7 @@ from .geometry import (
 from .interpolation import _fit, _fit_distances, _predict, evaluate, load_model, save_model
 from .kernels import KERNEL_KINDS, KernelSpec
 from .objectives import ObjectiveSpec, kernel_objective
-from .pso import PsoConfig, pso_minimize, validate_config, write_trace_csv
+from .pso import DEFAULT_BOUNDS, PsoConfig, pso_minimize, write_trace_csv
 
 _TRUTHS = {"franke": franke, "linear": linear_truth}
 
@@ -50,13 +50,15 @@ def _add_kernel_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_pso_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--swarm", type=int, default=20, help="swarm size")
-    parser.add_argument("--generations", type=int, default=5)
-    parser.add_argument("--c1", type=float, default=1.49445)
-    parser.add_argument("--c2", type=float, default=1.49445)
-    parser.add_argument("--inertia", type=float, default=0.729)
-    parser.add_argument("--eps-min", type=float, default=0.01)
-    parser.add_argument("--eps-max", type=float, default=20.0)
+    default = PsoConfig()
+    eps_min, eps_max = DEFAULT_BOUNDS[0]
+    parser.add_argument("--swarm", type=int, default=default.swarm_size, help="swarm size")
+    parser.add_argument("--generations", type=int, default=default.generations)
+    parser.add_argument("--c1", type=float, default=default.c1)
+    parser.add_argument("--c2", type=float, default=default.c2)
+    parser.add_argument("--inertia", type=float, default=default.inertia_w)
+    parser.add_argument("--eps-min", type=float, default=eps_min)
+    parser.add_argument("--eps-max", type=float, default=eps_max)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,7 +129,7 @@ def _pso_config(args) -> PsoConfig:
         c1=args.c1,
         c2=args.c2,
         inertia_w=args.inertia,
-        bounds=((args.eps_min, args.eps_max), (0.0, 1.0), (0.0, 1.0)),
+        bounds=((args.eps_min, args.eps_max), *DEFAULT_BOUNDS[1:]),
         seed=args.seed,
     )
 
@@ -174,23 +176,12 @@ def _optimize_data(args) -> PointSet:
             raise ConfigError(f"{args.input}: optimize needs a value column")
         return points
     if args.truth and args.nodes:
-        k = int(round(np.sqrt(args.nodes)))
-        if k * k != args.nodes or k < 2:
-            raise ConfigError(f"--nodes must be a perfect square >= 4, got {args.nodes}")
         return _grid_data(args.nodes, _TRUTHS[args.truth])
     raise ConfigError("optimize needs --input, or --truth together with --nodes")
 
 
-def _require_stable(config: PsoConfig) -> None:
-    """Raise one ConfigError naming every violation of the swarm settings."""
-    violations = validate_config(config)
-    if violations:
-        raise ConfigError("; ".join(violations))
-
-
 def cmd_optimize(args) -> int:
     config = _pso_config(args)
-    _require_stable(config)
     points = _optimize_data(args)
     grid = truth_values = None
     if args.objective == "rms":
@@ -267,7 +258,6 @@ def cmd_bench(args) -> int:
         fault_grid_n=args.fault_grid_n,
         output_dir=args.out,
     )
-    _require_stable(spec.pso)
     report = run_study(spec)
     for path in report.files:
         print(f"wrote {path}")

@@ -91,6 +91,13 @@ def validate_config(config: PsoConfig) -> list[str]:
     return violations
 
 
+def require_valid_config(config: PsoConfig) -> None:
+    """Raise one ConfigError naming every violation of ``config``, joined by "; "."""
+    violations = validate_config(config)
+    if violations:
+        raise ConfigError("; ".join(violations))
+
+
 def pso_minimize(objective, config: PsoConfig, record_positions: bool = False) -> PsoResult:
     """Minimize objective(position) over the config's box.
 
@@ -98,9 +105,7 @@ def pso_minimize(objective, config: PsoConfig, record_positions: bool = False) -
     (numerical failures should already be mapped to a large sentinel).
     Deterministic: equal (objective, config) give bitwise-equal traces.
     """
-    violations = validate_config(config)
-    if violations:
-        raise ConfigError("invalid PSO configuration:\n" + "\n".join(violations))
+    require_valid_config(config)
     lo = np.array([b[0] for b in config.bounds], dtype=float)
     hi = np.array([b[1] for b in config.bounds], dtype=float)
     dims = lo.shape[0]

@@ -39,9 +39,10 @@ from hybridrbf.bench import (
     synthetic_fault_surface,
     write_report_csv,
 )
-from hybridrbf.geometry import make_tensor_grid
+from hybridrbf.geometry import FLOAT_FMT, make_tensor_grid
 
 QUICK_PSO = PsoConfig(swarm_size=8, generations=3)
+SMALL_PSO = PsoConfig(swarm_size=4, generations=2)
 
 
 def test_franke_oracle_value():
@@ -81,6 +82,9 @@ def test_spec_validation():
         ExperimentSpec(study="franke", node_counts=())
     with pytest.raises(ConfigError):
         ExperimentSpec(study="franke", node_counts=(24,))
+    for n in (-4, 0, 1):  # no float square root: negative counts raise too
+        with pytest.raises(ConfigError, match=f"node count {n} is not a perfect square"):
+            ExperimentSpec(study="franke", node_counts=(n,))
     with pytest.raises(ConfigError):
         ExperimentSpec(study="franke", variants=())
     with pytest.raises(ConfigError):
@@ -217,6 +221,32 @@ def test_spectra_study_counts_and_files(tmp_path):
     assert plain.exists() and augmented.exists()
     assert len(plain.read_text().splitlines()) == 26  # header + 25 eigenvalues
     assert len(augmented.read_text().splitlines()) == 29  # header + 25 + 3
+
+
+def test_spectra_files_hold_the_spectrum_at_17_digits_with_crlf(tmp_path):
+    spec = ExperimentSpec(study="spectra", node_counts=(25,), pso=SMALL_PSO, output_dir=tmp_path)
+    report = run_study(spec)
+    assert report.all_ok
+    points = make_tensor_grid(5, 2)
+    points = points.with_values(franke(points.coords[:, 0], points.coords[:, 1]))
+    for cell in report.cells:
+        augmented = cell.variant == "hybrid+poly"
+        kernel = KernelSpec.hybrid(cell.epsilon, cell.alpha, cell.beta)
+        expected = spectral_report(assemble(points, kernel, augmented=augmented)).eigenvalues
+        tag = "augmented" if augmented else "plain"
+        raw = (tmp_path / f"spectra-{report.digest}-n25-{tag}.csv").read_bytes()
+        assert raw.count(b"\n") == raw.count(b"\r\n") == len(expected) + 1
+        rows = raw.decode().splitlines()
+        assert rows[0] == "index,eigenvalue"
+        assert rows[1:] == [f"{i},{FLOAT_FMT % ev}" for i, ev in enumerate(expected)]
+
+
+@pytest.mark.parametrize("study", ["franke", "spectra"])
+def test_unstable_pso_settings_raise_one_line_before_any_cell(study):
+    with pytest.raises(ConfigError) as info:
+        run_study(ExperimentSpec(study=study, node_counts=(25,), pso=PsoConfig(c1=3.0, c2=2.0)))
+    assert str(info.value).startswith("stability requires 0 < c1 + c2 < 4, got c1 + c2 = 5; ")
+    assert "\n" not in str(info.value)
 
 
 def test_objective_comparison_shared_seeds():
@@ -408,9 +438,6 @@ def test_report_files_emitted(tmp_path):
     assert "linear-reproduction" in text and "hybrid" in text
 
 
-SMALL_PSO = PsoConfig(swarm_size=4, generations=2)
-
-
 @pytest.mark.parametrize(
     "spec",
     [
@@ -424,12 +451,15 @@ SMALL_PSO = PsoConfig(swarm_size=4, generations=2)
             variants=("hybrid", "hybrid+poly"), pso=SMALL_PSO,
         ),
         ExperimentSpec(study="fault", pso=SMALL_PSO, fault_points=30, fault_grid_n=11),
+        ExperimentSpec(study="spectra", node_counts=(25,), pso=SMALL_PSO),
+        ExperimentSpec(study="spectra", node_counts=(25,), params_per_n={25: (3.0, 0.8, 1e-6)}),
     ],
-    ids=lambda spec: spec.study,
+    ids=lambda spec: spec.study + ("-pinned" if spec.params_per_n else ""),
 )
 def test_cells_match_the_public_fit_chain(spec):
     # Cells fit, take the spectrum and the LOOCV cost on one distance matrix;
     # each number must equal what the public calls give for the cell's kernel.
+    # Spectra cells take only the spectrum.
     report = run_study(spec)
     if spec.study == "fault":
         points = synthetic_fault_surface(spec.fault_points, seed=spec.seed)
@@ -452,6 +482,9 @@ def test_cells_match_the_public_fit_chain(spec):
         spectrum = spectral_report(assemble(points, kernel, augmented=augmented))
         assert cell.condition_number == spectrum.condition_number
         assert cell.negative_count == spectrum.negative_count
+        if spec.study == "spectra":
+            assert cell.rms is None and cell.loocv_cost is None
+            continue
         if grid is None:
             assert cell.rms is None
         else:

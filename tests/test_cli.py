@@ -1,6 +1,8 @@
 import csv
 import io
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -10,8 +12,8 @@ import numpy as np
 import pytest
 
 import hybridrbf
-from hybridrbf import KernelSpec, geometry
-from hybridrbf.cli import main
+from hybridrbf import KernelSpec, bench, geometry
+from hybridrbf.cli import build_parser, main
 from hybridrbf.geometry import (
     PointSet,
     make_tensor_grid,
@@ -232,6 +234,47 @@ def test_bench_rejects_unstable_config_on_one_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--truth", "franke", "--nodes", "-4", "--output", "{out}/best.csv"],
+        ["bench", "--study", "franke", "--nodes", "-4", "--out", "{out}"],
+    ],
+    ids=["optimize", "bench"],
+)
+def test_negative_node_count_is_one_error_line(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    rc = main([arg.format(out=out) for arg in argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: node count -4 is not a perfect square >= 4 (tensor grids)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--fault-grid-n", "1"], "points_per_side must be >= 2, got 1"),
+        (["--fault-points", "5"], "n_points must be >= 10, got 5"),
+    ],
+    ids=["grid-n", "points"],
+)
+def test_bad_fault_settings_fail_before_the_search(tmp_path, capsys, monkeypatch, flags, message):
+    searches = []
+    original = bench.pso_minimize
+
+    def counting(*args, **kwargs):
+        searches.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "pso_minimize", counting)
+    out = tmp_path / "reports"
+    argv = ["bench", "--study", "fault", "--swarm", "4", "--generations", "1", "--out", str(out)]
+    assert main(argv + flags) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not searches and not out.exists()
+
+
 def test_optimize_rms_needs_truth(tmp_path, capsys):
     data = tmp_path / "fault.csv"
     write_points_csv(data, synthetic_fault_surface(20, seed=1))
@@ -416,8 +459,9 @@ def count_distance_calls(monkeypatch) -> list:
     original = geometry.pairwise_distances
 
     def counting(a, b):
-        calls.append(1)
-        return original(a, b)
+        result = original(a, b)
+        calls.append(result.shape)
+        return result
 
     for name, module in list(sys.modules.items()):
         if name.startswith("hybridrbf") and getattr(module, "pairwise_distances", None) is original:
@@ -448,6 +492,45 @@ def test_fit_builds_one_distance_matrix_and_prints_the_same(tmp_path, capsys, mo
     assert len(calls) == 1
     assert capsys.readouterr().out == expected
     assert np.array_equal(load_model(model_path).coeffs, model.coeffs)
+
+
+def test_searched_spectra_builds_one_data_distance_matrix_per_cell(tmp_path, monkeypatch):
+    calls = count_distance_calls(monkeypatch)
+    argv = ["bench", "--study", "spectra", "--nodes", "81", "--swarm", "4", "--generations", "1"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    # each cell's search builds the 81 x 81 data distances; its spectrum reuses them
+    assert calls.count((81, 81)) == 2
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_code_blocks(section: str, language: str) -> list[str]:
+    """The fenced ``language`` blocks of the README section titled ``section``."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index(f"\n## {section}\n")
+    end = text.find("\n## ", start + 1)
+    return re.findall(rf"^```{language}\n(.*?)^```", text[start:end], flags=re.S | re.M)
+
+
+def test_readme_commands_parse():
+    commands = []
+    for block in readme_code_blocks("Command line", "sh"):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line)
+            if words and words[0] == "hybridrbf":
+                commands.append(words[1:])
+    assert len(commands) == 10  # fit, eval, two optimize runs, six bench studies
+    parser = build_parser()
+    for words in commands:
+        assert parser.parse_args(words).command == words[0]
+
+
+def test_readme_library_example_runs():
+    (block,) = readme_code_blocks("Library example", "python")
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["surface"].shape == (40 * 40,)
 
 
 def run_fresh_python(*args) -> subprocess.CompletedProcess:

@@ -40,7 +40,8 @@ def test_validate_flags_bad_bounds_and_sizes():
 
 
 def test_pso_minimize_rejects_invalid_config():
-    with pytest.raises(ConfigError):
+    # every violation on one line, as the command line prints it
+    with pytest.raises(ConfigError, match=r"^stability requires 0 < c1 \+ c2 < 4, [^\n]*; stability"):
         pso_minimize(sphere, PsoConfig(c1=3.0, c2=2.0))
 
 
