@@ -7,11 +7,15 @@ experiment cell plus a human-readable table:
   the polynomial-augmented hybrid reproduces it to machine precision.
 * franke: convergence of optimized kernels on the Franke surface, with an
   optional epsilon sweep at fixed weights.
-* spectra: full eigenvalue spectra of plain and augmented hybrid systems.
+* spectra: full eigenvalue spectra of each variant's plain or augmented
+  system.
 * objective-comparison: RMS-optimized versus LOOCV-optimized parameters
   from identical starting swarms.
 * fault: LOOCV-tuned reconstruction of a synthetic normal-fault surface.
 * scaling: wall-time of single fits across N with a log-log slope row.
+
+``_STUDY_TABLE`` holds each study's default node counts and variants; fault
+reads neither and scaling no variants.
 
 linear-reproduction, franke and objective-comparison run one loop of
 optimized cells.  Each cell's search builds and checks the data distances
@@ -76,15 +80,6 @@ FULL_NODE_COUNTS = (25, 49, 81, 144, 196, 400, 625, 1296, 2401, 4096)
 # Desk-scale default: the two largest grids cost minutes each under PSO.
 DESK_NODE_COUNTS = (25, 49, 81, 144, 196, 400, 625, 1296)
 
-STUDIES = (
-    "linear-reproduction",
-    "franke",
-    "spectra",
-    "objective-comparison",
-    "fault",
-    "scaling",
-)
-
 VARIANTS = ("gaussian", "cubic", "hybrid", "hybrid+poly")
 
 FRANKE_NOTE = (
@@ -124,8 +119,9 @@ class ExperimentSpec:
     """One study request: which cells to run and with what budgets."""
 
     study: str
-    node_counts: tuple[int, ...] = DESK_NODE_COUNTS
-    variants: tuple[str, ...] = ("gaussian", "hybrid", "hybrid+poly")
+    # None takes the study's default from _STUDY_TABLE.
+    node_counts: tuple[int, ...] | None = None
+    variants: tuple[str, ...] | None = None
     objective: str = "rms"
     pso: PsoConfig = field(default_factory=PsoConfig)
     eval_grid_n: int = 40
@@ -135,24 +131,29 @@ class ExperimentSpec:
     params_per_n: Mapping[int, tuple[float, float, float]] | None = None
     fault_points: int = 78
     fault_grid_n: int = 501
-    include_optimize_timing: bool = False
     output_dir: str | Path | None = None
 
     def __post_init__(self):
         if self.study not in STUDIES:
             raise ConfigError(f"unknown study {self.study!r}; expected one of {STUDIES}")
-        object.__setattr__(self, "node_counts", tuple(int(n) for n in self.node_counts))
-        object.__setattr__(self, "variants", tuple(self.variants))
-        if self.study != "fault":
+        _, default_nodes, default_variants = _STUDY_TABLE[self.study]
+        for name, default in (("node_counts", default_nodes), ("variants", default_variants)):
+            value = getattr(self, name)
+            if default is None and value is not None:
+                raise ConfigError(f"the {self.study} study takes no {name}, got {value!r}")
+            object.__setattr__(self, name, default if value is None else tuple(value))
+        if self.node_counts is not None:
+            object.__setattr__(self, "node_counts", tuple(int(n) for n in self.node_counts))
             if not self.node_counts:
                 raise ConfigError("node_counts must not be empty")
             for n in self.node_counts:
                 _grid_side(n)
-        if not self.variants:
-            raise ConfigError("at least one kernel variant is required")
-        for v in self.variants:
-            if v not in VARIANTS:
-                raise ConfigError(f"unknown variant {v!r}; expected one of {VARIANTS}")
+        if self.variants is not None:
+            if not self.variants:
+                raise ConfigError("at least one kernel variant is required")
+            for v in self.variants:
+                if v not in VARIANTS:
+                    raise ConfigError(f"unknown variant {v!r}; expected one of {VARIANTS}")
         if self.objective not in ("rms", "loocv"):
             raise ConfigError(f"objective must be rms or loocv, got {self.objective!r}")
         if self.eval_grid_n < 2:
@@ -450,8 +451,8 @@ def _epsilon_sweep(
 
 
 def spectra_study(spec: ExperimentSpec) -> ExperimentReport:
-    """Eigenvalue spectra of plain and augmented hybrid systems per N: the
-    kernel is ``spec.params_per_n[N]`` if given, else searched in the cell."""
+    """Eigenvalue spectra of each variant's system per N: the kernel takes
+    ``spec.params_per_n[N]`` if given, else is searched in the cell."""
     grid, truth_values = _truth_grid(spec.eval_grid_n, franke)
     pinned = spec.params_per_n or {}
     cells: list[CellRecord] = []
@@ -459,12 +460,13 @@ def spectra_study(spec: ExperimentSpec) -> ExperimentReport:
     digest = spec_digest(spec)
     for n in spec.node_counts:
         points = _grid_data(n, franke)
-        for variant in ("hybrid", "hybrid+poly"):
+        for variant in spec.variants:
             augmented = _variant_augmented(variant)
+            kind = variant.removesuffix("+poly")
             cell = CellRecord(study=spec.study, variant=variant, n=n)
             with _timed(cell):
                 if n in pinned:
-                    kernel = KernelSpec.hybrid(*pinned[n])
+                    kernel = KernelSpec.from_name(kind, *pinned[n])
                     distances = _fit_distances(points, augmented)
                 else:
                     ospec = ObjectiveSpec.from_kind(spec.objective, grid, truth_values, augmented)
@@ -474,6 +476,8 @@ def spectra_study(spec: ExperimentSpec) -> ExperimentReport:
                 spectrum = _spectrum_step(cell, points, distances, kernel, augmented)
                 if spec.output_dir is not None:
                     tag = "augmented" if augmented else "plain"
+                    if kind != "hybrid":
+                        tag = f"{kind}-{tag}"
                     path = Path(spec.output_dir) / f"spectra-{digest}-n{n}-{tag}.csv"
                     path.parent.mkdir(parents=True, exist_ok=True)
                     index = np.arange(len(spectrum.eigenvalues))
@@ -575,8 +579,6 @@ def scaling_study(spec: ExperimentSpec) -> ExperimentReport:
             cell.status = "failed"
             cell.detail = str(exc)
         cells.append(cell)
-        if spec.include_optimize_timing:
-            cells.append(_timed_optimize_cell(spec, points, n))
     slope_cell = CellRecord(study=spec.study, variant="slope")
     if len(timed) >= 2:
         (n0, t0), (n1, t1) = timed[0], timed[-1]
@@ -595,28 +597,23 @@ def _timed_fit(points: PointSet, kernel: KernelSpec) -> float:
     return perf_counter() - start
 
 
-def _timed_optimize_cell(spec: ExperimentSpec, points: PointSet, n: int) -> CellRecord:
-    ospec = ObjectiveSpec.rms(*_truth_grid(spec.eval_grid_n, franke))
-    cell = CellRecord(study=spec.study, variant="optimize", n=n, objective="rms")
-    cfg = replace(spec.pso, generations=1, seed=_cell_seed(spec, spec.study, n, "optimize"))
-    with _timed(cell):
-        _optimize_variant(points, ospec, cfg, "hybrid", cfg.seed)
-    return cell
-
-
-_STUDY_FUNCS = {
-    "linear-reproduction": _optimized_study,
-    "franke": _optimized_study,
-    "spectra": spectra_study,
-    "objective-comparison": _optimized_study,
-    "fault": fault_study,
-    "scaling": scaling_study,
+# Each study's runner and its default node counts and variants.  None marks
+# a field the study does not read; ExperimentSpec refuses a value there.
+_STUDY_TABLE = {
+    "linear-reproduction": (_optimized_study, DESK_NODE_COUNTS, ("gaussian", "hybrid", "hybrid+poly")),
+    "franke": (_optimized_study, DESK_NODE_COUNTS, VARIANTS),
+    "spectra": (spectra_study, DESK_NODE_COUNTS, ("hybrid", "hybrid+poly")),
+    "objective-comparison": (_optimized_study, DESK_NODE_COUNTS, ("hybrid",)),
+    "fault": (fault_study, None, None),
+    "scaling": (scaling_study, (400, 900, 1600), None),
 }
+
+STUDIES = tuple(_STUDY_TABLE)
 
 
 def run_study(spec: ExperimentSpec) -> ExperimentReport:
     """Dispatch a study by its spec.study name."""
-    return _STUDY_FUNCS[spec.study](spec)
+    return _STUDY_TABLE[spec.study][0](spec)
 
 
 # --- report I/O -----------------------------------------------------------

@@ -13,7 +13,6 @@ import sys
 import numpy as np
 
 from .bench import (
-    DESK_NODE_COUNTS,
     FULL_NODE_COUNTS,
     ExperimentSpec,
     STUDIES,
@@ -123,6 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _pso_config(args) -> PsoConfig:
+    # Every kernel with epsilon < 0 is invalid, so such a box has no valid trial.
+    if not args.eps_min >= 0:
+        raise ConfigError(f"--eps-min must be >= 0, got {args.eps_min:g}")
     return PsoConfig(
         swarm_size=args.swarm,
         generations=args.generations,
@@ -158,12 +160,12 @@ def cmd_fit(args) -> int:
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     coords, _ = read_points_table(args.input)
+    values = evaluate(model, coords)  # checks the dimension of empty input too
     if coords.shape[0] == 0:
         # empty target file: emit a header-only values CSV
         _write_table(args.output, _csv_header(coords.shape[1], True), coords, np.empty(0))
         print(f"evaluated 0 points; wrote {args.output}")
         return 0
-    values = evaluate(model, coords)
     write_points_csv(args.output, PointSet(coords, values))
     print(f"evaluated {coords.shape[0]} points; wrote {args.output}")
     return 0
@@ -219,32 +221,15 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
 
 
-_DEFAULT_VARIANTS = {
-    "linear-reproduction": ("gaussian", "hybrid", "hybrid+poly"),
-    "franke": ("gaussian", "cubic", "hybrid", "hybrid+poly"),
-    "spectra": ("hybrid", "hybrid+poly"),
-    "objective-comparison": ("hybrid",),
-    "fault": ("hybrid",),
-    "scaling": ("hybrid",),
-}
-
-_DEFAULT_NODES = {
-    "scaling": (400, 900, 1600),
-}
-
-
 def cmd_bench(args) -> int:
+    # Absent flags leave None: ExperimentSpec takes the study's defaults.
+    nodes = variants = None
     if args.nodes:
         nodes = _parse_int_list(args.nodes)
     elif args.full:
         nodes = FULL_NODE_COUNTS
-    else:
-        nodes = _DEFAULT_NODES.get(args.study, DESK_NODE_COUNTS)
-    variants = (
-        tuple(v.strip() for v in args.variants.split(",") if v.strip())
-        if args.variants
-        else _DEFAULT_VARIANTS[args.study]
-    )
+    if args.variants:
+        variants = tuple(v.strip() for v in args.variants.split(",") if v.strip())
     spec = ExperimentSpec(
         study=args.study,
         node_counts=nodes,

@@ -445,12 +445,14 @@ def model_from_text(text: str) -> InterpolationModel:
     coeffs: list[float] = []
     poly: list[float] = []
     section = None
+    sections = set()
     for line in lines[1:]:
         stripped = line.strip()
         if stripped in ("centers:", "coeffs:", "poly-coeffs:"):
             if section is not None:
                 raise ConfigError(f"model file is missing 'end-{section}'")
             section = stripped[:-1]
+            sections.add(section)
             continue
         if stripped in ("end-centers", "end-coeffs", "end-poly-coeffs"):
             if stripped != f"end-{section}":
@@ -470,10 +472,15 @@ def model_from_text(text: str) -> InterpolationModel:
         raise ConfigError(f"model file is missing 'end-{section}'")
     try:
         kernel = KernelSpec.from_record(fields["kernel"])
-        augmented = fields["augmented"] == "true"
+        flag = fields["augmented"]
         cond = _parse_float(fields["condition_estimate"], "header")
     except KeyError as exc:
         raise ConfigError(f"model file missing field {exc}") from exc
+    if flag not in ("true", "false"):
+        raise ConfigError(f"model file field augmented must be true or false, got {flag!r}")
+    augmented = flag == "true"
+    if not augmented and "poly-coeffs" in sections:
+        raise ConfigError("model file has a poly-coeffs section but augmented: false")
     coords, values = read_points_table(io.StringIO("\n".join(centers_csv) + "\n"))
     if coords.shape[0] == 0:
         raise ConfigError("model file has no centers")

@@ -101,11 +101,32 @@ def test_spec_digest_tracks_content():
     assert spec_digest(a) == spec_digest(c)  # output location is not content
     # Every report file name carries the digest, so a change to the spec
     # fields renames them all.
-    assert spec_digest(a) == "f9711d9198"
+    assert spec_digest(a) == "6f7a1cdde1"
     fault = ExperimentSpec(
         study="fault", pso=PsoConfig(swarm_size=6, generations=2), fault_grid_n=101
     )
-    assert spec_digest(fault) == "10ecc86cd0"
+    assert spec_digest(fault) == "b32009e83a"
+
+
+def test_spec_fills_study_defaults_and_refuses_fields_the_study_does_not_read():
+    assert ExperimentSpec(study="franke") == ExperimentSpec(
+        study="franke", node_counts=DESK_NODE_COUNTS, variants=VARIANTS
+    )
+    assert ExperimentSpec(study="objective-comparison").variants == ("hybrid",)
+    assert ExperimentSpec(study="spectra").variants == ("hybrid", "hybrid+poly")
+    scaling = ExperimentSpec(study="scaling")
+    assert (scaling.node_counts, scaling.variants) == ((400, 900, 1600), None)
+    fault = ExperimentSpec(study="fault")
+    assert (fault.node_counts, fault.variants) == (None, None)
+    for study, field_values in (
+        ("fault", {"node_counts": (25,)}),
+        ("fault", {"node_counts": ()}),
+        ("fault", {"variants": ("gaussian",)}),
+        ("scaling", {"variants": ("hybrid",)}),
+    ):
+        (name,) = field_values
+        with pytest.raises(ConfigError, match=f"the {study} study takes no {name}"):
+            ExperimentSpec(study=study, **field_values)
 
 
 def test_linear_reproduction_study_cells():
@@ -453,6 +474,19 @@ def test_report_files_emitted(tmp_path):
         ExperimentSpec(study="fault", pso=SMALL_PSO, fault_points=30, fault_grid_n=11),
         ExperimentSpec(study="spectra", node_counts=(25,), pso=SMALL_PSO),
         ExperimentSpec(study="spectra", node_counts=(25,), params_per_n={25: (3.0, 0.8, 1e-6)}),
+        pytest.param(
+            ExperimentSpec(
+                study="spectra", node_counts=(25,), variants=("gaussian",), pso=SMALL_PSO
+            ),
+            id="spectra-gaussian",
+        ),
+        pytest.param(
+            ExperimentSpec(
+                study="spectra", node_counts=(25,), variants=("gaussian",),
+                params_per_n={25: (3.0, 0.8, 1e-6)},
+            ),
+            id="spectra-gaussian-pinned",
+        ),
     ],
     ids=lambda spec: spec.study + ("-pinned" if spec.params_per_n else ""),
 )
@@ -473,6 +507,8 @@ def test_cells_match_the_public_fit_chain(spec):
         truth_values = truth(grid.points[:, 0], grid.points[:, 1])
     checked = [c for c in report.cells if c.status == "ok"]
     assert checked
+    if spec.study == "spectra":
+        assert [c.variant for c in report.cells] == list(spec.variants)
     for cell in checked:
         variant = cell.variant.removeprefix("sweep:")
         augmented = variant.endswith("+poly")

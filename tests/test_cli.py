@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hybridrbf
-from hybridrbf import KernelSpec, bench, geometry
+from hybridrbf import KernelSpec, PsoConfig, bench, cli, geometry
 from hybridrbf.cli import build_parser, main
 from hybridrbf.geometry import (
     PointSet,
@@ -159,6 +159,15 @@ def test_eval_dimension_mismatch(tmp_path, capsys):
                "--output", str(tmp_path / "out.csv")])
     assert rc == 1
     assert "dimension" in capsys.readouterr().err
+    # a header-only target file takes the same check
+    wrong.write_text("x1,x2,x3\n")
+    rc = main(["eval", "--model", str(model_path), "--input", str(wrong),
+               "--output", str(tmp_path / "out.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: dimension mismatch: model has 1 coordinates, grid has 3\n"
+    )
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_optimize_on_fault_data(tmp_path, capsys):
@@ -248,6 +257,27 @@ def test_negative_node_count_is_one_error_line(tmp_path, capsys, argv):
     assert rc == 2
     err = capsys.readouterr().err
     assert err == "error: node count -4 is not a perfect square >= 4 (tensor grids)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--truth", "franke", "--nodes", "25", "--output", "{out}"],
+        ["bench", "--study", "franke", "--nodes", "25", "--out", "{out}"],
+    ],
+    ids=["optimize", "bench"],
+)
+def test_negative_eps_min_is_one_error_line_before_any_search(
+    tmp_path, capsys, monkeypatch, argv
+):
+    monkeypatch.setattr(cli, "pso_minimize", None)  # a search would raise TypeError
+    monkeypatch.setattr(bench, "pso_minimize", None)
+    out = tmp_path / "out"
+    flags = ["--eps-min", "-5", "--eps-max", "-1", "--swarm", "2", "--generations", "1"]
+    rc = main([arg.format(out=out) for arg in argv] + flags)
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --eps-min must be >= 0, got -5\n"
     assert not out.exists()
 
 
@@ -344,6 +374,48 @@ def test_bench_scaling_slope_row(tmp_path):
     assert rc == 0
     csv_path = next(tmp_path.glob("scaling-*.csv"))
     assert any("slope" in line for line in csv_path.read_text().splitlines())
+
+
+def _capture_specs(monkeypatch) -> list:
+    """Stub ``run_study`` in the CLI; return the list the specs it gets land in."""
+    specs = []
+
+    def capture(spec):
+        specs.append(spec)
+        return bench.ExperimentReport(spec.study, "", spec.seed, (), [])
+
+    monkeypatch.setattr(cli, "run_study", capture)
+    return specs
+
+
+@pytest.mark.parametrize("study", bench.STUDIES)
+def test_bench_holds_no_study_defaults(tmp_path, monkeypatch, study):
+    specs = _capture_specs(monkeypatch)
+    assert main(["bench", "--study", study, "--out", str(tmp_path)]) == 0
+    assert specs == [
+        bench.ExperimentSpec(study=study, pso=PsoConfig(), seed=0, output_dir=str(tmp_path))
+    ]
+
+
+@pytest.mark.parametrize(
+    "study, flags, field",
+    [
+        ("fault", ["--variants", "hybrid"], "variants"),
+        ("fault", ["--nodes", "25"], "node_counts"),
+        ("fault", ["--full"], "node_counts"),
+        ("scaling", ["--variants", "hybrid"], "variants"),
+    ],
+    ids=["fault-variants", "fault-nodes", "fault-full", "scaling-variants"],
+)
+def test_bench_refuses_flags_the_study_does_not_read(tmp_path, capsys, study, flags, field):
+    out = tmp_path / "out"
+    rc = main(["bench", "--study", study, *flags, "--swarm", "2", "--generations", "1",
+               "--fault-grid-n", "11", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the {study} study takes no {field}, got (")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_bench_unknown_study_is_usage_error(capsys):
@@ -513,7 +585,7 @@ def readme_code_blocks(section: str, language: str) -> list[str]:
     return re.findall(rf"^```{language}\n(.*?)^```", text[start:end], flags=re.S | re.M)
 
 
-def test_readme_commands_parse():
+def test_readme_commands_parse(monkeypatch):
     commands = []
     for block in readme_code_blocks("Command line", "sh"):
         for line in block.replace("\\\n", " ").splitlines():
@@ -522,8 +594,14 @@ def test_readme_commands_parse():
                 commands.append(words[1:])
     assert len(commands) == 10  # fit, eval, two optimize runs, six bench studies
     parser = build_parser()
+    specs = _capture_specs(monkeypatch)
     for words in commands:
-        assert parser.parse_args(words).command == words[0]
+        args = parser.parse_args(words)
+        assert args.command == words[0]
+        if args.command == "bench":
+            # the spec the command builds must pass its checks
+            assert args.func(args) == 0
+    assert [spec.study for spec in specs] == list(bench.STUDIES)
 
 
 def test_readme_library_example_runs():

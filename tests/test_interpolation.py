@@ -695,3 +695,22 @@ def test_model_parse_requires_section_end(marker):
     lines.remove(marker + "\n")
     with pytest.raises(ConfigError, match=marker):
         model_from_text("".join(lines))
+
+
+@pytest.mark.parametrize("flag", ["yes", "True", "1", ""])
+def test_model_parse_requires_augmented_true_or_false(flag):
+    model = fit(franke_data(3), KernelSpec.hybrid(3.0, 0.8, 0.1), augmented=True)
+    text = model_to_text(model).replace("augmented: true\n", f"augmented: {flag}\n")
+    with pytest.raises(ConfigError, match="augmented must be true or false"):
+        model_from_text(text)
+
+
+def test_model_parse_refuses_a_polynomial_tail_in_a_plain_model():
+    model = fit(franke_data(3), KernelSpec.hybrid(3.0, 0.8, 0.1), augmented=True)
+    text = model_to_text(model).replace("augmented: true\n", "augmented: false\n")
+    with pytest.raises(ConfigError, match="poly-coeffs section but augmented: false"):
+        model_from_text(text)
+    empty_tail = "poly-coeffs:\nend-poly-coeffs\n"
+    plain = model_to_text(fit(franke_data(3), KernelSpec.hybrid(3.0, 0.8, 0.1)))
+    with pytest.raises(ConfigError, match="poly-coeffs section but augmented: false"):
+        model_from_text(plain + empty_tail)
