@@ -14,8 +14,7 @@ experiment cell plus a human-readable table:
 * fault: LOOCV-tuned reconstruction of a synthetic normal-fault surface.
 * scaling: wall-time of single fits across N with a log-log slope row.
 
-``_STUDY_TABLE`` holds each study's default node counts and variants; fault
-reads neither and scaling no variants.
+``_STUDY_TABLE`` names the fields each study reads, with their defaults.
 
 linear-reproduction, franke and objective-comparison run one loop of
 optimized cells.  Each cell's search builds and checks the data distances
@@ -36,7 +35,7 @@ import json
 import math
 import zlib
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, Mapping
@@ -63,7 +62,7 @@ from .interpolation import (
     fit,
     spectral_report,
 )
-from .kernels import KernelSpec
+from .kernels import HybridParams, KernelSpec
 from .objectives import (
     ObjectiveSpec,
     SearchData,
@@ -116,32 +115,34 @@ def linear_truth(x, y):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One study request: which cells to run and with what budgets."""
+    """One study request.  study, pso, seed and output_dir are common to all
+    studies; None in any other field takes the default of the study's
+    ``_STUDY_TABLE`` row, and a field the row does not name refuses a value."""
 
     study: str
-    # None takes the study's default from _STUDY_TABLE.
     node_counts: tuple[int, ...] | None = None
     variants: tuple[str, ...] | None = None
-    objective: str = "rms"
+    objective: str | None = None
     pso: PsoConfig = field(default_factory=PsoConfig)
-    eval_grid_n: int = 40
+    eval_grid_n: int | None = None
     seed: int = 0
-    sweep_points: int = 0
-    # Spectra only: N -> one pinned (epsilon, alpha, beta) triple, no search.
+    sweep_points: int | None = None
+    # Spectra: N -> one pinned (epsilon, alpha, beta) triple, no search.
     params_per_n: Mapping[int, tuple[float, float, float]] | None = None
-    fault_points: int = 78
-    fault_grid_n: int = 501
+    fault_points: int | None = None
+    fault_grid_n: int | None = None
     output_dir: str | Path | None = None
 
     def __post_init__(self):
         if self.study not in STUDIES:
             raise ConfigError(f"unknown study {self.study!r}; expected one of {STUDIES}")
-        _, default_nodes, default_variants = _STUDY_TABLE[self.study]
-        for name, default in (("node_counts", default_nodes), ("variants", default_variants)):
+        reads = _STUDY_TABLE[self.study][1]
+        for name in _STUDY_FIELDS:
             value = getattr(self, name)
-            if default is None and value is not None:
+            if value is None:
+                object.__setattr__(self, name, reads.get(name))
+            elif name not in reads:
                 raise ConfigError(f"the {self.study} study takes no {name}, got {value!r}")
-            object.__setattr__(self, name, default if value is None else tuple(value))
         if self.node_counts is not None:
             object.__setattr__(self, "node_counts", tuple(int(n) for n in self.node_counts))
             if not self.node_counts:
@@ -149,16 +150,33 @@ class ExperimentSpec:
             for n in self.node_counts:
                 _grid_side(n)
         if self.variants is not None:
+            object.__setattr__(self, "variants", tuple(self.variants))
             if not self.variants:
                 raise ConfigError("at least one kernel variant is required")
             for v in self.variants:
                 if v not in VARIANTS:
                     raise ConfigError(f"unknown variant {v!r}; expected one of {VARIANTS}")
-        if self.objective not in ("rms", "loocv"):
+        if self.objective not in ("rms", "loocv", None):
             raise ConfigError(f"objective must be rms or loocv, got {self.objective!r}")
-        if self.eval_grid_n < 2:
+        if self.eval_grid_n is not None and self.eval_grid_n < 2:
             raise ConfigError(f"eval_grid_n must be >= 2, got {self.eval_grid_n}")
+        if self.sweep_points is not None and self.sweep_points < 0:
+            raise ConfigError(f"sweep_points must be >= 0, got {self.sweep_points}")
+        if self.params_per_n is not None:
+            pinned = {}
+            for n, triple in self.params_per_n.items():
+                if n not in self.node_counts:
+                    raise ConfigError(f"params_per_n key {n!r} not in node_counts {self.node_counts}")
+                try:
+                    epsilon, alpha, beta = (float(t) for t in triple)
+                    pinned[int(n)] = astuple(HybridParams(epsilon, alpha, beta))
+                except (TypeError, ValueError, ConfigError) as exc:
+                    raise ConfigError(f"params_per_n[{n!r}] = {triple!r}: {exc}") from None
+            object.__setattr__(self, "params_per_n", pinned)
         require_valid_config(self.pso)
+
+
+_STUDY_FIELDS = sorted({f.name for f in fields(ExperimentSpec)} - {"study", "pso", "seed", "output_dir"})
 
 
 @dataclass
@@ -214,23 +232,10 @@ class ExperimentReport:
 def spec_digest(spec: ExperimentSpec) -> str:
     """Short stable hash of everything that influences the numbers."""
     payload = asdict(spec)
-    payload.pop("output_dir", None)
-    if payload.get("params_per_n") is not None:
-        payload["params_per_n"] = {
-            str(k): _coerce_json(v) for k, v in payload["params_per_n"].items()
-        }
-    text = json.dumps(payload, sort_keys=True, default=_coerce_json)
+    payload.pop("output_dir")
+    # Only numpy numbers a caller put in the PsoConfig need converting.
+    text = json.dumps(payload, sort_keys=True, default=lambda value: value.tolist())
     return hashlib.sha256(text.encode()).hexdigest()[:10]
-
-
-def _coerce_json(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, (tuple, list, np.ndarray)):
-        return [_coerce_json(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _coerce_json(v) for k, v in value.items()}
-    return value
 
 
 def _cell_seed(spec: ExperimentSpec, *key) -> int:
@@ -405,7 +410,7 @@ def _optimized_study(spec: ExperimentSpec) -> ExperimentReport:
                 cells.append(
                     _optimized_cell(spec, points, grid, truth_values, variant, objective, seed)
                 )
-    if spec.study == "franke" and spec.sweep_points > 0:
+    if spec.sweep_points:  # only franke reads sweep_points
         cells.extend(_epsilon_sweep(spec, grid, truth_values, cells))
     return _finish(spec, cells, notes)
 
@@ -454,7 +459,6 @@ def spectra_study(spec: ExperimentSpec) -> ExperimentReport:
     """Eigenvalue spectra of each variant's system per N: the kernel takes
     ``spec.params_per_n[N]`` if given, else is searched in the cell."""
     grid, truth_values = _truth_grid(spec.eval_grid_n, franke)
-    pinned = spec.params_per_n or {}
     cells: list[CellRecord] = []
     files: list[Path] = []
     digest = spec_digest(spec)
@@ -465,8 +469,8 @@ def spectra_study(spec: ExperimentSpec) -> ExperimentReport:
             kind = variant.removesuffix("+poly")
             cell = CellRecord(study=spec.study, variant=variant, n=n)
             with _timed(cell):
-                if n in pinned:
-                    kernel = KernelSpec.from_name(kind, *pinned[n])
+                if n in spec.params_per_n:
+                    kernel = KernelSpec.from_name(kind, *spec.params_per_n[n])
                     distances = _fit_distances(points, augmented)
                 else:
                     ospec = ObjectiveSpec.from_kind(spec.objective, grid, truth_values, augmented)
@@ -597,15 +601,20 @@ def _timed_fit(points: PointSet, kernel: KernelSpec) -> float:
     return perf_counter() - start
 
 
-# Each study's runner and its default node counts and variants.  None marks
-# a field the study does not read; ExperimentSpec refuses a value there.
+# Each study's runner and the study-specific fields it reads, with their
+# defaults.  ExperimentSpec refuses a value for a field the row does not name.
+_SEARCHED = dict(node_counts=DESK_NODE_COUNTS, objective="rms", eval_grid_n=40)
 _STUDY_TABLE = {
-    "linear-reproduction": (_optimized_study, DESK_NODE_COUNTS, ("gaussian", "hybrid", "hybrid+poly")),
-    "franke": (_optimized_study, DESK_NODE_COUNTS, VARIANTS),
-    "spectra": (spectra_study, DESK_NODE_COUNTS, ("hybrid", "hybrid+poly")),
-    "objective-comparison": (_optimized_study, DESK_NODE_COUNTS, ("hybrid",)),
-    "fault": (fault_study, None, None),
-    "scaling": (scaling_study, (400, 900, 1600), None),
+    "linear-reproduction": (
+        _optimized_study, {**_SEARCHED, "variants": ("gaussian", "hybrid", "hybrid+poly")}
+    ),
+    "franke": (_optimized_study, {**_SEARCHED, "variants": VARIANTS, "sweep_points": 0}),
+    "spectra": (spectra_study, {**_SEARCHED, "variants": ("hybrid", "hybrid+poly"), "params_per_n": {}}),
+    "objective-comparison": (
+        _optimized_study, dict(node_counts=DESK_NODE_COUNTS, variants=("hybrid",), eval_grid_n=40)
+    ),
+    "fault": (fault_study, dict(fault_points=78, fault_grid_n=501)),
+    "scaling": (scaling_study, dict(node_counts=(400, 900, 1600))),
 }
 
 STUDIES = tuple(_STUDY_TABLE)

@@ -108,12 +108,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", required=True, help="output directory for reports")
     p_bench.add_argument("--nodes", help="comma-separated node counts (perfect squares)")
     p_bench.add_argument("--variants", help="comma-separated kernel variants")
-    p_bench.add_argument("--objective", choices=("rms", "loocv"), default="rms")
-    p_bench.add_argument("--grid-n", type=int, default=40)
+    p_bench.add_argument("--objective", choices=("rms", "loocv"))
+    p_bench.add_argument("--grid-n", type=int)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--sweep-points", type=int, default=0)
-    p_bench.add_argument("--fault-points", type=int, default=78)
-    p_bench.add_argument("--fault-grid-n", type=int, default=501)
+    p_bench.add_argument("--sweep-points", type=int)
+    p_bench.add_argument("--fault-points", type=int)
+    p_bench.add_argument("--fault-grid-n", type=int)
     p_bench.add_argument("--full", action="store_true", help="full node-count table")
     _add_pso_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)

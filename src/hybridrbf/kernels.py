@@ -56,11 +56,6 @@ class HybridParams:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
 
-    @classmethod
-    def normalized(cls, epsilon: float, beta: float) -> "HybridParams":
-        """Two-parameter convenience form with alpha tied to 1 - beta."""
-        return cls(epsilon=epsilon, alpha=1.0 - float(beta), beta=beta)
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -91,10 +86,6 @@ class KernelSpec:
     @classmethod
     def hybrid(cls, epsilon: float, alpha: float, beta: float) -> "KernelSpec":
         return cls("hybrid", HybridParams(epsilon, alpha, beta))
-
-    @classmethod
-    def normalized_hybrid(cls, epsilon: float, beta: float) -> "KernelSpec":
-        return cls("hybrid", HybridParams.normalized(epsilon, beta))
 
     @classmethod
     def from_name(

@@ -24,6 +24,7 @@ from hybridrbf.bench import (
     FULL_NODE_COUNTS,
     STUDIES,
     VARIANTS,
+    _STUDY_TABLE,
     CellRecord,
     ExperimentReport,
     ExperimentSpec,
@@ -91,6 +92,33 @@ def test_spec_validation():
         ExperimentSpec(study="franke", variants=("quartic",))
     with pytest.raises(ConfigError):
         ExperimentSpec(study="franke", objective="mad")
+    with pytest.raises(ConfigError, match="^sweep_points must be >= 0, got -3$"):
+        ExperimentSpec(study="franke", sweep_points=-3)
+    # Each pinned triple is checked when the spec is built, on one line.
+    for pinned, message in (
+        ({25: (1.0, 0.5)}, r"params_per_n\[25\] = \(1.0, 0.5\): not enough values"),
+        ({25: (-1.0, 0.5, 0.1)}, r"params_per_n\[25\] = .*: epsilon must be finite and >= 0"),
+        ({25: (1.0, 0.5, 0.1, 0.0)}, r"params_per_n\[25\] = .*: too many values"),
+        ({25: ("x", 0.5, 0.1)}, r"params_per_n\[25\] = .*: could not convert"),
+        ({36: (1.0, 0.5, 0.1)}, r"params_per_n key 36 not in node_counts \(25,\)"),
+    ):
+        with pytest.raises(ConfigError, match=message) as err:
+            ExperimentSpec(study="spectra", node_counts=(25,), params_per_n=pinned)
+        assert "\n" not in str(err.value)
+
+
+def test_spec_stores_pinned_triples_as_int_to_floats():
+    spec = ExperimentSpec(
+        study="spectra", node_counts=(25, 49),
+        params_per_n={np.int64(25): (3, np.float32(0.5), 0), 49.0: [1, 1, 1]},
+    )
+    assert spec.params_per_n == {25: (3.0, 0.5, 0.0), 49: (1.0, 1.0, 1.0)}
+    for n, triple in spec.params_per_n.items():
+        assert type(n) is int and all(type(t) is float for t in triple)
+    assert spec_digest(spec) == spec_digest(
+        ExperimentSpec(study="spectra", node_counts=(25, 49),
+                       params_per_n={49: (1.0, 1.0, 1.0), 25: (3.0, 0.5, 0.0)})
+    )
 
 
 def test_spec_digest_tracks_content():
@@ -101,11 +129,11 @@ def test_spec_digest_tracks_content():
     assert spec_digest(a) == spec_digest(c)  # output location is not content
     # Every report file name carries the digest, so a change to the spec
     # fields renames them all.
-    assert spec_digest(a) == "6f7a1cdde1"
+    assert spec_digest(a) == "14cd1a3055"
     fault = ExperimentSpec(
         study="fault", pso=PsoConfig(swarm_size=6, generations=2), fault_grid_n=101
     )
-    assert spec_digest(fault) == "b32009e83a"
+    assert spec_digest(fault) == "4e8f7ebecf"
 
 
 def test_spec_fills_study_defaults_and_refuses_fields_the_study_does_not_read():
@@ -127,6 +155,70 @@ def test_spec_fills_study_defaults_and_refuses_fields_the_study_does_not_read():
         (name,) = field_values
         with pytest.raises(ConfigError, match=f"the {study} study takes no {name}"):
             ExperimentSpec(study=study, **field_values)
+
+
+# Fields every study reads; each other field belongs to the _STUDY_TABLE rows.
+COMMON_FIELDS = {"study", "pso", "seed", "output_dir"}
+
+# A value differing from every study's default, for each settable field.
+OTHER_VALUES = {
+    "node_counts": (25, 100),
+    "variants": ("hybrid+poly",),
+    "objective": "loocv",
+    "pso": PsoConfig(swarm_size=6),
+    "eval_grid_n": 12,
+    "seed": 3,
+    "sweep_points": 5,
+    "params_per_n": {25: (3.0, 0.8, 1e-6)},
+    "fault_points": 30,
+    "fault_grid_n": 11,
+}
+
+
+@pytest.mark.parametrize("study", STUDIES)
+@pytest.mark.parametrize(
+    "name", [f.name for f in fields(ExperimentSpec) if f.name not in COMMON_FIELDS]
+)
+def test_study_row_names_every_field_the_study_takes(study, name):
+    reads = _STUDY_TABLE[study][1]
+    if name in reads:
+        explicit = ExperimentSpec(study=study, **{name: reads[name]})
+        assert explicit == ExperimentSpec(study=study)
+        assert spec_digest(explicit) == spec_digest(ExperimentSpec(study=study))
+    else:
+        assert getattr(ExperimentSpec(study=study), name) is None
+        with pytest.raises(ConfigError) as err:
+            ExperimentSpec(study=study, **{name: OTHER_VALUES[name]})
+        assert str(err.value) == f"the {study} study takes no {name}, got {OTHER_VALUES[name]!r}"
+
+
+def settable_values_in_digest(study: str) -> list[str]:
+    """The fields a study's spec accepts a value for that changes its digest."""
+    base = spec_digest(ExperimentSpec(study=study))
+    reaching = []
+    for name, value in OTHER_VALUES.items():
+        try:
+            spec = ExperimentSpec(study=study, **{name: value})
+        except ConfigError:
+            continue
+        if spec_digest(spec) != base:
+            reaching.append(name)
+    return reaching
+
+
+def test_digest_hashes_only_the_fields_a_study_reads():
+    assert set(OTHER_VALUES) == {f.name for f in fields(ExperimentSpec)} - {"study", "output_dir"}
+    counts = {}
+    for study in STUDIES:
+        reaching = settable_values_in_digest(study)
+        # pso and seed reach every digest; scaling reads neither
+        assert set(reaching) == set(_STUDY_TABLE[study][1]) | {"pso", "seed"}
+        counts[study] = len(reaching)
+    assert counts == {
+        "linear-reproduction": 6, "franke": 7, "spectra": 7,
+        "objective-comparison": 5, "fault": 4, "scaling": 3,
+    }
+    assert sum(counts.values()) == 32
 
 
 def test_linear_reproduction_study_cells():

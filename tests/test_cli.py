@@ -404,18 +404,65 @@ def test_bench_holds_no_study_defaults(tmp_path, monkeypatch, study):
         ("fault", ["--nodes", "25"], "node_counts"),
         ("fault", ["--full"], "node_counts"),
         ("scaling", ["--variants", "hybrid"], "variants"),
+        ("fault", ["--objective", "rms"], "objective"),
+        ("fault", ["--grid-n", "7"], "eval_grid_n"),
+        ("fault", ["--sweep-points", "4"], "sweep_points"),
+        ("fault", ["--objective", "rms", "--grid-n", "7", "--sweep-points", "4"], "eval_grid_n"),
+        ("scaling", ["--objective", "rms"], "objective"),
+        ("scaling", ["--fault-points", "30"], "fault_points"),
+        ("objective-comparison", ["--objective", "rms"], "objective"),
+        ("franke", ["--fault-grid-n", "11"], "fault_grid_n"),
+        ("linear-reproduction", ["--sweep-points", "4"], "sweep_points"),
     ],
-    ids=["fault-variants", "fault-nodes", "fault-full", "scaling-variants"],
+    ids=[
+        "fault-variants", "fault-nodes", "fault-full", "scaling-variants", "fault-objective",
+        "fault-grid-n", "fault-sweep-points", "fault-three-flags", "scaling-objective",
+        "scaling-fault-points", "objective-comparison-objective", "franke-fault-grid-n",
+        "linear-reproduction-sweep-points",
+    ],
 )
-def test_bench_refuses_flags_the_study_does_not_read(tmp_path, capsys, study, flags, field):
+def test_bench_refuses_flags_the_study_does_not_read(
+    tmp_path, capsys, monkeypatch, study, flags, field
+):
+    searches = []
+    monkeypatch.setattr(bench, "pso_minimize", lambda *args, **kwargs: searches.append(1))
     out = tmp_path / "out"
+    # a small target grid, should a fault case get as far as the reconstruction
+    small = ["--fault-grid-n", "11"] if study == "fault" else []
     rc = main(["bench", "--study", study, *flags, "--swarm", "2", "--generations", "1",
-               "--fault-grid-n", "11", "--out", str(out)])
+               *small, "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: the {study} study takes no {field}, got (")
+    assert err.startswith(f"error: the {study} study takes no {field}, got ")
     assert err.count("\n") == 1
+    assert not out.exists() and not searches
+
+
+@pytest.mark.parametrize(
+    "entry, field, value",
+    [("objective = rms", "objective", "'rms'"), ("nodes = 25", "node_counts", "(25,)")],
+    ids=["objective", "nodes"],
+)
+def test_bench_refuses_config_entries_the_study_does_not_read(
+    tmp_path, capsys, entry, field, value
+):
+    config = tmp_path / "run.cfg"
+    config.write_text(entry + "\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "bench", "--study", "fault", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: the fault study takes no {field}, got {value}\n"
     assert not out.exists()
+
+
+def test_optimize_still_reads_a_config_objective(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("objective = rms\n")
+    data = tmp_path / "fault.csv"
+    write_points_csv(data, synthetic_fault_surface(20, seed=1))
+    argv = ["optimize", "--input", str(data), "--output", str(tmp_path / "best.csv")]
+    # optimize defaults to loocv; the entry turns it to rms, which needs a truth
+    assert main(["--config", str(config), *argv]) == 2
+    assert capsys.readouterr().err == "error: rms objective needs --truth to define the error\n"
 
 
 def test_bench_unknown_study_is_usage_error(capsys):
@@ -602,6 +649,34 @@ def test_readme_commands_parse(monkeypatch):
             # the spec the command builds must pass its checks
             assert args.func(args) == 0
     assert [spec.study for spec in specs] == list(bench.STUDIES)
+
+
+def readme_default(value) -> str:
+    """How the README's study table writes a default: a run of the full
+    node-count table as its ends, no pinned triples as 'none pinned'."""
+    if value == {}:
+        return "none pinned"
+    if not isinstance(value, tuple):
+        return str(value)
+    if len(value) > 3 and value[0] in bench.FULL_NODE_COUNTS:
+        if value == tuple(n for n in bench.FULL_NODE_COUNTS if value[0] <= n <= value[-1]):
+            return f"{value[0]} … {value[-1]}"
+    return ", ".join(map(str, value))
+
+
+def test_readme_study_table_matches_the_study_table():
+    text = README.read_text(encoding="utf-8")
+    start = text.index("| study | reads (default) |\n|---|---|\n")
+    rows = {}
+    for line in text[start:].splitlines()[2:]:
+        if not line.startswith("| "):
+            break
+        study, reads = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[study] = dict(re.findall(r"(\w+) \(([^)]*)\)", reads))
+    assert rows == {
+        study: {name: readme_default(default) for name, default in reads.items()}
+        for study, (_, reads) in bench._STUDY_TABLE.items()
+    }
 
 
 def test_readme_library_example_runs():

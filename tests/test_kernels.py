@@ -140,13 +140,6 @@ def test_invalid_params_rejected(eps, alpha, beta):
         HybridParams(eps, alpha, beta)
 
 
-def test_normalized_constructor_ties_alpha():
-    p = HybridParams.normalized(2.0, 0.25)
-    assert p.alpha == 0.75 and p.beta == 0.25
-    spec = KernelSpec.normalized_hybrid(2.0, 0.25)
-    assert spec.params.alpha == 0.75
-
-
 def test_unknown_kind_rejected():
     with pytest.raises(ConfigError):
         KernelSpec("quartic", HybridParams(1.0))
