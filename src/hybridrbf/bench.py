@@ -33,6 +33,7 @@ import csv
 import hashlib
 import json
 import math
+import operator
 import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
@@ -143,6 +144,13 @@ class ExperimentSpec:
                 object.__setattr__(self, name, reads.get(name))
             elif name not in reads:
                 raise ConfigError(f"the {self.study} study takes no {name}, got {value!r}")
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if value is not None:
+                try:
+                    object.__setattr__(self, name, operator.index(value))
+                except TypeError:
+                    raise ConfigError(f"{name} must be an integer, got {value!r}") from None
         if self.node_counts is not None:
             object.__setattr__(self, "node_counts", tuple(int(n) for n in self.node_counts))
             if not self.node_counts:
@@ -177,6 +185,8 @@ class ExperimentSpec:
 
 
 _STUDY_FIELDS = sorted({f.name for f in fields(ExperimentSpec)} - {"study", "pso", "seed", "output_dir"})
+# Counts are stored as Python ints, so an equal count gives an equal digest.
+_COUNT_FIELDS = ("eval_grid_n", "sweep_points", "fault_points", "fault_grid_n")
 
 
 @dataclass

@@ -181,7 +181,7 @@ def _factorize(matrix: np.ndarray, estimate: bool = True):
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dgetrf")
     # info > 0 flags an exact zero pivot, which the check below rejects.
-    absdiag = np.abs(np.diag(lu))
+    absdiag = np.abs(lu.diagonal())
     max_pivot = float(absdiag.max())
     if max_pivot == 0.0 or absdiag.min() <= PIVOT_RTOL * max_pivot:
         index = int(np.argmin(absdiag))

@@ -11,7 +11,9 @@ inside the one N x N kernel matrix it filled: the LU overwrites the matrix,
 and the diagonal of A**-1 comes from the two triangular factors, each
 inverted in place by recursive halving, so the solve for c runs before the
 inverse.  No trial computes the LU's condition estimate: no cost depends on
-it.  Augmented LOOCV refits N reduced systems instead.  That
+it.  Augmented LOOCV refits N reduced systems instead, from one fill of
+the full system: each refit copies the four blocks around row and column k
+into a fresh matrix, so a refit costs little more than its LU.  That
 brute-force path is kept because the perfbench loocv-augmented check
 compares a search's cost with it bit for bit; an augmented shortcut needs
 that check to accept a tolerance first.  It also serves as the independent
@@ -162,15 +164,22 @@ def _loocv_brute(
     Kernel entries depend only on their own distance, so deleting row and
     column k of the full system gives exactly the system a refit without
     point k would assemble, and row k gives the kernel values that predict
-    point k.
+    point k.  The reduced matrix is the four blocks of the full one around
+    row and column k; the right-hand side and the prediction row are the two
+    pieces on either side of entry k.
     """
     n = points.n
     full = _system(points, distances, kernel, augmented)
+    a, rhs, size = full.matrix, full.rhs, full.size - 1
     errors = np.empty(n)
     for k in range(n):
-        keep = np.arange(full.size) != k
+        matrix = np.empty((size, size))
+        matrix[:k, :k] = a[:k, :k]
+        matrix[:k, k:] = a[:k, k + 1 :]
+        matrix[k:, :k] = a[k + 1 :, :k]
+        matrix[k:, k:] = a[k + 1 :, k + 1 :]
         reduced = AssembledSystem(
-            full.matrix[np.ix_(keep, keep)], full.rhs[keep], n - 1, full.n_poly
+            matrix, np.concatenate((rhs[:k], rhs[k + 1 :])), n - 1, full.n_poly
         )
         try:
             solution, _ = _solve(reduced, estimate=False)
@@ -181,9 +190,10 @@ def _loocv_brute(
             ) from exc
         # The same two products as evaluate: one 2-D kernel row times the
         # coefficients, plus the polynomial row times its coefficients.
-        prediction = full.matrix[k : k + 1, :n][:, keep[:n]] @ solution[: n - 1]
+        row = np.concatenate((a[k, :k], a[k, k + 1 : n]))[None, :]
+        prediction = row @ solution[: n - 1]
         if augmented:
-            prediction += full.matrix[k : k + 1, n:] @ solution[n - 1 :]
+            prediction += a[k : k + 1, n:] @ solution[n - 1 :]
         errors[k] = points.values[k] - prediction[0]
     return CostValue(float(np.linalg.norm(errors)), errors)
 

@@ -121,6 +121,22 @@ def test_spec_stores_pinned_triples_as_int_to_floats():
     )
 
 
+@pytest.mark.parametrize(
+    "study, name, count",
+    [("franke", "eval_grid_n", 40), ("franke", "sweep_points", 3),
+     ("fault", "fault_points", 78), ("fault", "fault_grid_n", 101)],
+)
+def test_spec_counts_are_integers(study, name, count):
+    for value in (float(count), count + 0.5, str(count)):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got ") as err:
+            ExperimentSpec(study=study, **{name: value})
+        assert "\n" not in str(err.value)
+    spec = ExperimentSpec(study=study, **{name: np.int64(count)})
+    assert type(getattr(spec, name)) is int
+    assert spec == ExperimentSpec(study=study, **{name: count})
+    assert spec_digest(spec) == spec_digest(ExperimentSpec(study=study, **{name: count}))
+
+
 def test_spec_digest_tracks_content():
     a = ExperimentSpec(study="franke", node_counts=(25,), pso=QUICK_PSO)
     b = ExperimentSpec(study="franke", node_counts=(25,), pso=QUICK_PSO, seed=1)

@@ -454,6 +454,22 @@ def test_bench_refuses_config_entries_the_study_does_not_read(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "study, key",
+    [("franke", "grid_n"), ("franke", "sweep_points"),
+     ("fault", "fault_points"), ("fault", "fault_grid_n")],
+)
+@pytest.mark.parametrize("value", ["40.0", "2.5"])
+def test_bench_refuses_a_non_integer_config_count(tmp_path, capsys, study, key, value):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {value}\n")
+    out = tmp_path / "out"
+    argv = ["--config", str(config), "bench", "--study", study, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {config}:1: bad value for {key}: '{value}'\n"
+    assert not out.exists()
+
+
 def test_optimize_still_reads_a_config_objective(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("objective = rms\n")

@@ -300,21 +300,53 @@ def test_trial_cost_bit_equal_when_evaluation_is_chunked(monkeypatch):
         assert objective_value(spec, pts, kernel, data) == composed_cost(spec, pts, kernel)
 
 
+def sqrt_values(points: PointSet) -> PointSet:
+    return points.with_values(np.arange(points.n) ** 0.5)
+
+
 def test_brute_loocv_bit_equal_to_refit_oracle():
-    """One fill per trial, sliced per refit, against N fresh public fits."""
-    cases = (halton_franke(20), make_halton_set(12, 3).with_values(np.arange(12.0) ** 0.5))
-    for pts, augmented in itertools.product(cases, (False, True)):
-        *kernels, singular = trial_kernels(seed=9)
+    """One fill per trial, cut into blocks per refit, against N fresh public fits.
+
+    The sets span dimensions 1 to 3.  The smallest ones, N = 2 plain and
+    N = dim + 2 augmented, meet empty blocks in the refits that leave out
+    the first or the last point.
+    """
+    larger = (
+        halton_franke(20), sqrt_values(make_halton_set(12, 3)), sqrt_values(make_halton_set(9, 1))
+    )
+    larger_cases = list(itertools.product(larger, (False, True)))
+    smallest_cases = [
+        (sqrt_values(make_halton_set(n, dim)), augmented)
+        for dim in (1, 2, 3)
+        for n, augmented in ((2, False), (dim + 2, True))
+    ]
+    *kernels, singular = trial_kernels(seed=9)
+    for pts, augmented in larger_cases + smallest_cases:
         for kernel in kernels:
             cost = loocv_cost_brute(pts, kernel, augmented=augmented)
             errors = brute_refit_errors(pts, kernel, augmented)
             assert np.array_equal(cost.per_point_errors, errors)
             assert cost.value == float(np.linalg.norm(errors))
+    for pts, augmented in larger_cases:
         with pytest.raises(SingularSystemError):
             brute_refit_errors(pts, singular, augmented)
         with pytest.raises(SingularSystemError, match="excluding point 0"):
             loocv_cost_brute(pts, singular, augmented=augmented)
         assert objective_value(ObjectiveSpec.loocv(augmented), pts, singular) == SENTINEL_COST
+
+
+def test_brute_loocv_names_a_singular_refit_past_the_first():
+    """Only the refit without point 2 leaves three collinear points."""
+    coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [2.0, 0.0]])
+    pts = PointSet(coords, np.array([1.0, 2.0, 0.5, 3.0]))
+    kernel = KernelSpec.hybrid(1.0, 0.5, 0.1)
+    for k in (0, 1, 3):  # each of the other refits is unisolvent
+        keep = np.arange(pts.n) != k
+        fit(PointSet(coords[keep], pts.values[keep]), kernel, augmented=True)
+    match = r"^leave-one-out refit failed excluding point 2: .*\(augmented system is singular"
+    with pytest.raises(SingularSystemError, match=match):
+        loocv_cost_brute(pts, kernel, augmented=True)
+    assert objective_value(ObjectiveSpec.loocv(augmented=True), pts, kernel) == SENTINEL_COST
 
 
 def test_duplicate_points_raise_degenerate_everywhere():
