@@ -408,6 +408,7 @@ def test_inverse_diagonal_matches_identity_solve_oracle(n, kind):
 
 @settings(max_examples=40, deadline=None)
 @example(seed=0, n=1, dim=1, epsilon=1.0, beta=1.0)  # the 1 x 1 zero matrix
+@example(seed=0, n=2, dim=1, epsilon=1.0, beta=1.0)  # pure cubic: inverse diagonal is 0
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 70),
@@ -429,7 +430,9 @@ def test_inverse_diagonal_property_against_oracle(seed, n, dim, epsilon, beta):
     expected = identity_solve_invdiag(system.matrix)
     got = inverse_diagonal(system)
     if cond <= 1e10:
-        assert np.max(np.abs(got - expected) / np.abs(expected)) <= 1e-10
+        # Elementwise |got - expected| <= 1e-10 |expected|: an exact zero
+        # (two points, pure cubic) must come back as an exact zero.
+        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0.0)
 
 
 def test_inverse_diagonal_leaves_system_unchanged():
