@@ -33,7 +33,6 @@ import csv
 import hashlib
 import json
 import math
-import operator
 import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
@@ -48,6 +47,7 @@ from .geometry import (
     EvaluationGrid,
     FLOAT_FMT,
     PointSet,
+    _as_int,
     _write_table,
     make_evaluation_grid,
     make_tensor_grid,
@@ -147,12 +147,10 @@ class ExperimentSpec:
         for name in _COUNT_FIELDS:
             value = getattr(self, name)
             if value is not None:
-                try:
-                    object.__setattr__(self, name, operator.index(value))
-                except TypeError:
-                    raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+                object.__setattr__(self, name, _as_int(name, value))
         if self.node_counts is not None:
-            object.__setattr__(self, "node_counts", tuple(int(n) for n in self.node_counts))
+            counts = tuple(_as_int("node count", n) for n in self.node_counts)
+            object.__setattr__(self, "node_counts", counts)
             if not self.node_counts:
                 raise ConfigError("node_counts must not be empty")
             for n in self.node_counts:

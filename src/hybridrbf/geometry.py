@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +25,14 @@ FLOAT_FMT = "%.17g"
 
 # CSV tables are written this many rows per format call and write.
 _ROWS_PER_BLOCK = 2048
+
+
+def _as_int(name: str, value) -> int:
+    """``value`` as a Python int; ConfigError if ``operator.index`` refuses it (4.0 too)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -108,7 +117,7 @@ def make_tensor_grid(
 
     Row-major ordering: the last coordinate varies fastest.
     """
-    k, s = int(points_per_side), int(dim)
+    k, s = _as_int("points_per_side", points_per_side), _as_int("dim", dim)
     if k < 2:
         raise ConfigError(f"points_per_side must be >= 2, got {points_per_side}")
     if s < 1:
@@ -142,6 +151,7 @@ def make_halton_set(n: int, dim: int) -> PointSet:
 
     Deterministic: equal arguments produce bitwise-equal coordinates.
     """
+    n, dim = _as_int("n", n), _as_int("dim", dim)
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     if not 1 <= dim <= len(HALTON_BASES):

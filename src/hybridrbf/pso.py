@@ -12,19 +12,22 @@ component that hit a wall.  The swarm is stable only when
     0 < c1 + c2 < 4        and        (c1 + c2)/2 - 1 < w < 1
 
 (Perez and Behdinan); the defaults c1 = c2 = 1.49445, w = 0.729 satisfy
-both.  Randomness is split one substream per particle, spawned from the
-single seed, so results never depend on evaluation scheduling.
+both.  Each generation moves the whole swarm as (swarm, dims) arrays.  The
+trace bits rest on one substream per particle, spawned from the single seed,
+that gives its start and then r1 then r2 each generation: so results never
+depend on evaluation scheduling, and equal a per-particle loop's bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import _float_rows, _opened, _write_table
+from .geometry import _as_int, _float_rows, _opened, _write_table
 
 DEFAULT_C1 = 1.49445
 DEFAULT_C2 = 1.49445
@@ -49,15 +52,10 @@ class PsoConfig:
 
 @dataclass(frozen=True)
 class OptimizationTrace:
-    """Per-generation history; index 0 is the state right after seeding.
-
-    positions is (generations + 1, swarm, dims) when recording was requested,
-    else None.
-    """
+    """Per-generation history; index 0 is the state right after seeding."""
 
     gbest_val: np.ndarray
     gbest_pos: np.ndarray
-    positions: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -68,7 +66,7 @@ class PsoResult:
 
 
 def validate_config(config: PsoConfig) -> list[str]:
-    """Check stability inequalities and bound sanity; empty list means valid."""
+    """Check stability inequalities, sizes, seed and bounds; empty list means valid."""
     violations = []
     csum = config.c1 + config.c2
     if not 0.0 < csum < 4.0:
@@ -81,13 +79,19 @@ def validate_config(config: PsoConfig) -> list[str]:
             "stability requires (c1 + c2)/2 - 1 < w < 1, got "
             f"w = {config.inertia_w:g} with (c1 + c2)/2 - 1 = {lower_w:g}"
         )
-    if config.swarm_size < 1:
-        violations.append(f"swarm_size must be >= 1, got {config.swarm_size}")
-    if config.generations < 1:
-        violations.append(f"generations must be >= 1, got {config.generations}")
+    for name, least in (("swarm_size", 1), ("generations", 1), ("seed", 0)):
+        try:
+            value = _as_int(name, getattr(config, name))
+        except ConfigError as exc:
+            violations.append(str(exc))
+            continue
+        if value < least:
+            violations.append(f"{name} must be >= {least}, got {value}")
     for i, (lo, hi) in enumerate(config.bounds):
         if not lo <= hi:
             violations.append(f"bounds[{i}] has lower {lo:g} > upper {hi:g}")
+        elif not math.isfinite(float(hi) - float(lo)):
+            violations.append(f"bounds[{i}] from {lo:g} to {hi:g} has no finite width")
     return violations
 
 
@@ -98,70 +102,54 @@ def require_valid_config(config: PsoConfig) -> None:
         raise ConfigError("; ".join(violations))
 
 
-def pso_minimize(objective, config: PsoConfig, record_positions: bool = False) -> PsoResult:
+def pso_minimize(objective, config: PsoConfig) -> PsoResult:
     """Minimize objective(position) over the config's box.
 
     objective takes a length-D position array and returns a finite cost
-    (numerical failures should already be mapped to a large sentinel).
-    Deterministic: equal (objective, config) give bitwise-equal traces.
+    (numerical failures should already be mapped to a large sentinel).  It
+    is called once per particle, in index order, and gets a row view of the
+    swarm's positions.  Deterministic: equal (objective, config) give
+    bitwise-equal traces.
     """
     require_valid_config(config)
-    lo = np.array([b[0] for b in config.bounds], dtype=float)
-    hi = np.array([b[1] for b in config.bounds], dtype=float)
-    dims = lo.shape[0]
-    swarm = config.swarm_size
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(swarm)]
+    lo, hi = np.array(config.bounds, dtype=float).reshape(-1, 2).T
+    seeds = np.random.SeedSequence(config.seed).spawn(config.swarm_size)
+    rngs = [np.random.default_rng(s) for s in seeds]
 
-    positions = np.empty((swarm, dims))
-    for i, rng in enumerate(rngs):
-        positions[i] = rng.uniform(lo, hi)
-    velocities = np.zeros((swarm, dims))
-    values = np.array([float(objective(positions[i])) for i in range(swarm)])
-
+    positions = np.array([rng.uniform(lo, hi) for rng in rngs])
+    velocities = np.zeros_like(positions)
     pbest_pos = positions.copy()
-    pbest_val = values.copy()
+    pbest_val = np.array([float(objective(x)) for x in positions])
     g = int(np.argmin(pbest_val))
-    gbest_pos = pbest_pos[g].copy()
-    gbest_val = float(pbest_val[g])
-
-    hist_val = [gbest_val]
-    hist_pos = [gbest_pos.copy()]
-    hist_particles = [positions.copy()] if record_positions else None
+    gbest_pos, gbest_val = pbest_pos[g].copy(), float(pbest_val[g])
+    hist_val, hist_pos = [gbest_val], [gbest_pos]
 
     for _ in range(config.generations):
-        for i, rng in enumerate(rngs):
-            r1 = rng.random(dims)
-            r2 = rng.random(dims)
-            velocities[i] = (
-                config.inertia_w * velocities[i]
-                + config.c1 * r1 * (pbest_pos[i] - positions[i])
-                + config.c2 * r2 * (gbest_pos - positions[i])
-            )
-            positions[i] = positions[i] + velocities[i]
-            clamped_low = positions[i] < lo
-            clamped_high = positions[i] > hi
-            positions[i] = np.clip(positions[i], lo, hi)
-            velocities[i][clamped_low | clamped_high] = 0.0
-        values = np.array([float(objective(positions[i])) for i in range(swarm)])
-        # barrier update, strict improvement only, deterministic index order
-        for i in range(swarm):
-            if values[i] < pbest_val[i]:
-                pbest_val[i] = values[i]
-                pbest_pos[i] = positions[i].copy()
-            if pbest_val[i] < gbest_val:
-                gbest_val = float(pbest_val[i])
-                gbest_pos = pbest_pos[i].copy()
+        r1, r2 = np.stack([rng.random((2, lo.size)) for rng in rngs], axis=1)
+        velocities = (
+            config.inertia_w * velocities
+            + config.c1 * r1 * (pbest_pos - positions)
+            + config.c2 * r2 * (gbest_pos - positions)
+        )
+        positions = positions + velocities
+        hit_wall = (positions < lo) | (positions > hi)
+        positions = np.clip(positions, lo, hi)
+        velocities[hit_wall] = 0.0
+        values = np.array([float(objective(x)) for x in positions])
+        # strict improvement only; the global best is the first index of the
+        # least personal best below it, as an index-order scan would pick
+        improved = values < pbest_val
+        pbest_val[improved] = values[improved]
+        pbest_pos[improved] = positions[improved]
+        better = np.flatnonzero(pbest_val < gbest_val)
+        if better.size:
+            g = better[np.argmin(pbest_val[better])]
+            gbest_pos, gbest_val = pbest_pos[g].copy(), float(pbest_val[g])
         hist_val.append(gbest_val)
-        hist_pos.append(gbest_pos.copy())
-        if record_positions:
-            hist_particles.append(positions.copy())
+        hist_pos.append(gbest_pos)
 
-    trace = OptimizationTrace(
-        gbest_val=np.array(hist_val),
-        gbest_pos=np.array(hist_pos),
-        positions=np.array(hist_particles) if record_positions else None,
-    )
-    return PsoResult(gbest_pos.copy(), gbest_val, trace)
+    trace = OptimizationTrace(gbest_val=np.array(hist_val), gbest_pos=np.array(hist_pos))
+    return PsoResult(gbest_pos, gbest_val, trace)
 
 
 def write_trace_csv(target, trace: OptimizationTrace, param_names=None) -> None:

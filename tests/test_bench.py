@@ -94,6 +94,24 @@ def test_spec_validation():
         ExperimentSpec(study="franke", objective="mad")
     with pytest.raises(ConfigError, match="^sweep_points must be >= 0, got -3$"):
         ExperimentSpec(study="franke", sweep_points=-3)
+    # Node counts are checked, not truncated; a numpy integer keeps the digest.
+    for counts in ((25.7,), (25.0,), (25, "36")):
+        with pytest.raises(ConfigError, match="^node count must be an integer, got "):
+            ExperimentSpec(study="franke", node_counts=counts)
+    spec = ExperimentSpec(study="franke", node_counts=(np.int64(25), np.int32(36)))
+    assert spec.node_counts == (25, 36) and all(type(n) is int for n in spec.node_counts)
+    assert spec_digest(spec) == spec_digest(ExperimentSpec(study="franke", node_counts=(25, 36)))
+    # So are the PSO sizes and seed (4.0 too), on one line.
+    for pso, message in (
+        (PsoConfig(swarm_size=4.0), "swarm_size must be an integer, got 4.0"),
+        (PsoConfig(generations=2.5, seed=1.5),
+         "generations must be an integer, got 2.5; seed must be an integer, got 1.5"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            ExperimentSpec(study="franke", pso=pso)
+    numpy_sized = ExperimentSpec(study="franke", pso=PsoConfig(swarm_size=np.int64(4)))
+    sized = ExperimentSpec(study="franke", pso=PsoConfig(swarm_size=4))
+    assert spec_digest(numpy_sized) == spec_digest(sized)
     # Each pinned triple is checked when the spec is built, on one line.
     for pinned, message in (
         ({25: (1.0, 0.5)}, r"params_per_n\[25\] = \(1.0, 0.5\): not enough values"),

@@ -274,11 +274,18 @@ def test_negative_eps_min_is_one_error_line_before_any_search(
     monkeypatch.setattr(cli, "pso_minimize", None)  # a search would raise TypeError
     monkeypatch.setattr(bench, "pso_minimize", None)
     out = tmp_path / "out"
-    flags = ["--eps-min", "-5", "--eps-max", "-1", "--swarm", "2", "--generations", "1"]
-    rc = main([arg.format(out=out) for arg in argv] + flags)
-    assert rc == 2
-    assert capsys.readouterr().err == "error: --eps-min must be >= 0, got -5\n"
-    assert not out.exists()
+    for box, message in (
+        (["--eps-min", "-5", "--eps-max", "-1"], "--eps-min must be >= 0, got -5"),
+        (["--eps-min=-1e308", "--eps-max", "1e308"], "--eps-min must be >= 0, got -1e+308"),
+        # a box of infinite width is refused too, not left to overflow the draw
+        (["--eps-max", "inf"], "bounds[0] from 0.01 to inf has no finite width"),
+        (["--eps-min", "inf", "--eps-max", "inf"], "bounds[0] from inf to inf has no finite width"),
+    ):
+        flags = box + ["--swarm", "2", "--generations", "1"]
+        rc = main([arg.format(out=out) for arg in argv] + flags)
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from hybridrbf import (
     ConfigError,
     DomainError,
     PointSet,
+    make_evaluation_grid,
     make_halton_set,
     make_tensor_grid,
     min_separation,
@@ -65,6 +66,17 @@ def test_tensor_grid_count_and_spacing(k, s):
 def test_tensor_grid_rejects_small_k():
     with pytest.raises(ConfigError):
         make_tensor_grid(1, 2)
+    # counts are checked, not truncated; numpy integers count as integers
+    for make, args, message in (
+        (make_tensor_grid, (2.7, 2), "points_per_side must be an integer, got 2.7"),
+        (make_tensor_grid, (3, 2.0), "dim must be an integer, got 2.0"),
+        (make_evaluation_grid, (2.7,), "points_per_side must be an integer, got 2.7"),
+        (make_evaluation_grid, ("40",), "points_per_side must be an integer, got '40'"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            make(*args)
+    assert np.array_equal(make_tensor_grid(np.int64(3), np.int32(2)).coords,
+                          make_tensor_grid(3, 2).coords)
 
 
 def test_halton_oracle_values():
@@ -86,6 +98,12 @@ def test_halton_rejects_high_dim():
         make_halton_set(10, 7)
     with pytest.raises(ConfigError):
         make_halton_set(0, 2)
+    with pytest.raises(ConfigError, match="^n must be an integer, got 10.5$"):
+        make_halton_set(10.5, 2)
+    with pytest.raises(ConfigError, match="^dim must be an integer, got 2.0$"):
+        make_halton_set(10, 2.0)
+    assert np.array_equal(make_halton_set(np.int64(10), np.int64(2)).coords,
+                          make_halton_set(10, 2).coords)
 
 
 def test_pairwise_three_four_five():

@@ -7,12 +7,24 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import pso_oracle
 from hybridrbf import ConfigError, PsoConfig, pso_minimize, validate_config
 from hybridrbf.pso import OptimizationTrace, read_trace_csv, write_trace_csv
 
 
 def sphere(x) -> float:
     return float(np.sum(np.asarray(x) ** 2))
+
+
+def recording(objective):
+    """objective, and the list of copies of every position it receives."""
+    seen = []
+
+    def recorded(x):
+        seen.append(np.array(x))
+        return objective(x)
+
+    return recorded, seen
 
 
 BOX3 = ((-5.0, 5.0), (-5.0, 5.0), (-5.0, 5.0))
@@ -37,12 +49,39 @@ def test_validate_flags_bad_bounds_and_sizes():
         PsoConfig(swarm_size=0, generations=0, bounds=((1.0, 0.0),))
     )
     assert len(violations) == 3
+    assert validate_config(PsoConfig(swarm_size=4.5, generations=2.0, seed=1.5)) == [
+        "swarm_size must be an integer, got 4.5",
+        "generations must be an integer, got 2.0",
+        "seed must be an integer, got 1.5",
+    ]
+    assert validate_config(PsoConfig(swarm_size="4", seed=-1)) == [
+        "swarm_size must be an integer, got '4'",
+        "seed must be >= 0, got -1",
+    ]
+    sized = PsoConfig(swarm_size=np.int64(4), generations=np.int32(2), seed=np.uint64(7))
+    assert validate_config(sized) == []
+    wide = ((0.01, np.inf), (-1e308, 1e308), (np.float64(-1e308), np.float64(1e308)),
+            (-np.inf, -np.inf), (0.0, 0.0))
+    assert validate_config(PsoConfig(bounds=wide)) == [
+        "bounds[0] from 0.01 to inf has no finite width",
+        "bounds[1] from -1e+308 to 1e+308 has no finite width",
+        "bounds[2] from -1e+308 to 1e+308 has no finite width",
+        "bounds[3] from -inf to -inf has no finite width",
+    ]
 
 
 def test_pso_minimize_rejects_invalid_config():
-    # every violation on one line, as the command line prints it
-    with pytest.raises(ConfigError, match=r"^stability requires 0 < c1 \+ c2 < 4, [^\n]*; stability"):
-        pso_minimize(sphere, PsoConfig(c1=3.0, c2=2.0))
+    # every violation on one line, as the command line prints it, before any
+    # trial (calling the objective None would raise TypeError)
+    for config, message in (
+        (PsoConfig(c1=3.0, c2=2.0), r"^stability requires 0 < c1 \+ c2 < 4, [^\n]*; stability"),
+        (PsoConfig(swarm_size=4.5), r"^swarm_size must be an integer, got 4\.5$"),
+        (PsoConfig(generations=2.0), r"^generations must be an integer, got 2\.0$"),
+        (PsoConfig(seed=1.5), r"^seed must be an integer, got 1\.5$"),
+        (PsoConfig(bounds=((0.01, np.inf),)), r"^bounds\[0\] from 0\.01 to inf has no finite"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            pso_minimize(None, config)
 
 
 def test_sphere_convergence():
@@ -53,17 +92,20 @@ def test_sphere_convergence():
 
 def test_constant_objective_returns_initial_particle():
     config = PsoConfig(swarm_size=8, generations=5, bounds=BOX3, seed=2)
-    result = pso_minimize(lambda x: 7.0, config, record_positions=True)
+    objective, seen = recording(lambda x: 7.0)
+    result = pso_minimize(objective, config)
     assert result.best_value == 7.0
-    initial = result.trace.positions[0]
+    initial = seen[: config.swarm_size]
     assert any(np.array_equal(result.best_position, row) for row in initial)
 
 
 def test_deterministic_bitwise():
     config = PsoConfig(swarm_size=12, generations=20, bounds=BOX3, seed=123)
-    a = pso_minimize(sphere, config, record_positions=True)
-    b = pso_minimize(sphere, config, record_positions=True)
-    assert np.array_equal(a.trace.positions, b.trace.positions)
+    objective_a, seen_a = recording(sphere)
+    objective_b, seen_b = recording(sphere)
+    a = pso_minimize(objective_a, config)
+    b = pso_minimize(objective_b, config)
+    assert np.array_equal(seen_a, seen_b)
     assert np.array_equal(a.trace.gbest_val, b.trace.gbest_val)
     assert np.array_equal(a.best_position, b.best_position)
 
@@ -81,27 +123,32 @@ def test_positions_stay_in_bounds():
     config = PsoConfig(
         swarm_size=15, generations=25, bounds=((1.0, 2.0), (1.0, 2.0)), seed=5
     )
-    result = pso_minimize(sphere, config, record_positions=True)
+    objective, seen = recording(sphere)
+    result = pso_minimize(objective, config)
     lo = np.array([1.0, 1.0])
     hi = np.array([2.0, 2.0])
-    assert np.all(result.trace.positions >= lo) and np.all(result.trace.positions <= hi)
+    assert len(seen) == config.swarm_size * (config.generations + 1)
+    assert np.all(np.array(seen) >= lo) and np.all(np.array(seen) <= hi)
     assert np.all(result.best_position >= lo) and np.all(result.best_position <= hi)
     assert result.best_value == pytest.approx(2.0, rel=1e-12)
 
 
 @st.composite
 def _stable_runs(draw):
-    """A random stable config, bounds and a target the box may exclude."""
+    """A random stable config, bounds (some of zero width) and a target the
+    box may exclude on either side."""
     dims = draw(st.integers(1, 4))
     lows = draw(st.lists(st.floats(-10.0, 10.0), min_size=dims, max_size=dims))
-    widths = draw(st.lists(st.floats(0.0, 10.0), min_size=dims, max_size=dims))
+    widths = draw(
+        st.lists(st.one_of(st.just(0.0), st.floats(0.0, 10.0)), min_size=dims, max_size=dims)
+    )
     c1 = draw(st.floats(0.0, 2.0))
     c2 = draw(st.floats(0.0, 2.0))
     lower_w = (c1 + c2) / 2.0 - 1.0
     w = lower_w + draw(st.floats(0.01, 0.99)) * (1.0 - lower_w)
     config = PsoConfig(
-        swarm_size=draw(st.integers(1, 8)),
-        generations=draw(st.integers(1, 6)),
+        swarm_size=draw(st.integers(1, 12)),
+        generations=draw(st.integers(1, 8)),
         c1=c1,
         c2=c2,
         inertia_w=w,
@@ -117,14 +164,61 @@ def _stable_runs(draw):
 def test_positions_stay_in_random_bounds_property(run):
     config, target = run
     assume(validate_config(config) == [])
-    result = pso_minimize(
-        lambda x: float(np.sum((x - target) ** 2)), config, record_positions=True
-    )
+    objective, seen = recording(lambda x: float(np.sum((x - target) ** 2)))
+    result = pso_minimize(objective, config)
     lo = np.array([b[0] for b in config.bounds])
     hi = np.array([b[1] for b in config.bounds])
-    assert result.trace.positions.shape == (config.generations + 1, config.swarm_size, lo.size)
-    assert np.all(result.trace.positions >= lo) and np.all(result.trace.positions <= hi)
+    seen = np.array(seen)
+    assert seen.shape == ((config.generations + 1) * config.swarm_size, lo.size)
+    assert np.all(seen >= lo) and np.all(seen <= hi)
     assert np.all(result.best_position >= lo) and np.all(result.best_position <= hi)
+
+
+def _objective(kind, target):
+    """Costs with and without ties: smooth, rounded, constant, or a 1e30
+    sentinel plateau everywhere but near the target."""
+    def squared(x):
+        return float(np.sum((x - target) ** 2))
+
+    if kind == "smooth":
+        return squared
+    if kind == "rounded":
+        return lambda x: float(np.round(squared(x) / 10.0))
+    if kind == "constant":
+        return lambda x: 7.0
+    return lambda x: squared(x) if squared(x) < 30.0 else 1e30
+
+
+def _same_run(config, objective):
+    """The whole-swarm step and the per-particle oracle agree bit for bit on
+    the trace, the result and every position passed to the objective."""
+    fast, seen_fast = recording(objective)
+    slow, seen_slow = recording(objective)
+    got = pso_minimize(fast, config)
+    want = pso_oracle.pso_minimize(slow, config)
+    assert _bits(got.trace.gbest_val) == _bits(want.trace.gbest_val)
+    assert _bits(got.trace.gbest_pos) == _bits(want.trace.gbest_pos)
+    assert _bits(got.best_position) == _bits(want.best_position)
+    assert _bits(np.float64(got.best_value)) == _bits(np.float64(want.best_value))
+    assert type(got.best_value) is float
+    assert _bits(np.array(seen_fast)) == _bits(np.array(seen_slow))
+
+
+@settings(max_examples=250, deadline=None)
+@given(_stable_runs(), st.sampled_from(["smooth", "rounded", "constant", "sentinel"]))
+def test_whole_swarm_step_bit_equal_to_per_particle_oracle(run, kind):
+    config, target = run
+    assume(validate_config(config) == [])
+    _same_run(config, _objective(kind, target))
+
+
+@pytest.mark.parametrize("kind", ["constant", "sentinel", "rounded"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ties_pick_the_oracle_best(kind, seed):
+    # all ties, plateaus of 1e30 that most particles never leave, and costs
+    # rounded so that equal personal bests improve on the global best together
+    config = PsoConfig(swarm_size=12, generations=8, bounds=BOX3, seed=seed)
+    _same_run(config, _objective(kind, np.array([4.0, -4.0, 4.5])))
 
 
 def test_beats_random_search_on_matched_budget():
