@@ -12,7 +12,8 @@ experiment cell plus a human-readable table:
 * objective-comparison: RMS-optimized versus LOOCV-optimized parameters
   from identical starting swarms.
 * fault: LOOCV-tuned reconstruction of a synthetic normal-fault surface.
-* scaling: wall-time of single fits across N with a log-log slope row.
+* scaling: wall-time of single fits across N, at one BLAS thread where
+  scipy's OpenBLAS allows it, with a log-log slope row.
 
 ``_STUDY_TABLE`` names the fields each study reads, with their defaults.
 
@@ -30,6 +31,7 @@ exponential argument is negative.
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import json
 import math
@@ -41,6 +43,7 @@ from time import perf_counter
 from typing import Callable, Mapping
 
 import numpy as np
+from scipy.linalg import _flapack
 
 from .errors import ConfigError, ToolkitError
 from .geometry import (
@@ -567,7 +570,12 @@ def fault_study(spec: ExperimentSpec) -> ExperimentReport:
 
 
 def scaling_study(spec: ExperimentSpec) -> ExperimentReport:
-    """Wall-time of single fits across N, with a log-log slope row."""
+    """Wall-time of single fits across N, with a log-log slope row.
+
+    The fits run at one BLAS thread (see ``_one_blas_thread``), so the
+    slope follows the fit's own cost, not how well the host's cores share
+    the larger LUs.
+    """
     counts = sorted(spec.node_counts)
     if max(counts) < 4 * min(counts):
         raise ConfigError(
@@ -576,31 +584,48 @@ def scaling_study(spec: ExperimentSpec) -> ExperimentReport:
     kernel = KernelSpec.hybrid(5.5, 0.7, 1e-6)
     cells = []
     timed: list[tuple[int, float]] = []
-    for n in counts:
-        points = _grid_data(n, franke)
-        cell = CellRecord(study=spec.study, variant="fit", n=n)
-        try:
-            fit(points, kernel)  # warm caches and BLAS threads
-            best = min(_timed_fit(points, kernel) for _ in range(3))
-            cell.wall_time_s = best
-            if best < _TIMING_RESOLUTION:
-                cell.status = "flagged: below timing resolution"
-            else:
-                timed.append((n, best))
-        except ToolkitError as exc:
-            cell.status = "failed"
-            cell.detail = str(exc)
-        cells.append(cell)
+    with _one_blas_thread() as threads:
+        for n in counts:
+            points = _grid_data(n, franke)
+            cell = CellRecord(study=spec.study, variant="fit", n=n)
+            try:
+                fit(points, kernel)  # warm caches
+                best = min(_timed_fit(points, kernel) for _ in range(3))
+                cell.wall_time_s = best
+                if best < _TIMING_RESOLUTION:
+                    cell.status = "flagged: below timing resolution"
+                else:
+                    timed.append((n, best))
+            except ToolkitError as exc:
+                cell.status = "failed"
+                cell.detail = str(exc)
+            cells.append(cell)
     slope_cell = CellRecord(study=spec.study, variant="slope")
     if len(timed) >= 2:
         (n0, t0), (n1, t1) = timed[0], timed[-1]
         slope_cell.slope = float(np.log(t1 / t0) / np.log(n1 / n0))
-        slope_cell.detail = f"between N={n0} and N={n1} on warmed runs"
+        slope_cell.detail = f"between N={n0} and N={n1} on warmed runs at {threads}"
     else:
         slope_cell.status = "failed"
         slope_cell.detail = "fewer than two timing cells above resolution"
     cells.append(slope_cell)
     return _finish(spec, cells, (FRANKE_NOTE,))
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run scipy's LAPACK at one thread if its OpenBLAS exports a setter,
+    restoring the caller's count after; yields the count run at, in words."""
+    lib = ctypes.CDLL(_flapack.__file__)  # finds the setter among its libraries
+    if not hasattr(lib, "scipy_openblas_set_num_threads"):
+        yield "the BLAS library's own thread count"
+        return
+    before = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(1)
+    try:
+        yield "1 BLAS thread"
+    finally:
+        lib.scipy_openblas_set_num_threads(before)
 
 
 def _timed_fit(points: PointSet, kernel: KernelSpec) -> float:

@@ -13,12 +13,14 @@ on unisolvent nodes and makes the interpolant reproduce linear data exactly.
 
 from __future__ import annotations
 
+import ctypes
 import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import cython_lapack
 
 from .errors import (
     ConfigError,
@@ -44,7 +46,43 @@ PIVOT_RTOL = 1e-14
 
 # Every matrix the package factors is float64, so the LAPACK routines are
 # bound once here rather than looked up on each call.
-_dgetrf, _dgetrs, _dgecon = sla.lapack.dgetrf, sla.lapack.dgetrs, sla.lapack.dgecon
+_dgetrf, _dgetrs = sla.lapack.dgetrf, sla.lapack.dgetrs
+
+
+def _capsule_address(capsule) -> int:
+    """The C pointer a PyCapsule holds, whatever name it carries."""
+    api, obj = ctypes.pythonapi, ctypes.py_object
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, obj)(("PyCapsule_GetName", api))
+    get = ctypes.PYFUNCTYPE(ctypes.c_void_p, obj, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
+    return get(capsule, name(capsule))
+
+
+# scipy's own LAPACK dgecon: (norm, n, a, lda, anorm, rcond, work, iwork, info).
+_dgecon_raw = ctypes.CFUNCTYPE(None, ctypes.c_char_p, *[ctypes.c_void_p] * 8)(
+    _capsule_address(cython_lapack.__pyx_capi__["dgecon"])
+)
+
+
+def _dgecon(lu: np.ndarray, anorm: float) -> tuple[float, int]:
+    """LAPACK dgecon in the 1-norm on an LU from dgetrf: (rcond, info).
+
+    The estimate's last bits follow the offset of dgecon's work array modulo
+    64 bytes, which scipy's wrapper leaves to the heap.  Here the array
+    starts on a 64-byte boundary, so one LU gives one estimate at a given
+    BLAS thread count.
+    """
+    n = lu.shape[0]
+    work = np.empty(4 * n + 8)
+    work = work[(-work.ctypes.data % 64) // 8 :]
+    ints = np.array([n, max(1, n), 0], dtype=np.intc)  # n, lda, info
+    reals = np.array([anorm, 0.0])  # anorm, rcond
+    a, iwork = np.asfortranarray(lu, np.float64), np.empty(n, np.intc)
+    _dgecon_raw(
+        b"1", ints.ctypes.data, a.ctypes.data, ints[1:].ctypes.data, reals.ctypes.data,
+        reals[1:].ctypes.data, work.ctypes.data, iwork.ctypes.data, ints[2:].ctypes.data,
+    )
+    return float(reals[1]), int(ints[2])
+
 
 # Block size of the inverse diagonal.  A triangle of at most this many rows
 # is inverted by LAPACK dtrtri, a larger one by halving (see
@@ -192,7 +230,7 @@ def _factorize(matrix: np.ndarray, estimate: bool = True):
         )
     if not estimate:
         return (lu, piv), float("nan")
-    rcond, info = _dgecon(lu, anorm, norm="1")
+    rcond, info = _dgecon(lu, anorm)
     if info != 0:
         raise SingularSystemError(f"condition estimation failed (info={info})")
     cond = float("inf") if rcond == 0.0 else 1.0 / float(rcond)

@@ -1,3 +1,4 @@
+import ctypes
 import struct
 from dataclasses import fields
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import _flapack
 
 from hybridrbf import (
     ConfigError,
@@ -19,6 +21,7 @@ from hybridrbf import (
     rms_error,
     spectral_report,
 )
+from hybridrbf import bench
 from hybridrbf.bench import (
     DESK_NODE_COUNTS,
     FULL_NODE_COUNTS,
@@ -463,6 +466,23 @@ def test_scaling_study_slope_row():
     assert times[121] >= times[25]  # more work is never faster on warmed runs
     slope = next(c for c in report.cells if c.variant == "slope")
     assert slope.slope is not None or slope.status == "failed"
+
+
+def test_scaling_study_fits_at_one_blas_thread_and_restores_the_count(monkeypatch):
+    lib = ctypes.CDLL(_flapack.__file__)
+    before = lib.scipy_openblas_get_num_threads()
+    seen = []
+
+    def counted_fit(*args):
+        seen.append(lib.scipy_openblas_get_num_threads())
+        return fit(*args)
+
+    monkeypatch.setattr(bench, "fit", counted_fit)
+    report = run_study(ExperimentSpec(study="scaling", node_counts=(25, 121)))
+    assert seen == [1] * 8  # one warm-up and three timed fits per N
+    assert lib.scipy_openblas_get_num_threads() == before
+    slope = next(c for c in report.cells if c.variant == "slope")
+    assert slope.detail.endswith("at 1 BLAS thread")
 
 
 def test_scaling_study_requires_span():
