@@ -17,12 +17,12 @@ experiment cell plus a human-readable table:
 
 ``_STUDY_TABLE`` names the fields each study reads, with their defaults.
 
-linear-reproduction, franke and objective-comparison run one loop of
-optimized cells.  Each cell's search builds and checks the data distances
-once; after it, the cell fits, takes the spectrum and, for rms cells, the
-LOOCV cost on those same distances.  Spectra cells share those steps: a
-searched cell takes its spectrum on its search's distances, a pinned cell
-on one distance build of its own, and both record it as a fitted cell does.
+linear-reproduction, franke, spectra and objective-comparison run one loop
+of cells, with the truth, notes and cell step of their table rows.  Each
+cell's search builds and checks the data distances once; after it, the cell
+fits, takes the spectrum and, for rms cells, the LOOCV cost on those same
+distances.  A spectra cell takes the spectrum alone: a searched cell on its
+search's distances, a pinned cell on one distance build of its own.
 
 The Franke surface here uses the standard Franke (1979) signs: every
 exponential argument is negative.
@@ -38,6 +38,7 @@ import math
 import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, Mapping
@@ -362,6 +363,7 @@ def _optimized_cell(
     variant: str,
     objective: str,
     seed: int,
+    files: list[Path],
 ) -> CellRecord:
     cell = CellRecord(study=spec.study, variant=variant, n=points.n, objective=objective)
     with _timed(cell):
@@ -378,7 +380,49 @@ def _optimized_cell(
     return cell
 
 
-def _finish(spec: ExperimentSpec, cells: list[CellRecord], notes: tuple[str, ...]) -> ExperimentReport:
+def _spectra_cell(
+    spec: ExperimentSpec,
+    points: PointSet,
+    grid: EvaluationGrid,
+    truth_values: np.ndarray,
+    variant: str,
+    objective: str,
+    seed: int,
+    files: list[Path],
+) -> CellRecord:
+    """Eigenvalue spectrum of one variant's system, with an output directory
+    also as an ``index,eigenvalue`` CSV listed in ``files``: the kernel takes
+    ``spec.params_per_n[N]`` if given, else is searched in the cell."""
+    augmented = _variant_augmented(variant)
+    kind = variant.removesuffix("+poly")
+    cell = CellRecord(study=spec.study, variant=variant, n=points.n)
+    with _timed(cell):
+        if points.n in spec.params_per_n:
+            kernel = KernelSpec.from_name(kind, *spec.params_per_n[points.n])
+            distances = _fit_distances(points, augmented)
+        else:
+            ospec = ObjectiveSpec.from_kind(objective, grid, truth_values, augmented)
+            kernel, _, data = _optimize_variant(points, ospec, spec.pso, variant, seed)
+            distances = data.distances
+        spectrum = _spectrum_step(cell, points, distances, kernel, augmented)
+        if spec.output_dir is not None:
+            tag = "augmented" if augmented else "plain"
+            if kind != "hybrid":
+                tag = f"{kind}-{tag}"
+            path = Path(spec.output_dir) / f"spectra-{spec_digest(spec)}-n{points.n}-{tag}.csv"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            index = np.arange(len(spectrum.eigenvalues))
+            _write_table(path, ["index", "eigenvalue"], index, spectrum.eigenvalues)
+            files.append(path)
+            cell.detail = f"spectrum: {path.name}"
+    return cell
+
+
+def _finish(
+    spec: ExperimentSpec, cells: list[CellRecord], notes: tuple[str, ...], files=()
+) -> ExperimentReport:
+    """The study's report.  With an output directory, its CSV and text go
+    there, named by the spec digest, and it lists them before ``files``."""
     report = ExperimentReport(
         study=spec.study,
         digest=spec_digest(spec),
@@ -387,31 +431,32 @@ def _finish(spec: ExperimentSpec, cells: list[CellRecord], notes: tuple[str, ...
         cells=cells,
     )
     if spec.output_dir is not None:
-        emit_report(report, spec.output_dir)
+        out = Path(spec.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        csv_path, txt_path = (out / f"{report.study}-{report.digest}{ext}" for ext in (".csv", ".txt"))
+        write_report_csv(csv_path, report)
+        with open(txt_path, "w", encoding="utf-8") as fh:
+            fh.write(report_text(report))
+        report.files.extend([csv_path, txt_path, *files])
     return report
 
 
 # --- studies --------------------------------------------------------------
 
 
-# Truth surface and report notes of each study made of optimized cells.
-_OPTIMIZED_STUDIES = {
-    "linear-reproduction": (linear_truth, ("truth: f(x, y) = (x + y)/2 on the unit square",)),
-    "franke": (franke, (FRANKE_NOTE,)),
-    "objective-comparison": (franke, (FRANKE_NOTE, "seeds shared between objectives")),
-}
-
-
-def _optimized_study(spec: ExperimentSpec) -> ExperimentReport:
-    """Optimized cells per node count and kernel variant.
+def _optimized_study(
+    truth: Callable, notes: tuple[str, ...], spec: ExperimentSpec, cell_step: Callable = _optimized_cell
+) -> ExperimentReport:
+    """One ``cell_step`` per node count and kernel variant on data sampled
+    from ``truth``; the steps add the files they write to this run's list.
 
     objective-comparison runs both objectives from one seed per cell; franke
     adds the epsilon sweep.
     """
-    truth, notes = _OPTIMIZED_STUDIES[spec.study]
     grid, truth_values = _truth_grid(spec.eval_grid_n, truth)
     compare = spec.study == "objective-comparison"
     cells = []
+    files: list[Path] = []
     for n in spec.node_counts:
         points = _grid_data(n, truth)
         for variant in spec.variants:
@@ -419,11 +464,11 @@ def _optimized_study(spec: ExperimentSpec) -> ExperimentReport:
                 key = (n, variant) if compare else (n, variant, objective)
                 seed = _cell_seed(spec, spec.study, *key)
                 cells.append(
-                    _optimized_cell(spec, points, grid, truth_values, variant, objective, seed)
+                    cell_step(spec, points, grid, truth_values, variant, objective, seed, files)
                 )
     if spec.sweep_points:  # only franke reads sweep_points
         cells.extend(_epsilon_sweep(spec, grid, truth_values, cells))
-    return _finish(spec, cells, notes)
+    return _finish(spec, cells, notes, files)
 
 
 def _epsilon_sweep(
@@ -464,45 +509,6 @@ def _epsilon_sweep(
                 cell.rms = rms_error(model, grid, truth_values)
             out.append(cell)
     return out
-
-
-def spectra_study(spec: ExperimentSpec) -> ExperimentReport:
-    """Eigenvalue spectra of each variant's system per N: the kernel takes
-    ``spec.params_per_n[N]`` if given, else is searched in the cell."""
-    grid, truth_values = _truth_grid(spec.eval_grid_n, franke)
-    cells: list[CellRecord] = []
-    files: list[Path] = []
-    digest = spec_digest(spec)
-    for n in spec.node_counts:
-        points = _grid_data(n, franke)
-        for variant in spec.variants:
-            augmented = _variant_augmented(variant)
-            kind = variant.removesuffix("+poly")
-            cell = CellRecord(study=spec.study, variant=variant, n=n)
-            with _timed(cell):
-                if n in spec.params_per_n:
-                    kernel = KernelSpec.from_name(kind, *spec.params_per_n[n])
-                    distances = _fit_distances(points, augmented)
-                else:
-                    ospec = ObjectiveSpec.from_kind(spec.objective, grid, truth_values, augmented)
-                    seed = _cell_seed(spec, spec.study, n, variant, spec.objective)
-                    kernel, _, data = _optimize_variant(points, ospec, spec.pso, variant, seed)
-                    distances = data.distances
-                spectrum = _spectrum_step(cell, points, distances, kernel, augmented)
-                if spec.output_dir is not None:
-                    tag = "augmented" if augmented else "plain"
-                    if kind != "hybrid":
-                        tag = f"{kind}-{tag}"
-                    path = Path(spec.output_dir) / f"spectra-{digest}-n{n}-{tag}.csv"
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    index = np.arange(len(spectrum.eigenvalues))
-                    _write_table(path, ["index", "eigenvalue"], index, spectrum.eigenvalues)
-                    files.append(path)
-                    cell.detail = f"spectrum: {path.name}"
-            cells.append(cell)
-    report = _finish(spec, cells, (FRANKE_NOTE,))
-    report.files.extend(files)
-    return report
 
 
 def fault_side(coords) -> np.ndarray:
@@ -548,7 +554,6 @@ def fault_study(spec: ExperimentSpec) -> ExperimentReport:
         spec.fault_grid_n, dim=2, lower=FAULT_DOMAIN[0], upper=FAULT_DOMAIN[1]
     )
     cell = CellRecord(study=spec.study, variant="hybrid", n=spec.fault_points, objective="loocv")
-    cells = [cell]
     files: list[Path] = []
     with _timed(cell):
         ospec = ObjectiveSpec.loocv()
@@ -559,14 +564,11 @@ def fault_study(spec: ExperimentSpec) -> ExperimentReport:
         cell.loocv_cost = best_cost
         cell.detail = f"reconstructed {target.m} locations"
         if spec.output_dir is not None:
-            digest = spec_digest(spec)
-            path = Path(spec.output_dir) / f"fault-reconstruction-{digest}.csv"
+            path = Path(spec.output_dir) / f"fault-reconstruction-{spec_digest(spec)}.csv"
             path.parent.mkdir(parents=True, exist_ok=True)
             write_points_csv(path, PointSet(target.points, values))
             files.append(path)
-    report = _finish(spec, cells, ("synthetic fault: step > %g across the trace" % FAULT_STEP,))
-    report.files.extend(files)
-    return report
+    return _finish(spec, [cell], ("synthetic fault: step > %g across the trace" % FAULT_STEP,), files)
 
 
 def scaling_study(spec: ExperimentSpec) -> ExperimentReport:
@@ -636,15 +638,24 @@ def _timed_fit(points: PointSet, kernel: KernelSpec) -> float:
 
 # Each study's runner and the study-specific fields it reads, with their
 # defaults.  ExperimentSpec refuses a value for a field the row does not name.
+# A looped study's runner binds its truth, its report notes and, for spectra, its cell step.
 _SEARCHED = dict(node_counts=DESK_NODE_COUNTS, objective="rms", eval_grid_n=40)
 _STUDY_TABLE = {
     "linear-reproduction": (
-        _optimized_study, {**_SEARCHED, "variants": ("gaussian", "hybrid", "hybrid+poly")}
+        partial(_optimized_study, linear_truth, ("truth: f(x, y) = (x + y)/2 on the unit square",)),
+        {**_SEARCHED, "variants": ("gaussian", "hybrid", "hybrid+poly")},
     ),
-    "franke": (_optimized_study, {**_SEARCHED, "variants": VARIANTS, "sweep_points": 0}),
-    "spectra": (spectra_study, {**_SEARCHED, "variants": ("hybrid", "hybrid+poly"), "params_per_n": {}}),
+    "franke": (
+        partial(_optimized_study, franke, (FRANKE_NOTE,)),
+        {**_SEARCHED, "variants": VARIANTS, "sweep_points": 0},
+    ),
+    "spectra": (
+        partial(_optimized_study, franke, (FRANKE_NOTE,), cell_step=_spectra_cell),
+        {**_SEARCHED, "variants": ("hybrid", "hybrid+poly"), "params_per_n": {}},
+    ),
     "objective-comparison": (
-        _optimized_study, dict(node_counts=DESK_NODE_COUNTS, variants=("hybrid",), eval_grid_n=40)
+        partial(_optimized_study, franke, (FRANKE_NOTE, "seeds shared between objectives")),
+        dict(node_counts=DESK_NODE_COUNTS, variants=("hybrid",), eval_grid_n=40),
     ),
     "fault": (fault_study, dict(fault_points=78, fault_grid_n=501)),
     "scaling": (scaling_study, dict(node_counts=(400, 900, 1600))),
@@ -755,16 +766,3 @@ def report_text(report: ExperimentReport) -> str:
         if c.slope is not None:
             lines.append(f"log-log slope: {c.slope:.4g} ({c.detail})")
     return "\n".join(lines) + "\n"
-
-
-def emit_report(report: ExperimentReport, output_dir) -> tuple[Path, Path]:
-    """Write the CSV and text renderings; file names carry the spec digest."""
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"{report.study}-{report.digest}.csv"
-    txt_path = out / f"{report.study}-{report.digest}.txt"
-    write_report_csv(csv_path, report)
-    with open(txt_path, "w", encoding="utf-8") as fh:
-        fh.write(report_text(report))
-    report.files.extend([csv_path, txt_path])
-    return csv_path, txt_path

@@ -1,8 +1,9 @@
 """Batch command-line interface: fit, eval, optimize, bench.
 
-Flag precedence is flags over defaults; there is no interactive mode.  All
-commands honor --seed and write CSV numbers at 17 significant digits, so
-repeated runs are bit-reproducible on the same platform.
+Flags override --config entries, which override defaults; there is no
+interactive mode.  CSV numbers have 17 significant digits.  Repeated runs are
+bit-identical for one numpy and scipy build, numpy CPU-feature set, OpenBLAS
+kernel set and BLAS thread count (README, "Reproducibility").
 """
 
 from __future__ import annotations

@@ -542,7 +542,7 @@ def model_from_text(text: str) -> InterpolationModel:
 
 
 def save_model(model: InterpolationModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _opened(path, "w") as (fh, _):
         fh.write(model_to_text(model))
 
 

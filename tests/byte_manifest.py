@@ -46,7 +46,6 @@ def pinned_env() -> dict[str, str]:
     env["OPENBLAS_CORETYPE"] = OPENBLAS_CORETYPE
     env["NPY_DISABLE_CPU_FEATURES"] = " ".join(_multiarray_umath.__cpu_dispatch__)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-    env.pop("PYTHONHASHSEED", None)
     return env
 
 

@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -606,6 +607,17 @@ def test_model_round_trip_bit_exact(tmp_path):
     assert again.condition_estimate == model.condition_estimate
     grid = make_evaluation_grid(9)
     assert np.array_equal(evaluate(again, grid), evaluate(model, grid))
+
+
+def test_model_saves_to_a_stream_and_reloads():
+    model = fit(franke_data(4), KernelSpec.hybrid(2.5, 0.75, 1e-5), augmented=True)
+    stream = io.StringIO()
+    save_model(model, stream)
+    text = stream.getvalue()
+    assert text == model_to_text(model)
+    assert "\r" not in text
+    stream.seek(0)
+    assert model_to_text(load_model(stream)) == text
 
 
 def test_model_text_round_trip_is_stable():
