@@ -48,12 +48,11 @@ from scipy.linalg import _flapack
 
 from .errors import ConfigError, ToolkitError
 from .geometry import (
-    EvaluationGrid,
     FLOAT_FMT,
     PointSet,
     _as_int,
+    _opened,
     _write_table,
-    make_evaluation_grid,
     make_tensor_grid,
     write_points_csv,
 )
@@ -166,6 +165,11 @@ class ExperimentSpec:
             for v in self.variants:
                 if v not in VARIANTS:
                     raise ConfigError(f"unknown variant {v!r}; expected one of {VARIANTS}")
+        for name in ("node_counts", "variants"):
+            entries = getattr(self, name) or ()
+            for i, entry in enumerate(entries):
+                if entry in entries[:i]:
+                    raise ConfigError(f"{name} repeats {entry!r}; each entry may appear once")
         if self.objective not in ("rms", "loocv", None):
             raise ConfigError(f"objective must be rms or loocv, got {self.objective!r}")
         if self.eval_grid_n is not None and self.eval_grid_n < 2:
@@ -265,15 +269,11 @@ def _grid_side(n: int) -> int:
     return k
 
 
-def _grid_data(n: int, truth: Callable) -> PointSet:
-    pts = make_tensor_grid(_grid_side(n), 2)
-    return pts.with_values(truth(pts.coords[:, 0], pts.coords[:, 1]))
-
-
-def _truth_grid(points_per_side: int, truth: Callable, dim: int = 2):
-    """Evaluation grid on the unit cube and the truth at its first two coordinates."""
-    grid = make_evaluation_grid(points_per_side, dim=dim)
-    return grid, truth(grid.points[:, 0], grid.points[:, 1])
+def _truth_grid(points_per_side: int, truth: Callable, dim: int = 2) -> PointSet:
+    """Tensor grid on the unit cube valued by the truth at its first two
+    coordinates: a study's data nodes, or its evaluation grid and the truth."""
+    grid = make_tensor_grid(points_per_side, dim)
+    return grid.with_values(truth(grid.coords[:, 0], grid.coords[:, 1]))
 
 
 def _variant_augmented(variant: str) -> bool:
@@ -358,8 +358,7 @@ def _loocv_garnish(
 def _optimized_cell(
     spec: ExperimentSpec,
     points: PointSet,
-    grid: EvaluationGrid,
-    truth_values: np.ndarray,
+    grid: PointSet,
     variant: str,
     objective: str,
     seed: int,
@@ -368,10 +367,10 @@ def _optimized_cell(
     cell = CellRecord(study=spec.study, variant=variant, n=points.n, objective=objective)
     with _timed(cell):
         augmented = _variant_augmented(variant)
-        ospec = ObjectiveSpec.from_kind(objective, grid, truth_values, augmented)
+        ospec = ObjectiveSpec.from_kind(objective, grid, grid.values, augmented)
         kernel, best_cost, data = _optimize_variant(points, ospec, spec.pso, variant, seed)
         model = _fit_step(cell, points, data.distances, kernel, augmented)
-        cell.rms = rms_error(model, grid, truth_values)
+        cell.rms = rms_error(model, grid, grid.values)
         cell.loocv_cost = (
             best_cost
             if objective == "loocv"
@@ -383,8 +382,7 @@ def _optimized_cell(
 def _spectra_cell(
     spec: ExperimentSpec,
     points: PointSet,
-    grid: EvaluationGrid,
-    truth_values: np.ndarray,
+    grid: PointSet,
     variant: str,
     objective: str,
     seed: int,
@@ -401,7 +399,7 @@ def _spectra_cell(
             kernel = KernelSpec.from_name(kind, *spec.params_per_n[points.n])
             distances = _fit_distances(points, augmented)
         else:
-            ospec = ObjectiveSpec.from_kind(objective, grid, truth_values, augmented)
+            ospec = ObjectiveSpec.from_kind(objective, grid, grid.values, augmented)
             kernel, _, data = _optimize_variant(points, ospec, spec.pso, variant, seed)
             distances = data.distances
         spectrum = _spectrum_step(cell, points, distances, kernel, augmented)
@@ -435,7 +433,7 @@ def _finish(
         out.mkdir(parents=True, exist_ok=True)
         csv_path, txt_path = (out / f"{report.study}-{report.digest}{ext}" for ext in (".csv", ".txt"))
         write_report_csv(csv_path, report)
-        with open(txt_path, "w", encoding="utf-8") as fh:
+        with _opened(txt_path, "w") as (fh, _):
             fh.write(report_text(report))
         report.files.extend([csv_path, txt_path, *files])
     return report
@@ -448,34 +446,32 @@ def _optimized_study(
     truth: Callable, notes: tuple[str, ...], spec: ExperimentSpec, cell_step: Callable = _optimized_cell
 ) -> ExperimentReport:
     """One ``cell_step`` per node count and kernel variant on data sampled
-    from ``truth``; the steps add the files they write to this run's list.
+    from ``truth`` and scored on an evaluation grid valued by it; the steps
+    add the files they write to this run's list.
 
     objective-comparison runs both objectives from one seed per cell; franke
     adds the epsilon sweep.
     """
-    grid, truth_values = _truth_grid(spec.eval_grid_n, truth)
+    grid = _truth_grid(spec.eval_grid_n, truth)
     compare = spec.study == "objective-comparison"
     cells = []
     files: list[Path] = []
     for n in spec.node_counts:
-        points = _grid_data(n, truth)
+        points = _truth_grid(_grid_side(n), truth)
         for variant in spec.variants:
             for objective in ("rms", "loocv") if compare else (spec.objective,):
                 key = (n, variant) if compare else (n, variant, objective)
                 seed = _cell_seed(spec, spec.study, *key)
                 cells.append(
-                    cell_step(spec, points, grid, truth_values, variant, objective, seed, files)
+                    cell_step(spec, points, grid, variant, objective, seed, files)
                 )
     if spec.sweep_points:  # only franke reads sweep_points
-        cells.extend(_epsilon_sweep(spec, grid, truth_values, cells))
+        cells.extend(_epsilon_sweep(spec, grid, cells))
     return _finish(spec, cells, notes, files)
 
 
 def _epsilon_sweep(
-    spec: ExperimentSpec,
-    grid: EvaluationGrid,
-    truth_values: np.ndarray,
-    cells: list[CellRecord],
+    spec: ExperimentSpec, grid: PointSet, cells: list[CellRecord]
 ) -> list[CellRecord]:
     """Error-versus-epsilon curves at the largest N, weights held fixed."""
     n_max = max(spec.node_counts)
@@ -486,7 +482,7 @@ def _epsilon_sweep(
         alpha, beta = anchor.alpha, anchor.beta
     except StopIteration:
         alpha, beta = 0.7, 1e-6  # no optimized hybrid cell to anchor on
-    points = _grid_data(n_max, franke)
+    points = _truth_grid(_grid_side(n_max), franke)
     # One matrix serves plain and augmented cells: a square >= 4 passes both checks.
     distances = _fit_distances(points, augmented=True)
     out = []
@@ -506,7 +502,7 @@ def _epsilon_sweep(
             # systems; that is the curve's story, not a failed cell
             with _timed(cell, failure="flagged: unsolvable at this epsilon"):
                 model = _fit_step(cell, points, distances, kernel, augmented)
-                cell.rms = rms_error(model, grid, truth_values)
+                cell.rms = rms_error(model, grid, grid.values)
             out.append(cell)
     return out
 
@@ -550,9 +546,7 @@ def fault_study(spec: ExperimentSpec) -> ExperimentReport:
     """LOOCV-tuned hybrid reconstruction of the synthetic fault surface."""
     # Bad fault settings raise here, before any search or report.
     points = synthetic_fault_surface(spec.fault_points, seed=spec.seed)
-    target = make_evaluation_grid(
-        spec.fault_grid_n, dim=2, lower=FAULT_DOMAIN[0], upper=FAULT_DOMAIN[1]
-    )
+    target = make_tensor_grid(spec.fault_grid_n, 2, *FAULT_DOMAIN)
     cell = CellRecord(study=spec.study, variant="hybrid", n=spec.fault_points, objective="loocv")
     files: list[Path] = []
     with _timed(cell):
@@ -562,11 +556,11 @@ def fault_study(spec: ExperimentSpec) -> ExperimentReport:
         model = _fit_step(cell, points, data.distances, kernel, False)
         values = evaluate(model, target)
         cell.loocv_cost = best_cost
-        cell.detail = f"reconstructed {target.m} locations"
+        cell.detail = f"reconstructed {target.n} locations"
         if spec.output_dir is not None:
             path = Path(spec.output_dir) / f"fault-reconstruction-{spec_digest(spec)}.csv"
             path.parent.mkdir(parents=True, exist_ok=True)
-            write_points_csv(path, PointSet(target.points, values))
+            write_points_csv(path, target.with_values(values))
             files.append(path)
     return _finish(spec, [cell], ("synthetic fault: step > %g across the trace" % FAULT_STEP,), files)
 
@@ -588,7 +582,7 @@ def scaling_study(spec: ExperimentSpec) -> ExperimentReport:
     timed: list[tuple[int, float]] = []
     with _one_blas_thread() as threads:
         for n in counts:
-            points = _grid_data(n, franke)
+            points = _truth_grid(_grid_side(n), franke)
             cell = CellRecord(study=spec.study, variant="fit", n=n)
             try:
                 fit(points, kernel)  # warm caches
@@ -700,9 +694,9 @@ def _format_field(value) -> str:
     return str(value)
 
 
-def write_report_csv(path, report: ExperimentReport) -> None:
-    """One CSV row per cell, preceded by '#' header notes."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def write_report_csv(target, report: ExperimentReport) -> None:
+    """One CSV row per cell, preceded by '#' header notes, to a path or stream."""
+    with _opened(target, "w") as (fh, _):
         fh.write(f"# study: {report.study}  digest: {report.digest}  seed: {report.seed}\n")
         for note in report.notes:
             fh.write(f"# {note}\n")
@@ -712,25 +706,25 @@ def write_report_csv(path, report: ExperimentReport) -> None:
             writer.writerow([_format_field(getattr(cell, name)) for name in _COLUMNS])
 
 
-def read_report_csv(path) -> list[CellRecord]:
+def read_report_csv(source) -> list[CellRecord]:
     """Read back a report CSV written by :func:`write_report_csv`.
 
     A row with the wrong field count, or a field its column's type rejects,
     raises ConfigError naming the line the row ends on.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _opened(source, "r") as (fh, name):
         reader = csv.reader(fh)
         rows = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
     if not rows or tuple(rows[0][1]) != tuple(_COLUMNS):
-        raise ConfigError(f"{path}: not a report CSV")
+        raise ConfigError(f"{name}: not a report CSV")
     cells = []
     for lineno, row in rows[1:]:
         if len(row) != len(_COLUMNS):
-            raise ConfigError(f"{path}:{lineno}: expected {len(_COLUMNS)} fields, got {len(row)}")
+            raise ConfigError(f"{name}:{lineno}: expected {len(_COLUMNS)} fields, got {len(row)}")
         try:
-            values = {name: parse(text) for (name, parse), text in zip(_COLUMNS.items(), row)}
+            values = {col: parse(text) for (col, parse), text in zip(_COLUMNS.items(), row)}
         except ValueError:
-            raise ConfigError(f"{path}:{lineno}: bad numeric field in {row!r}") from None
+            raise ConfigError(f"{name}:{lineno}: bad numeric field in {row!r}") from None
         cells.append(CellRecord(**values))
     return cells
 

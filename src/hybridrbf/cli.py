@@ -17,7 +17,7 @@ from .bench import (
     FULL_NODE_COUNTS,
     ExperimentSpec,
     STUDIES,
-    _grid_data,
+    _grid_side,
     _truth_grid,
     franke,
     linear_truth,
@@ -181,14 +181,14 @@ def _optimize_data(args) -> PointSet:
             raise ConfigError(f"{args.input}: optimize needs a value column")
         return points
     if args.truth and args.nodes:
-        return _grid_data(args.nodes, _TRUTHS[args.truth])
+        return _truth_grid(_grid_side(args.nodes), _TRUTHS[args.truth])
     raise ConfigError("optimize needs --input, or --truth together with --nodes")
 
 
 def cmd_optimize(args) -> int:
     config = _pso_config(args)
     points = _optimize_data(args)
-    grid = truth_values = None
+    ospec = ObjectiveSpec.loocv(args.augment)
     if args.objective == "rms":
         if not args.truth:
             raise ConfigError("rms objective needs --truth to define the error")
@@ -197,8 +197,8 @@ def cmd_optimize(args) -> int:
                 f"rms objective needs points with at least 2 coordinates for "
                 f"--truth {args.truth}, got {points.dim}"
             )
-        grid, truth_values = _truth_grid(args.grid_n, _TRUTHS[args.truth], points.dim)
-    ospec = ObjectiveSpec.from_kind(args.objective, grid, truth_values, args.augment)
+        grid = _truth_grid(args.grid_n, _TRUTHS[args.truth], points.dim)
+        ospec = ObjectiveSpec.rms(grid, grid.values, args.augment)
     result = pso_minimize(kernel_objective(ospec, points), config)
     eps, alpha, beta = result.best_position
     _write_table(
@@ -260,16 +260,12 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _collect_options(parser: argparse.ArgumentParser) -> dict[str, list]:
-    """Map option dest -> actions across the parser and all subparsers."""
+def _collect_options(*parsers: argparse.ArgumentParser) -> dict[str, list]:
+    """Map option dest -> actions across ``parsers`` (subparsers not entered)."""
     actions: dict[str, list] = {}
-    stack = [parser]
-    while stack:
-        current = stack.pop()
+    for current in parsers:
         for action in current._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                stack.extend(action.choices.values())
-            elif action.option_strings:
+            if action.option_strings:
                 actions.setdefault(action.dest, []).append(action)
     return actions
 
@@ -290,9 +286,14 @@ def _coerce_config_value(action, key: str, value: str, where: str):
     return value
 
 
-def _apply_config_defaults(path: str, parser: argparse.ArgumentParser) -> None:
-    """Install 'key = value' file entries as flag defaults (flags still win)."""
-    options = _collect_options(parser)
+def _apply_config_defaults(path: str, parser: argparse.ArgumentParser, command: str | None) -> None:
+    """Install 'key = value' file entries as defaults of the top-level flags
+    and those of ``command`` (flags still win).  A key only another command
+    defines is left unused; a key no command defines is an error."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    known = _collect_options(parser, *commands.choices.values())
+    running = [commands.choices[command]] if command in commands.choices else []
+    options = _collect_options(parser, *running)
     with _opened(path, "r") as (fh, _):
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -302,9 +303,9 @@ def _apply_config_defaults(path: str, parser: argparse.ArgumentParser) -> None:
             key, value = key.strip().replace("-", "_"), value.strip()
             if not sep or not key:
                 raise ConfigError(f"{path}:{lineno}: expected 'flag = value'")
-            if key in ("config", "help") or key not in options:
+            if key in ("config", "help") or key not in known:
                 raise ConfigError(f"{path}:{lineno}: unknown flag {key!r}")
-            for action in options[key]:
+            for action in options.get(key, ()):
                 action.default = _coerce_config_value(action, key, value, f"{path}:{lineno}")
                 action.required = False
 
@@ -315,9 +316,10 @@ def main(argv=None) -> int:
     try:
         pre = argparse.ArgumentParser(add_help=False)
         pre.add_argument("--config")
+        pre.add_argument("command", nargs="?")
         known, _ = pre.parse_known_args(argv)
         if known.config:
-            _apply_config_defaults(known.config, parser)
+            _apply_config_defaults(known.config, parser, known.command)
         args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as exc:

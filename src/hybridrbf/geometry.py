@@ -76,35 +76,17 @@ class PointSet:
         return PointSet(self.coords, values)
 
 
-@dataclass(frozen=True)
-class EvaluationGrid:
-    """M points at which a fitted interpolant is evaluated."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.array(self.points, dtype=float, ndmin=2)
-        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
-            raise ConfigError("points must be a nonempty M x s matrix")
-        if not np.all(np.isfinite(pts)):
-            raise ConfigError("points must be finite")
-        object.__setattr__(self, "points", _freeze(pts))
+class EvaluationGrid(PointSet):
+    """A PointSet built by :func:`make_evaluation_grid`, with ``points`` as a
+    read-only name for ``coords`` (perfbench's franke-rms reads it)."""
 
     @property
-    def m(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def coords(self) -> np.ndarray:
-        return self.points
+    def points(self) -> np.ndarray:
+        return self.coords
 
 
 def _as_coords(obj) -> np.ndarray:
-    if isinstance(obj, (PointSet, EvaluationGrid)):
+    if isinstance(obj, PointSet):
         return obj.coords
     # A view of float64 input, not a copy: callers only read coordinates.
     return np.atleast_2d(np.asarray(obj, dtype=float))
@@ -133,7 +115,7 @@ def make_tensor_grid(
 def make_evaluation_grid(
     points_per_side: int, dim: int = 2, lower: float = 0.0, upper: float = 1.0
 ) -> EvaluationGrid:
-    """Tensor grid packaged as an EvaluationGrid (default use: 40 x 40)."""
+    """Tensor grid as an EvaluationGrid, without values (default use: 40 x 40)."""
     return EvaluationGrid(make_tensor_grid(points_per_side, dim, lower, upper).coords)
 
 

@@ -38,7 +38,7 @@ from .errors import (
     NumericalBreakdownError,
     SingularSystemError,
 )
-from .geometry import EvaluationGrid, PointSet, pairwise_distances
+from .geometry import PointSet, pairwise_distances
 from .interpolation import (
     AssembledSystem,
     InterpolationModel,
@@ -81,7 +81,7 @@ class ObjectiveSpec:
     """
 
     kind: str
-    grid: EvaluationGrid | None = None
+    grid: PointSet | None = None
     truth_values: np.ndarray | None = None
     augmented: bool = False
 
@@ -92,14 +92,14 @@ class ObjectiveSpec:
             if self.grid is None or self.truth_values is None:
                 raise ConfigError("rms objective requires grid and truth_values")
             truth = np.asarray(self.truth_values, dtype=float).ravel()
-            if truth.shape[0] != self.grid.m:
+            if truth.shape[0] != self.grid.n:
                 raise ConfigError(
-                    f"got {truth.shape[0]} truth values for {self.grid.m} grid points"
+                    f"got {truth.shape[0]} truth values for {self.grid.n} grid points"
                 )
             object.__setattr__(self, "truth_values", truth)
 
     @classmethod
-    def rms(cls, grid: EvaluationGrid, truth_values, augmented: bool = False):
+    def rms(cls, grid: PointSet, truth_values, augmented: bool = False):
         return cls("rms", grid=grid, truth_values=truth_values, augmented=augmented)
 
     @classmethod
@@ -119,12 +119,12 @@ def _rms(values: np.ndarray, truth: np.ndarray) -> float:
     return float(np.sqrt(np.mean(residual**2)))
 
 
-def rms_error(model: InterpolationModel, grid: EvaluationGrid, truth_values) -> float:
+def rms_error(model: InterpolationModel, grid: PointSet, truth_values) -> float:
     """Root mean square error of the interpolant over the grid."""
     truth = np.asarray(truth_values, dtype=float).ravel()
-    if truth.shape[0] != grid.m:
+    if truth.shape[0] != grid.n:
         raise DomainError(
-            f"got {truth.shape[0]} truth values for {grid.m} evaluation points"
+            f"got {truth.shape[0]} truth values for {grid.n} evaluation points"
         )
     return _rms(evaluate(model, grid), truth)
 

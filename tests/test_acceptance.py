@@ -41,7 +41,7 @@ def _franke_grid(k: int) -> PointSet:
 
 EPS_SAMPLES = (0.1, 0.5, 1.0, 2.0)
 GRID40 = make_evaluation_grid(40)
-LINEAR_TRUTH40 = (GRID40.points[:, 0] + GRID40.points[:, 1]) / 2.0
+LINEAR_TRUTH40 = (GRID40.coords[:, 0] + GRID40.coords[:, 1]) / 2.0
 
 
 def test_criterion_1_patch_test():

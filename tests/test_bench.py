@@ -1,4 +1,6 @@
 import ctypes
+import io
+import re
 import struct
 from dataclasses import fields
 
@@ -44,6 +46,7 @@ from hybridrbf.bench import (
     write_report_csv,
 )
 from hybridrbf.geometry import FLOAT_FMT, make_tensor_grid
+from hybridrbf.interpolation import _fit_distances
 
 QUICK_PSO = PsoConfig(swarm_size=8, generations=3)
 SMALL_PSO = PsoConfig(swarm_size=4, generations=2)
@@ -97,6 +100,8 @@ def test_spec_validation():
         ExperimentSpec(study="franke", objective="mad")
     with pytest.raises(ConfigError, match="^sweep_points must be >= 0, got -3$"):
         ExperimentSpec(study="franke", sweep_points=-3)
+    with pytest.raises(ConfigError, match="^eval_grid_n must be >= 2, got 1$"):
+        ExperimentSpec(study="franke", eval_grid_n=1)
     # Node counts are checked, not truncated; a numpy integer keeps the digest.
     for counts in ((25.7,), (25.0,), (25, "36")):
         with pytest.raises(ConfigError, match="^node count must be an integer, got "):
@@ -126,6 +131,20 @@ def test_spec_validation():
         with pytest.raises(ConfigError, match=message) as err:
             ExperimentSpec(study="spectra", node_counts=(25,), params_per_n=pinned)
         assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        (dict(node_counts=(16, 25, 16)), "node_counts repeats 16"),
+        (dict(node_counts=(np.int64(16), 16)), "node_counts repeats 16"),
+        (dict(variants=("hybrid", "cubic", "hybrid")), "variants repeats 'hybrid'"),
+    ],
+)
+@pytest.mark.parametrize("study", ["franke", "spectra"])
+def test_spec_refuses_a_repeated_node_count_or_variant(study, entries, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}; each entry may appear once$"):
+        ExperimentSpec(study=study, **entries)
 
 
 def test_spec_stores_pinned_triples_as_int_to_floats():
@@ -320,7 +339,7 @@ def test_report_cells_are_self_describing():
 
     model = fit(points, KernelSpec.hybrid(cell.epsilon, cell.alpha, cell.beta))
     grid = make_evaluation_grid(40)
-    rms = rms_error(model, grid, franke(grid.points[:, 0], grid.points[:, 1]))
+    rms = rms_error(model, grid, franke(grid.coords[:, 0], grid.coords[:, 1]))
     assert rms == pytest.approx(cell.rms, abs=1e-12)
 
 
@@ -592,6 +611,61 @@ def test_report_csv_rejects_malformed_rows(tmp_path):
         read_report_csv(bad_n)
 
 
+def test_report_csv_goes_to_a_stream_as_to_a_file(tmp_path):
+    report = _report([CellRecord(study="franke", variant="hybrid", n=25, rms=0.125)])
+    stream = io.StringIO()
+    write_report_csv(stream, report)
+    path = tmp_path / "report.csv"
+    write_report_csv(path, report)
+    assert stream.getvalue().encode("utf-8") == path.read_bytes()
+    stream.seek(0)
+    assert read_report_csv(stream) == read_report_csv(path) == report.cells
+
+
+def test_report_csv_that_is_not_utf8_is_a_config_error_naming_it(tmp_path):
+    path = tmp_path / "report.csv"
+    write_report_csv(path, _report([CellRecord(study="franke", variant="h\u00e9", n=25)]))
+    path.write_bytes(path.read_bytes().replace("\u00e9".encode("utf-8"), b"\xe9"))
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: not UTF-8 text$"):
+        read_report_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text", ["", "# study: franke\n", "x1,x2\r\n0,1\r\n", "study,variant\r\nfranke,hybrid\r\n"]
+)
+def test_read_report_csv_refuses_a_file_that_is_not_a_report(tmp_path, text):
+    path = tmp_path / "points.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: not a report CSV$"):
+        read_report_csv(path)
+
+
+def test_augmented_rms_cell_above_the_brute_force_cap_takes_no_loocv_cost():
+    n = 17 * 17
+    assert n > bench._BRUTE_LOOCV_MAX_N
+    spec = ExperimentSpec(
+        study="franke", node_counts=(n,), variants=("hybrid+poly",), eval_grid_n=5,
+        pso=PsoConfig(swarm_size=2, generations=1),
+    )
+    (cell,) = run_study(spec).cells
+    assert cell.ok and cell.rms is not None and cell.loocv_cost is None
+
+
+def test_loocv_garnish_of_a_kernel_that_breaks_down_is_none():
+    points = bench._truth_grid(4, franke)
+    flat = KernelSpec.hybrid(1e-4, 1.0, 0.0)  # a flat Gaussian: singular
+    assert bench._loocv_garnish(points, _fit_distances(points, False), flat, False) is None
+
+
+def test_sweep_without_a_hybrid_cell_anchors_on_default_weights():
+    spec = ExperimentSpec(
+        study="franke", node_counts=(16,), variants=("cubic",), eval_grid_n=5, sweep_points=2
+    )
+    sweep = [c for c in run_study(spec).cells if c.variant.startswith("sweep:hybrid")]
+    assert len(sweep) == 4
+    assert all((c.alpha, c.beta) == (0.7, 1e-6) for c in sweep)
+
+
 def test_report_files_emitted(tmp_path):
     spec = ExperimentSpec(
         study="linear-reproduction", node_counts=(25,), variants=("hybrid",),
@@ -650,7 +724,7 @@ def test_cells_match_the_public_fit_chain(spec):
         points = make_tensor_grid(k, 2)
         points = points.with_values(truth(points.coords[:, 0], points.coords[:, 1]))
         grid = make_evaluation_grid(spec.eval_grid_n)
-        truth_values = truth(grid.points[:, 0], grid.points[:, 1])
+        truth_values = truth(grid.coords[:, 0], grid.coords[:, 1])
     checked = [c for c in report.cells if c.status == "ok"]
     assert checked
     if spec.study == "spectra":

@@ -539,6 +539,109 @@ def test_config_file_values_obey_flag_choices(tmp_path, capsys, entry, argv):
     assert "'foo'" in err
 
 
+@pytest.mark.parametrize("entry", ["nodes = 25,36", "truth = foo", "grid_n = x"])
+def test_config_entry_only_another_command_takes_is_left_unused(tmp_path, entry):
+    data = tmp_path / "two.csv"
+    write_two_point_csv(data)
+    config = tmp_path / "run.cfg"
+    config.write_text(entry + "\n")
+    rc = main(["--config", str(config), "fit", "--input", str(data),
+               "--output", str(tmp_path / "m.txt")])
+    assert rc == 0
+
+
+def test_config_entry_is_read_as_the_running_command_reads_its_flag(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "run.cfg"
+    config.write_text("nodes = 16,25\n")
+    specs = _capture_specs(monkeypatch)
+    argv = ["--config", str(config), "bench", "--study", "franke", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert specs[0].node_counts == (16, 25)
+    # optimize's --nodes is one integer, so the same entry is refused there
+    assert main(["--config", str(config), "optimize", "--truth", "franke",
+                 "--output", str(tmp_path / "best.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {config}:1: bad value for nodes: '16,25'\n"
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("augment = yes", "augment must be true or false"),
+        ("epsilon 2.5", "expected 'flag = value'"),
+        ("= 2.5", "expected 'flag = value'"),
+    ],
+)
+def test_config_line_errors_name_the_line(tmp_path, capsys, entry, message):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"# fit settings\n{entry}\n")
+    model = tmp_path / "m.txt"
+    rc = main(["--config", str(config), "fit", "--input", "two.csv", "--output", str(model)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {config}:2: {message}\n"
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "optimize"])
+def test_points_without_a_value_column_are_one_error_line(tmp_path, capsys, command):
+    data = tmp_path / "sites.csv"
+    write_points_csv(data, PointSet([[0.0], [1.0], [2.0]]))
+    out = tmp_path / "out.txt"
+    assert main([command, "--input", str(data), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {data}: {command} needs a value column\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--truth", "franke"], ["--nodes", "25"]])
+def test_optimize_without_data_is_one_error_line(tmp_path, capsys, flags):
+    out = tmp_path / "best.csv"
+    assert main(["optimize", *flags, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: optimize needs --input, or --truth together with --nodes\n"
+    assert not out.exists()
+
+
+def test_fit_augment_with_too_few_points_is_one_error_line(tmp_path, capsys):
+    data = tmp_path / "two.csv"
+    write_points_csv(data, PointSet([[0.0, 0.0], [1.0, 0.5]], [1.0, 2.0]))
+    model = tmp_path / "m.txt"
+    assert main(["fit", "--input", str(data), "--output", str(model), "--augment"]) == 2
+    assert capsys.readouterr().err == "error: augmented fit needs at least 3 points, got 2\n"
+    assert not model.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--nodes", "25,x"], "expected comma-separated integers, got '25,x'"),
+        (["--nodes", "16,16", "--variants", "hybrid,hybrid"],
+         "node_counts repeats 16; each entry may appear once"),
+        (["--nodes", "16", "--variants", "hybrid,cubic,hybrid"],
+         "variants repeats 'hybrid'; each entry may appear once"),
+    ],
+    ids=["not-integers", "repeated-node-count", "repeated-variant"],
+)
+def test_bad_bench_lists_are_one_error_line_before_any_work(
+    tmp_path, capsys, monkeypatch, flags, message
+):
+    monkeypatch.setattr(bench, "pso_minimize", None)  # a search would raise TypeError
+    out = tmp_path / "out"
+    assert main(["bench", "--study", "spectra", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_bench_prints_each_failed_cell_and_exits_one(tmp_path, capsys):
+    # a Gaussian box pinned at epsilon = 0 makes every trial and the fit singular
+    rc = main(["bench", "--study", "franke", "--nodes", "16", "--variants", "gaussian",
+               "--eps-min", "0", "--eps-max", "0", "--swarm", "2", "--generations", "1",
+               "--grid-n", "5", "--out", str(tmp_path)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("cell failed: variant=gaussian n=16: numerically singular system")
+    assert err.count("\n") == 1
+    assert out.count("wrote ") == 2  # the report still lists the failed cell
+
+
 @pytest.mark.parametrize(
     "kind, record",
     [

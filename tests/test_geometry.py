@@ -79,6 +79,29 @@ def test_tensor_grid_rejects_small_k():
                           make_tensor_grid(3, 2).coords)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((3, 0), "dim must be >= 1, got 0"),
+        ((3, 2, 1.0, 1.0), r"need upper > lower, got \[1.0, 1.0\]"),
+        ((3, 2, 2.0, -1.0), r"need upper > lower, got \[2.0, -1.0\]"),
+    ],
+)
+def test_tensor_grid_rejects_no_dimension_and_an_empty_box(args, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        make_tensor_grid(*args)
+
+
+def test_evaluation_grid_points_are_its_coords():
+    """perfbench's franke-rms workload reads ``make_evaluation_grid(k).points``;
+    the name must stay the grid's coordinates, bit for bit, until it reads
+    ``.coords``."""
+    grid = make_evaluation_grid(7, dim=3, lower=-1.0, upper=2.0)
+    assert isinstance(grid, PointSet) and grid.values is None
+    assert grid.points is grid.coords
+    assert grid.coords.tobytes() == make_tensor_grid(7, 3, -1.0, 2.0).coords.tobytes()
+
+
 def test_halton_oracle_values():
     assert make_halton_set(1, 1).coords.tolist() == [[0.5]]
     assert make_halton_set(3, 1).coords.ravel().tolist() == [0.5, 0.25, 0.75]

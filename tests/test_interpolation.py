@@ -1,4 +1,5 @@
 import io
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -136,7 +137,7 @@ def test_patch_test_linear_reproduction():
     pts = linear_data(9)
     model = fit(pts, KernelSpec.hybrid(1.0, 0.7, 1e-7), augmented=True)
     grid = make_evaluation_grid(40)
-    truth = (grid.points[:, 0] + grid.points[:, 1]) / 2.0
+    truth = (grid.coords[:, 0] + grid.coords[:, 1]) / 2.0
     rms = float(np.sqrt(np.mean((evaluate(model, grid) - truth) ** 2)))
     assert rms <= 1e-12
     # pointwise too, anywhere in the square
@@ -755,3 +756,40 @@ def test_model_parse_refuses_a_polynomial_tail_in_a_plain_model():
     plain = model_to_text(fit(franke_data(3), KernelSpec.hybrid(3.0, 0.8, 0.1)))
     with pytest.raises(ConfigError, match="poly-coeffs section but augmented: false"):
         model_from_text(plain + empty_tail)
+
+
+def test_augmented_fit_needs_one_point_more_than_the_dimension():
+    pts = PointSet([[0.0, 0.0], [1.0, 0.5]], [1.0, 2.0])
+    with pytest.raises(ConfigError, match="^augmented fit needs at least 3 points, got 2$"):
+        fit(pts, KernelSpec.hybrid(3.0, 0.8, 0.1), augmented=True)
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("bad-number", "bad numeric line in model coeffs section: 'abc'"),
+        ("stray-end", "model file has 'end-centers' outside its section"),
+        ("missing-field", "model file missing field 'kernel'"),
+        ("no-centers", "model file has no centers"),
+        ("coeff-count", "model file has 8 coefficients for 9 centers"),
+        ("poly-count", "model file has 2 polynomial coefficients, expected 3"),
+    ],
+)
+def test_model_parse_names_what_is_wrong(case, message):
+    model = fit(franke_data(3), KernelSpec.hybrid(3.0, 0.8, 0.1), augmented=True)
+    lines = model_to_text(model).splitlines()
+    at = lines.index
+    if case == "bad-number":
+        lines[at("coeffs:") + 1] = "abc"
+    elif case == "stray-end":
+        lines.insert(at("coeffs:"), "end-centers")
+    elif case == "missing-field":
+        lines = [line for line in lines if not line.startswith("kernel:")]
+    elif case == "no-centers":
+        del lines[at("centers:") + 2 : at("end-centers")]  # keep the CSV header
+    elif case == "coeff-count":
+        del lines[at("coeffs:") + 1]
+    else:
+        del lines[at("poly-coeffs:") + 1]
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        model_from_text("\n".join(lines) + "\n")

@@ -49,6 +49,13 @@ def test_negative_radius_rejected():
         eval_kernel_batch(KernelSpec.gaussian(1.0), [[0.0, -1.0]])
 
 
+@pytest.mark.parametrize("r", [np.array([1.0]), [0.5, 1.0], np.zeros((1, 1))])
+def test_scalar_kernel_refuses_an_array_radius(r):
+    message = "^eval_kernel expects a scalar radius; use eval_kernel_batch$"
+    with pytest.raises(DomainError, match=message):
+        eval_kernel(KernelSpec.gaussian(1.0), r)
+
+
 def test_batch_empty_matrix():
     out = eval_kernel_batch(KernelSpec.hybrid(1.0, 0.5, 0.5), np.empty((0, 0)))
     assert out.shape == (0, 0)

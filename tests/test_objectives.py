@@ -7,7 +7,6 @@ from hybridrbf import (
     ConfigError,
     DegenerateInputError,
     DomainError,
-    EvaluationGrid,
     KernelSpec,
     ObjectiveSpec,
     PointSet,
@@ -43,20 +42,20 @@ def franke_data(k: int) -> PointSet:
 def test_rms_zero_when_model_is_truth():
     pts = franke_data(5)
     model = fit(pts, KernelSpec.hybrid(3.0, 0.8, 1e-3))
-    grid = EvaluationGrid(pts.coords)
+    grid = PointSet(pts.coords)
     assert rms_error(model, grid, pts.values) <= 1e-10
 
 
 def test_rms_constant_residual():
     # model fitted to zeros predicts zero everywhere
     model = fit(PointSet([[0.5]], [0.0]), KernelSpec.gaussian(1.0))
-    grid = EvaluationGrid(np.linspace(0, 1, 7)[:, None])
+    grid = PointSet(np.linspace(0, 1, 7)[:, None])
     assert rms_error(model, grid, np.full(7, -0.1)) == pytest.approx(0.1, rel=1e-14)
 
 
 def test_rms_hand_value():
     model = fit(PointSet([[0.5]], [0.0]), KernelSpec.gaussian(1.0))
-    grid = EvaluationGrid([[0.0], [1.0]])
+    grid = PointSet([[0.0], [1.0]])
     # residuals (3, 4) over M = 2: sqrt(12.5)
     assert rms_error(model, grid, [-3.0, -4.0]) == pytest.approx(
         3.5355339059327378, rel=1e-15
@@ -65,7 +64,7 @@ def test_rms_hand_value():
 
 def test_rms_length_mismatch():
     model = fit(PointSet([[0.5]], [0.0]), KernelSpec.gaussian(1.0))
-    grid = EvaluationGrid([[0.0], [1.0]])
+    grid = PointSet([[0.0], [1.0]])
     with pytest.raises(DomainError):
         rms_error(model, grid, [1.0])
 
@@ -74,10 +73,10 @@ def test_rms_invariant_under_grid_permutation():
     pts = franke_data(4)
     model = fit(pts, KernelSpec.hybrid(2.0, 0.7, 0.1))
     grid = make_evaluation_grid(8)
-    truth = franke(grid.points[:, 0], grid.points[:, 1])
+    truth = franke(grid.coords[:, 0], grid.coords[:, 1])
     rng = np.random.default_rng(3)
-    perm = rng.permutation(grid.m)
-    shuffled = EvaluationGrid(grid.points[perm])
+    perm = rng.permutation(grid.n)
+    shuffled = PointSet(grid.coords[perm])
     assert rms_error(model, shuffled, truth[perm]) == pytest.approx(
         rms_error(model, grid, truth), rel=1e-12
     )
@@ -142,7 +141,7 @@ def test_loocv_cost_invariant_under_relabeling():
 
 def test_objective_value_rms_path():
     pts = franke_data(4)
-    grid = EvaluationGrid(pts.coords)
+    grid = PointSet(pts.coords)
     spec = ObjectiveSpec.rms(grid, pts.values)
     assert objective_value(spec, pts, KernelSpec.hybrid(3.0, 0.8, 1e-3)) <= 1e-10
 
@@ -151,8 +150,29 @@ def test_objective_value_sentinel_on_singular():
     pts = franke_data(5)
     spec = ObjectiveSpec.loocv()
     assert objective_value(spec, pts, KernelSpec.gaussian(1e-4)) == SENTINEL_COST
-    spec_rms = ObjectiveSpec.rms(EvaluationGrid(pts.coords), pts.values)
+    spec_rms = ObjectiveSpec.rms(PointSet(pts.coords), pts.values)
     assert objective_value(spec_rms, pts, KernelSpec.gaussian(1e-4)) == SENTINEL_COST
+
+
+def test_rippa_breaks_down_on_a_zero_inverse_diagonal():
+    """A pure cubic on two points, [[0, r^3], [r^3, 0]], has an inverse
+    diagonal of exactly zero: Rippa's quotient raises, and a trial costs the
+    sentinel."""
+    pts = PointSet([[0.0], [1.0]], [1.0, 2.0])
+    with pytest.raises(
+        NumericalBreakdownError, match="^inverse diagonal entry 0 has magnitude 0.000e"
+    ):
+        loocv_cost_rippa(pts, KernelSpec.cubic())
+    assert objective_value(ObjectiveSpec.loocv(), pts, KernelSpec.cubic()) == SENTINEL_COST
+
+
+def test_a_cost_that_overflows_costs_the_sentinel():
+    pts = make_halton_set(20, 2)
+    pts = pts.with_values(1e200 * np.sin(7 * pts.coords[:, 0]))
+    spec, kernel = ObjectiveSpec.loocv(), KernelSpec.hybrid(3.0, 0.8, 0.1)
+    with np.errstate(over="ignore"):  # the norm of the leave-one-out errors
+        assert _trial_cost(spec, pts, kernel, prepare_search(spec, pts)) == np.inf
+        assert objective_value(spec, pts, kernel) == SENTINEL_COST
 
 
 def test_objective_value_loocv_ordering_matches_brute():
@@ -268,7 +288,7 @@ def trial_kernels(seed: int) -> list[KernelSpec]:
 
 def trial_specs() -> dict[str, tuple[ObjectiveSpec, PointSet]]:
     grid = make_evaluation_grid(9)
-    truth = franke(grid.points[:, 0], grid.points[:, 1])
+    truth = franke(grid.coords[:, 0], grid.coords[:, 1])
     return {
         "rms": (ObjectiveSpec.rms(grid, truth), franke_data(5)),
         "rms-augmented": (ObjectiveSpec.rms(grid, truth, augmented=True), halton_franke(30)),
@@ -372,7 +392,7 @@ def test_duplicate_points_raise_degenerate_everywhere():
 def test_overflowing_distances_raise_domain_error(recwarn):
     far = PointSet([[0.0, 0.0], [1e200, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 2.0, 3.0, 4.0])
     near = franke_data(3)
-    far_grid = EvaluationGrid([[0.5, 0.5], [-1e200, 0.0]])
+    far_grid = PointSet([[0.5, 0.5], [-1e200, 0.0]])
     kernel = KernelSpec.hybrid(2.0, 0.7, 0.1)
     for augmented in (False, True):
         with pytest.raises(DomainError, match="finite"):
@@ -388,7 +408,7 @@ def test_overflowing_kernel_values_break_down_before_the_lu(recwarn):
     """A kernel matrix holding inf fails fit with one clear error, and a
     search trial on it costs the sentinel."""
     far = PointSet([[0.0, 0.0], [1e103, 0.0], [0.0, 1e103], [1e103, 1e103]], [1.0, 2.0, 3.0, 4.0])
-    grid = EvaluationGrid([[0.5, 0.5], [1.0, 0.0]])
+    grid = PointSet([[0.5, 0.5], [1.0, 0.0]])
     for kernel in (KernelSpec.cubic(), KernelSpec.hybrid(1.0, 0.5, 0.5)):
         for augmented in (False, True):
             with pytest.raises(NumericalBreakdownError, match="kernel values overflow"):
@@ -417,13 +437,13 @@ def test_trial_without_the_estimate_matches_one_with_it(monkeypatch, path):
     """Ok, singular and overflowing trials on the RMS, Rippa and brute paths
     give the same cost bits, or the same error, whether or not the LU's
     condition estimate is computed."""
-    grid = EvaluationGrid([[0.5, 0.5], [0.2, 0.9], [1.0, 0.0]])
+    grid = PointSet([[0.5, 0.5], [0.2, 0.9], [1.0, 0.0]])
     far = PointSet(
         [[0.0, 0.0], [1e103, 0.0], [0.0, 1e103], [1e103, 1e103], [5e102, 5e102]],
         np.arange(5.0),
     )
     spec = {
-        "rms": ObjectiveSpec.rms(grid, franke(*grid.points.T)),
+        "rms": ObjectiveSpec.rms(grid, franke(*grid.coords.T)),
         "loocv": ObjectiveSpec.loocv(),
         "loocv-augmented": ObjectiveSpec.loocv(augmented=True),
     }[path]
@@ -458,7 +478,7 @@ def test_search_computes_no_condition_estimate_and_fit_one(monkeypatch):
 
     monkeypatch.setattr(interpolation, "_dgecon", counted_dgecon)
     grid = make_evaluation_grid(6)
-    truth = franke(*grid.points.T)
+    truth = franke(*grid.coords.T)
     config = PsoConfig(swarm_size=4, generations=2, seed=3)
     for spec, pts in (
         (ObjectiveSpec.rms(grid, truth), franke_data(5)),

@@ -282,6 +282,15 @@ def test_trace_csv_rejects_wrong_names():
         write_trace_csv(io.StringIO(), result.trace, param_names=("onlyone",))
 
 
+@pytest.mark.parametrize(
+    "text", ["", "generation,gbest_val\r\n", "x1,x2,x3\r\n0,1,2\r\n", "gen,gbest_val,epsilon\r\n"]
+)
+def test_trace_csv_refuses_a_file_without_the_trace_header(text):
+    message = r"^not a trace CSV \(expected generation,gbest_val,\.\.\. header\)$"
+    with pytest.raises(ConfigError, match=message):
+        read_trace_csv(io.StringIO(text))
+
+
 def test_trace_csv_skips_whitespace_only_lines_as_points_files_do(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("generation,gbest_val,a,b\n0,1.5,0.1,0.2\n   \n\n1,1.25,0.3,0.4\n")
