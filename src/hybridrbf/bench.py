@@ -70,8 +70,7 @@ from .kernels import HybridParams, KernelSpec
 from .objectives import (
     ObjectiveSpec,
     SearchData,
-    _loocv_brute,
-    _loocv_rippa,
+    _trial_cost,
     kernel_objective,
     objective_value,
     prepare_search,
@@ -344,15 +343,13 @@ def _fit_step(
 def _loocv_garnish(
     points: PointSet, distances: np.ndarray, kernel: KernelSpec, augmented: bool
 ) -> float | None:
-    """LOOCV cost of an rms-tuned kernel; node counts >= 4 suit either path."""
+    """The loocv search trial's cost of an rms-tuned kernel (node counts >= 4)."""
+    if augmented and points.n > _BRUTE_LOOCV_MAX_N:
+        return None
     try:
-        if not augmented:
-            return _loocv_rippa(points, distances, kernel).value
-        if points.n <= _BRUTE_LOOCV_MAX_N:
-            return _loocv_brute(points, distances, kernel, augmented=True).value
+        return _trial_cost(ObjectiveSpec.loocv(augmented), points, kernel, SearchData(distances))
     except ToolkitError:
         return None
-    return None
 
 
 def _optimized_cell(

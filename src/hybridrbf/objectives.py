@@ -129,12 +129,6 @@ def rms_error(model: InterpolationModel, grid: PointSet, truth_values) -> float:
     return _rms(evaluate(model, grid), truth)
 
 
-def _require_loocv_points(points: PointSet, augmented: bool) -> None:
-    minimum = points.dim + 2 if augmented else 2
-    if points.n < minimum:
-        raise DomainError(f"loocv needs at least {minimum} points, got {points.n}")
-
-
 def _loocv_rippa(points: PointSet, distances: np.ndarray, kernel: KernelSpec) -> CostValue:
     system = _system(points, distances, kernel, augmented=False)
     factors, _ = _factorize(system.matrix, estimate=False)
@@ -152,8 +146,7 @@ def _loocv_rippa(points: PointSet, distances: np.ndarray, kernel: KernelSpec) ->
 
 def loocv_cost_rippa(points: PointSet, kernel: KernelSpec) -> CostValue:
     """LOOCV cost from one full-data factorization (plain systems only)."""
-    _require_loocv_points(points, augmented=False)
-    return _loocv_rippa(points, _fit_distances(points, augmented=False), kernel)
+    return _loocv_rippa(points, prepare_search(ObjectiveSpec.loocv(), points).distances, kernel)
 
 
 def _loocv_brute(
@@ -202,8 +195,8 @@ def loocv_cost_brute(
     points: PointSet, kernel: KernelSpec, augmented: bool = False
 ) -> CostValue:
     """LOOCV cost by refitting each leave-one-out subset (the oracle path)."""
-    _require_loocv_points(points, augmented)
-    return _loocv_brute(points, _fit_distances(points, augmented), kernel, augmented)
+    distances = prepare_search(ObjectiveSpec.loocv(augmented), points).distances
+    return _loocv_brute(points, distances, kernel, augmented)
 
 
 @dataclass(frozen=True)
@@ -228,7 +221,9 @@ def prepare_search(spec: ObjectiveSpec, points: PointSet) -> SearchData:
     points.
     """
     if spec.kind == "loocv":
-        _require_loocv_points(points, spec.augmented)
+        minimum = points.dim + 2 if spec.augmented else 2
+        if points.n < minimum:
+            raise DomainError(f"loocv needs at least {minimum} points, got {points.n}")
     distances = _fit_distances(points, spec.augmented)
     if spec.kind == "rms":
         grid_distances = pairwise_distances(spec.grid, points)
