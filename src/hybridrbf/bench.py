@@ -70,6 +70,7 @@ from .kernels import HybridParams, KernelSpec
 from .objectives import (
     ObjectiveSpec,
     SearchData,
+    _require_found,
     _trial_cost,
     kernel_objective,
     objective_value,
@@ -284,12 +285,13 @@ def _optimize_variant(
 ) -> tuple[KernelSpec, float, SearchData]:
     """Best kernel of one variant, its cost and the search's checked data.
 
-    cubic has nothing to search.
+    cubic has nothing to search.  NumericalBreakdownError if no trial found
+    a finite cost.
     """
     data = prepare_search(ospec, points)
     if variant == "cubic":
         kernel = KernelSpec.cubic()
-        return kernel, objective_value(ospec, points, kernel, data), data
+        return kernel, _require_found(objective_value(ospec, points, kernel, data)), data
     if variant == "gaussian":
         cfg = replace(pso, bounds=(pso.bounds[0],), seed=seed)
         to_kernel = lambda p: KernelSpec.gaussian(p[0])
@@ -297,7 +299,7 @@ def _optimize_variant(
         cfg = replace(pso, seed=seed)
         to_kernel = lambda p: KernelSpec.hybrid(p[0], p[1], p[2])
     result = pso_minimize(kernel_objective(ospec, points, to_kernel, data), cfg)
-    return to_kernel(result.best_position), result.best_value, data
+    return to_kernel(result.best_position), _require_found(result.best_value), data
 
 
 @contextmanager
@@ -343,7 +345,7 @@ def _fit_step(
 def _loocv_garnish(
     points: PointSet, distances: np.ndarray, kernel: KernelSpec, augmented: bool
 ) -> float | None:
-    """The loocv search trial's cost of an rms-tuned kernel (node counts >= 4)."""
+    """LOOCV cost of an rms-tuned kernel, as a loocv search trial scores it."""
     if augmented and points.n > _BRUTE_LOOCV_MAX_N:
         return None
     try:

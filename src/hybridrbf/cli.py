@@ -36,7 +36,7 @@ from .geometry import (
 )
 from .interpolation import _fit, _fit_distances, _predict, evaluate, load_model, save_model
 from .kernels import KERNEL_KINDS, KernelSpec
-from .objectives import ObjectiveSpec, kernel_objective
+from .objectives import ObjectiveSpec, _require_found, kernel_objective
 from .pso import DEFAULT_BOUNDS, PsoConfig, pso_minimize, require_valid_config, write_trace_csv
 
 _TRUTHS = {"franke": franke, "linear": linear_truth}
@@ -200,6 +200,7 @@ def cmd_optimize(args) -> int:
         grid = _truth_grid(args.grid_n, _TRUTHS[args.truth], points.dim)
         ospec = ObjectiveSpec.rms(grid, grid.values, args.augment)
     result = pso_minimize(kernel_objective(ospec, points), config)
+    _require_found(result.best_value)  # before any file is written
     eps, alpha, beta = result.best_position
     _write_table(
         args.output,

@@ -19,6 +19,13 @@ compares a search's cost with it bit for bit; an augmented shortcut needs
 that check to accept a tolerance first.  It also serves as the independent
 oracle for the plain shortcut.
 
+``_trial_cost`` alone picks Rippa's shortcut or brute force: a search's
+trials and the bench report's LOOCV cost both call it, and the public
+``loocv_cost_*`` each run one path.  A cost is the 2-norm of the
+leave-one-out errors; a norm that overflows is inf, without a warning, so
+the trial costs SENTINEL_COST.  A search whose best cost is the sentinel
+found no finite cost, and its callers report that as a failure.
+
 A parameter search repeats one problem with different kernels, so
 :func:`prepare_search` computes the kernel-independent part once -- the data
 distances, the input checks and, for RMS, the grid-to-center distances -- and
@@ -141,11 +148,13 @@ def _loocv_rippa(points: PointSet, distances: np.ndarray, kernel: KernelSpec) ->
             f"inverse diagonal entry {k} has magnitude {abs(diag[k]):.3e}"
         )
     errors = coeffs / diag
-    return CostValue(float(np.linalg.norm(errors)), errors)
+    with np.errstate(over="ignore"):  # an overflowing norm is inf; a trial costs the sentinel
+        return CostValue(float(np.linalg.norm(errors)), errors)
 
 
 def loocv_cost_rippa(points: PointSet, kernel: KernelSpec) -> CostValue:
-    """LOOCV cost from one full-data factorization (plain systems only)."""
+    """LOOCV cost from one full-data factorization (plain systems only), on
+    inputs checked as ``prepare_search`` checks them for a loocv search."""
     return _loocv_rippa(points, prepare_search(ObjectiveSpec.loocv(), points).distances, kernel)
 
 
@@ -188,13 +197,15 @@ def _loocv_brute(
         if augmented:
             prediction += a[k : k + 1, n:] @ solution[n - 1 :]
         errors[k] = points.values[k] - prediction[0]
-    return CostValue(float(np.linalg.norm(errors)), errors)
+    with np.errstate(over="ignore"):  # an overflowing norm is inf; a trial costs the sentinel
+        return CostValue(float(np.linalg.norm(errors)), errors)
 
 
 def loocv_cost_brute(
     points: PointSet, kernel: KernelSpec, augmented: bool = False
 ) -> CostValue:
-    """LOOCV cost by refitting each leave-one-out subset (the oracle path)."""
+    """LOOCV cost by refitting each leave-one-out subset (the oracle path), on
+    inputs checked as ``prepare_search`` checks them for a loocv search."""
     distances = prepare_search(ObjectiveSpec.loocv(augmented), points).distances
     return _loocv_brute(points, distances, kernel, augmented)
 
@@ -267,6 +278,16 @@ def objective_value(
     if not np.isfinite(cost):
         return SENTINEL_COST
     return cost
+
+
+def _require_found(best_value: float) -> float:
+    """A search's best cost; NumericalBreakdownError if it is SENTINEL_COST,
+    that is, if no trial found a finite cost."""
+    if best_value == SENTINEL_COST:
+        raise NumericalBreakdownError(
+            f"the search found no finite cost: its best trial cost the sentinel {SENTINEL_COST:g}"
+        )
+    return best_value
 
 
 def kernel_objective(

@@ -14,12 +14,16 @@ from hybridrbf import (
     ConfigError,
     HybridParams,
     KernelSpec,
+    NumericalBreakdownError,
+    ObjectiveSpec,
     PsoConfig,
+    SingularSystemError,
     assemble,
     fit,
     loocv_cost_brute,
     loocv_cost_rippa,
     make_evaluation_grid,
+    make_halton_set,
     rms_error,
     spectral_report,
 )
@@ -326,6 +330,14 @@ def test_franke_study_convergence_and_sweep():
     ]
 
 
+def test_report_cell_lookup_names_a_missing_cell():
+    cells = [CellRecord("franke", "hybrid", 16, "rms")]
+    report = ExperimentReport("franke", "0123456789", 0, (), cells)
+    assert report.cell("hybrid", 16, "rms") is report.cells[0]
+    with pytest.raises(KeyError, match="no cell variant='hybrid' n=25 objective=None"):
+        report.cell("hybrid", 25)
+
+
 def test_report_cells_are_self_describing():
     # refitting with a cell's stored parameters must reproduce its rms
     spec = ExperimentSpec(
@@ -504,6 +516,31 @@ def test_scaling_study_fits_at_one_blas_thread_and_restores_the_count(monkeypatc
     assert slope.detail.endswith("at 1 BLAS thread")
 
 
+def test_scaling_study_fails_a_cell_whose_fit_raises_and_then_its_slope(monkeypatch):
+    def singular_fit(points, kernel):
+        raise SingularSystemError("numerically singular system at pivot 3", index=3)
+
+    monkeypatch.setattr(bench, "fit", singular_fit)
+    report = run_study(ExperimentSpec(study="scaling", node_counts=(25, 121)))
+    *fits, slope = report.cells
+    for cell in fits:
+        assert (cell.status, cell.detail) == ("failed", "numerically singular system at pivot 3")
+        assert cell.wall_time_s is None
+    assert (slope.variant, slope.status, slope.slope) == ("slope", "failed", None)
+    assert slope.detail == "fewer than two timing cells above resolution"
+
+
+def test_scaling_study_flags_fits_below_timing_resolution(monkeypatch):
+    monkeypatch.setattr(bench, "perf_counter", lambda: 12.5)  # every fit takes 0 s
+    report = run_study(ExperimentSpec(study="scaling", node_counts=(25, 121)))
+    *fits, slope = report.cells
+    for cell in fits:
+        assert cell.status == "flagged: below timing resolution"
+        assert cell.ok and cell.wall_time_s == 0.0
+    assert (slope.status, slope.detail) == ("failed", "fewer than two timing cells above resolution")
+    assert not report.all_ok
+
+
 def test_scaling_study_requires_span():
     with pytest.raises(ConfigError):
         run_study(ExperimentSpec(study="scaling", node_counts=(25, 36)))
@@ -649,6 +686,15 @@ def test_augmented_rms_cell_above_the_brute_force_cap_takes_no_loocv_cost():
     )
     (cell,) = run_study(spec).cells
     assert cell.ok and cell.rms is not None and cell.loocv_cost is None
+
+
+@pytest.mark.parametrize("variant", ["cubic", "gaussian", "hybrid"])
+def test_a_search_that_finds_no_finite_cost_raises(variant):
+    # every leave-one-out error is finite, but their norm overflows
+    points = make_halton_set(20, 2)
+    points = points.with_values(1e200 * np.sin(7 * points.coords[:, 0]))
+    with pytest.raises(NumericalBreakdownError, match="^the search found no finite cost: its best"):
+        bench._optimize_variant(points, ObjectiveSpec.loocv(), SMALL_PSO, variant, seed=0)
 
 
 def test_loocv_garnish_of_a_kernel_that_breaks_down_is_none():

@@ -215,6 +215,24 @@ def test_optimize_is_reproducible(tmp_path):
     assert outputs[0] == oracle.getvalue().encode("utf-8")
 
 
+@pytest.mark.parametrize("flags", [[], ["--augment"]])
+def test_optimize_that_finds_no_finite_cost_is_one_error_line(tmp_path, capsys, recwarn, flags):
+    # every leave-one-out error is finite, but their norm overflows
+    points = hybridrbf.make_halton_set(20, 2)
+    data, best, trace = tmp_path / "huge.csv", tmp_path / "best.csv", tmp_path / "trace.csv"
+    write_points_csv(data, points.with_values(1e200 * np.sin(7 * points.coords[:, 0])))
+    rc = main(["optimize", "--input", str(data), "--output", str(best), "--trace", str(trace),
+               "--swarm", "4", "--generations", "2", *flags])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: the search found no finite cost: its best trial cost the sentinel 1e+30\n"
+    )
+    assert not best.exists() and not trace.exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_optimize_rejects_unstable_config(tmp_path, capsys):
     data = tmp_path / "fault.csv"
     write_points_csv(data, synthetic_fault_surface(20, seed=1))
@@ -511,6 +529,17 @@ def test_config_file_precedence(tmp_path):
     assert load_model(model_path).kernel.params.epsilon == 9.0
 
 
+@pytest.mark.parametrize("entry, augmented", [("augment = true", True), ("augment = False", False)])
+def test_config_augment_entry_is_applied(tmp_path, entry, augmented):
+    data, model_path = tmp_path / "fault.csv", tmp_path / "model.txt"
+    write_points_csv(data, synthetic_fault_surface(12, seed=1))
+    config = tmp_path / "run.cfg"
+    config.write_text(entry + "\n")
+    rc = main(["--config", str(config), "fit", "--input", str(data), "--output", str(model_path)])
+    assert rc == 0
+    assert load_model(model_path).augmented is augmented
+
+
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     data = tmp_path / "two.csv"
     write_two_point_csv(data)
@@ -631,15 +660,23 @@ def test_bad_bench_lists_are_one_error_line_before_any_work(
 
 
 def test_bench_prints_each_failed_cell_and_exits_one(tmp_path, capsys):
-    # a Gaussian box pinned at epsilon = 0 makes every trial and the fit singular
+    # a Gaussian box pinned at epsilon = 0 makes every trial singular
     rc = main(["bench", "--study", "franke", "--nodes", "16", "--variants", "gaussian",
                "--eps-min", "0", "--eps-max", "0", "--swarm", "2", "--generations", "1",
                "--grid-n", "5", "--out", str(tmp_path)])
     assert rc == 1
     out, err = capsys.readouterr()
-    assert err.startswith("cell failed: variant=gaussian n=16: numerically singular system")
+    assert err.startswith("cell failed: variant=gaussian n=16: the search found no finite cost")
     assert err.count("\n") == 1
     assert out.count("wrote ") == 2  # the report still lists the failed cell
+
+
+def test_bench_scaling_below_timing_resolution_fails_its_slope_row(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(bench, "perf_counter", lambda: 12.5)  # every fit takes 0 s
+    rc = main(["bench", "--study", "scaling", "--nodes", "4,16", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "cell failed: variant=slope n=None: fewer than two timing cells above resolution\n"
 
 
 @pytest.mark.parametrize(

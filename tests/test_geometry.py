@@ -228,6 +228,9 @@ def test_min_separation_needs_two_points():
 
 
 def test_pointset_validation():
+    for coords in (np.empty((0, 2)), np.empty((3, 0)), np.zeros((2, 2, 2))):
+        with pytest.raises(ConfigError, match="^coords must be a nonempty N x s matrix$"):
+            PointSet(coords)
     with pytest.raises(ConfigError):
         PointSet([[0.0, np.inf]])
     with pytest.raises(ConfigError):

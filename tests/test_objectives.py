@@ -166,13 +166,31 @@ def test_rippa_breaks_down_on_a_zero_inverse_diagonal():
     assert objective_value(ObjectiveSpec.loocv(), pts, KernelSpec.cubic()) == SENTINEL_COST
 
 
-def test_a_cost_that_overflows_costs_the_sentinel():
+def huge_halton_data() -> PointSet:
+    """Values whose leave-one-out errors are finite but whose norm overflows."""
     pts = make_halton_set(20, 2)
-    pts = pts.with_values(1e200 * np.sin(7 * pts.coords[:, 0]))
+    return pts.with_values(1e200 * np.sin(7 * pts.coords[:, 0]))
+
+
+def test_a_cost_that_overflows_costs_the_sentinel():
+    pts = huge_halton_data()
     spec, kernel = ObjectiveSpec.loocv(), KernelSpec.hybrid(3.0, 0.8, 0.1)
-    with np.errstate(over="ignore"):  # the norm of the leave-one-out errors
-        assert _trial_cost(spec, pts, kernel, prepare_search(spec, pts)) == np.inf
-        assert objective_value(spec, pts, kernel) == SENTINEL_COST
+    assert _trial_cost(spec, pts, kernel, prepare_search(spec, pts)) == np.inf
+    assert objective_value(spec, pts, kernel) == SENTINEL_COST
+
+
+def test_an_overflowing_loocv_norm_is_inf_without_a_warning(recwarn):
+    pts, kernel = huge_halton_data(), KernelSpec.hybrid(3.0, 0.8, 0.1)
+    for cost in (
+        loocv_cost_rippa(pts, kernel),
+        loocv_cost_brute(pts, kernel),
+        loocv_cost_brute(pts, kernel, augmented=True),
+    ):
+        assert cost.value == np.inf
+        assert np.all(np.isfinite(cost.per_point_errors))
+    for augmented in (False, True):
+        assert objective_value(ObjectiveSpec.loocv(augmented), pts, kernel) == SENTINEL_COST
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_objective_value_loocv_ordering_matches_brute():
