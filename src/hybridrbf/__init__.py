@@ -41,7 +41,6 @@ from .interpolation import (
 )
 from .kernels import (
     KERNEL_KINDS,
-    HybridParams,
     KernelSpec,
     eval_kernel,
     eval_kernel_batch,
@@ -61,7 +60,6 @@ from .pso import (
     PsoConfig,
     PsoResult,
     pso_minimize,
-    validate_config,
     write_trace_csv,
 )
 from .bench import (
@@ -85,7 +83,6 @@ __all__ = [
     "EvaluationGrid",
     "ExperimentReport",
     "ExperimentSpec",
-    "HybridParams",
     "InterpolationModel",
     "KERNEL_KINDS",
     "KernelSpec",
@@ -124,7 +121,6 @@ __all__ = [
     "save_model",
     "spectral_report",
     "synthetic_fault_surface",
-    "validate_config",
     "write_points_csv",
     "write_trace_csv",
 ]

@@ -37,7 +37,7 @@ import json
 import math
 import zlib
 from contextlib import contextmanager
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from time import perf_counter
@@ -66,7 +66,7 @@ from .interpolation import (
     fit,
     spectral_report,
 )
-from .kernels import HybridParams, KernelSpec
+from .kernels import KernelSpec
 from .objectives import (
     ObjectiveSpec,
     SearchData,
@@ -77,7 +77,7 @@ from .objectives import (
     prepare_search,
     rms_error,
 )
-from .pso import PsoConfig, pso_minimize, require_valid_config
+from .pso import PsoConfig, pso_minimize
 
 FULL_NODE_COUNTS = (25, 49, 81, 144, 196, 400, 625, 1296, 2401, 4096)
 # Desk-scale default: the two largest grids cost minutes each under PSO.
@@ -183,11 +183,11 @@ class ExperimentSpec:
                     raise ConfigError(f"params_per_n key {n!r} not in node_counts {self.node_counts}")
                 try:
                     epsilon, alpha, beta = (float(t) for t in triple)
-                    pinned[int(n)] = astuple(HybridParams(epsilon, alpha, beta))
+                    KernelSpec.hybrid(epsilon, alpha, beta)  # raises on a bad triple
+                    pinned[int(n)] = (epsilon, alpha, beta)
                 except (TypeError, ValueError, ConfigError) as exc:
                     raise ConfigError(f"params_per_n[{n!r}] = {triple!r}: {exc}") from None
             object.__setattr__(self, "params_per_n", pinned)
-        require_valid_config(self.pso)
 
 
 _STUDY_FIELDS = sorted({f.name for f in fields(ExperimentSpec)} - {"study", "pso", "seed", "output_dir"})
@@ -321,8 +321,7 @@ def _spectrum_step(
     """Spectrum of the system on checked data distances, bit for bit that of
     ``assemble``; record the kernel and the spectrum's summary in ``cell``."""
     spectrum = spectral_report(_system(points, distances, kernel, augmented))
-    p = kernel.params
-    cell.epsilon, cell.alpha, cell.beta = p.epsilon, p.alpha, p.beta
+    cell.epsilon, cell.alpha, cell.beta = kernel.epsilon, kernel.alpha, kernel.beta
     cell.condition_number = spectrum.condition_number
     cell.negative_count = spectrum.negative_count
     return spectrum
@@ -494,8 +493,8 @@ def _epsilon_sweep(
                 variant=f"sweep:{base}",
                 n=n_max,
                 epsilon=float(eps),
-                alpha=kernel.params.alpha,
-                beta=kernel.params.beta,
+                alpha=kernel.alpha,
+                beta=kernel.beta,
             )
             # sweeping into the flat regime is expected to hit singular
             # systems; that is the curve's story, not a failed cell

@@ -37,7 +37,7 @@ from .geometry import (
 from .interpolation import _fit, _fit_distances, _predict, evaluate, load_model, save_model
 from .kernels import KERNEL_KINDS, KernelSpec
 from .objectives import ObjectiveSpec, _require_found, kernel_objective
-from .pso import DEFAULT_BOUNDS, PsoConfig, pso_minimize, require_valid_config, write_trace_csv
+from .pso import DEFAULT_BOUNDS, PsoConfig, pso_minimize, write_trace_csv
 
 _TRUTHS = {"franke": franke, "linear": linear_truth}
 
@@ -126,7 +126,7 @@ def _pso_config(args) -> PsoConfig:
     # Every kernel with epsilon < 0 is invalid, so such a box has no valid trial.
     if not args.eps_min >= 0:
         raise ConfigError(f"--eps-min must be >= 0, got {args.eps_min:g}")
-    config = PsoConfig(
+    return PsoConfig(
         swarm_size=args.swarm,
         generations=args.generations,
         c1=args.c1,
@@ -135,8 +135,6 @@ def _pso_config(args) -> PsoConfig:
         bounds=((args.eps_min, args.eps_max), *DEFAULT_BOUNDS[1:]),
         seed=args.seed,
     )
-    require_valid_config(config)
-    return config
 
 
 def cmd_fit(args) -> int:

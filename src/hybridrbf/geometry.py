@@ -151,7 +151,8 @@ def pairwise_distances(a, b) -> np.ndarray:
     coordinate order, so the self-distance matrix is exactly symmetric with
     an exactly zero diagonal.  The sum accumulates one coordinate at a time
     in the output buffer, so the only temporary is one |a| x |b| scratch
-    buffer.
+    buffer.  A distance that is not finite (far-apart points overflow)
+    raises DomainError, so every matrix returned is finite.
     """
     av, bv = _as_coords(a), _as_coords(b)
     if av.shape[1] != bv.shape[1]:
@@ -162,9 +163,8 @@ def pairwise_distances(a, b) -> np.ndarray:
     out = np.zeros((av.shape[0], bv.shape[0]))
     if s == 0:
         return out
-    # Far-apart points overflow to inf without a warning; callers that need
-    # finite distances check for inf and raise one clear error.
-    with np.errstate(over="ignore"):
+    # An overflow gives inf without a warning; the check below reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
         np.subtract.outer(av[:, 0], bv[:, 0], out=out)
         out *= out
         tmp = np.empty_like(out) if s > 1 else None
@@ -172,7 +172,10 @@ def pairwise_distances(a, b) -> np.ndarray:
             np.subtract.outer(av[:, j], bv[:, j], out=tmp)
             tmp *= tmp
             out += tmp
-    return np.sqrt(out, out=out)
+    np.sqrt(out, out=out)
+    if not np.all(np.isfinite(out)):
+        raise DomainError("all distances must be finite")
+    return out
 
 
 def min_separation(points: PointSet) -> float:

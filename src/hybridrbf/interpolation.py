@@ -38,7 +38,7 @@ from .geometry import (
     points_to_csv_text,
     read_points_table,
 )
-from .kernels import _FILL_BLOCK, KernelSpec, _check_distances, _fill
+from .kernels import _FILL_BLOCK, KernelSpec, _fill
 
 # A factorization whose smallest |U_kk| falls below this fraction of the
 # largest is treated as numerically singular.
@@ -162,8 +162,8 @@ def _fit_distances(points: PointSet, augmented: bool) -> np.ndarray:
 
     Distinct points have positive distances and the diagonal is exactly
     zero, so duplicates exist exactly when more than n entries are zero.
-    The distances are also checked finite here, once, so that kernel fills
-    on them need no check of their own.
+    ``pairwise_distances`` has checked them finite, so kernel fills on them
+    need no check of their own.
     """
     if points.values is None:
         raise ConfigError("assemble needs points with values")
@@ -173,7 +173,6 @@ def _fit_distances(points: PointSet, augmented: bool) -> np.ndarray:
         raise DegenerateInputError("duplicate points: minimum pairwise distance is 0")
     if augmented and n < s + 1:
         raise ConfigError(f"augmented fit needs at least {s + 1} points, got {n}")
-    _check_distances(d)
     return d
 
 
@@ -298,11 +297,12 @@ def _predict(
     A block is _FILL_BLOCK // n rows (at least one) for n centers; its kernel
     values fill one reused buffer, whose product with the coefficients goes
     straight into the output, and an augmented model adds the block's
-    polynomial tail there too.  distances, when given, is the full, already
-    checked target-to-center matrix; otherwise each block's distances are
-    computed and checked as it is reached.  Both give the same blocks, so the
-    values agree bit for bit.  Kernel values that overflow give non-finite
-    results without a warning; callers that need finite values check them.
+    polynomial tail there too.  distances, when given, is the full
+    target-to-center matrix from ``pairwise_distances``; otherwise each
+    block's distances are computed as it is reached.  Both give the same
+    blocks, so the values agree bit for bit.  Kernel values that overflow
+    give non-finite results without a warning; callers that need finite
+    values check them.
     """
     m, n = targets.shape[0], model.centers.n
     out = np.empty(m)
@@ -313,7 +313,6 @@ def _predict(
             stop = min(start + step, m)
             if distances is None:
                 block = pairwise_distances(targets[start:stop], model.centers)
-                _check_distances(block)
             else:
                 block = distances[start:stop]
             values = _fill(model.kernel, block, out=kernel_values[: stop - start])

@@ -30,14 +30,18 @@ KERNEL_KINDS = (
 
 
 @dataclass(frozen=True)
-class HybridParams:
-    """Kernel parameter triple (epsilon, alpha, beta).
+class KernelSpec:
+    """A kernel kind plus its parameter triple (epsilon, alpha, beta).
 
     epsilon is the inverse-length shape parameter and must be >= 0; alpha
     and beta weight the Gaussian and cubic parts and live in [0, 1].  The
     pair alpha = beta = 0 would give the zero kernel and is rejected.
+    cubic and thin-plate-spline ignore epsilon; alpha and beta are read only
+    by the hybrid kind.  gaussian(eps) evaluates identically to
+    hybrid(eps, alpha=1, beta=0).
     """
 
+    kind: str
     epsilon: float
     alpha: float = 1.0
     beta: float = 0.0
@@ -52,40 +56,25 @@ class HybridParams:
             raise ConfigError(f"beta must lie in [0, 1], got {self.beta}")
         if alpha == 0.0 and beta == 0.0:
             raise ConfigError("alpha and beta cannot both be zero (zero kernel)")
-        object.__setattr__(self, "epsilon", eps)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """A kernel kind plus its parameters.
-
-    cubic and thin-plate-spline ignore epsilon; alpha and beta are read only
-    by the hybrid kind.  gaussian(eps) evaluates identically to
-    hybrid(eps, alpha=1, beta=0).
-    """
-
-    kind: str
-    params: HybridParams
-
-    def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ConfigError(
                 f"unknown kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}"
             )
+        object.__setattr__(self, "epsilon", eps)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     @classmethod
     def gaussian(cls, epsilon: float) -> "KernelSpec":
-        return cls("gaussian", HybridParams(epsilon, 1.0, 0.0))
+        return cls("gaussian", epsilon)
 
     @classmethod
     def cubic(cls) -> "KernelSpec":
-        return cls("cubic", HybridParams(0.0, 0.0, 1.0))
+        return cls("cubic", 0.0, 0.0, 1.0)
 
     @classmethod
     def hybrid(cls, epsilon: float, alpha: float, beta: float) -> "KernelSpec":
-        return cls("hybrid", HybridParams(epsilon, alpha, beta))
+        return cls("hybrid", epsilon, alpha, beta)
 
     @classmethod
     def from_name(
@@ -101,13 +90,12 @@ class KernelSpec:
         if kind == "cubic":
             return cls.cubic()
         if kind == "thin-plate-spline":
-            return cls(kind, HybridParams(0.0, 1.0, 0.0))
-        return cls(kind, HybridParams(epsilon, 1.0, 0.0))
+            return cls(kind, 0.0)
+        return cls(kind, epsilon)
 
     def to_record(self) -> str:
         """Serialize as ``kind,epsilon,alpha,beta`` with round-trip floats."""
-        p = self.params
-        return f"{self.kind},{p.epsilon!r},{p.alpha!r},{p.beta!r}"
+        return f"{self.kind},{self.epsilon!r},{self.alpha!r},{self.beta!r}"
 
     @classmethod
     def from_record(cls, record: str) -> "KernelSpec":
@@ -121,7 +109,7 @@ class KernelSpec:
             eps, alpha, beta = (float(s) for s in parts[1:])
         except ValueError as exc:
             raise ConfigError(f"bad numeric field in kernel record {record!r}") from exc
-        return cls(kind, HybridParams(eps, alpha, beta))
+        return cls(kind, eps, alpha, beta)
 
 
 def eval_kernel(spec: KernelSpec, r: float) -> float:
@@ -136,14 +124,6 @@ def eval_kernel(spec: KernelSpec, r: float) -> float:
     return float(_fill(spec, rv.reshape(1))[0])
 
 
-def _check_distances(d: np.ndarray) -> None:
-    """Raise DomainError unless every distance is finite and >= 0."""
-    if not np.all(np.isfinite(d)):
-        raise DomainError("all distances must be finite")
-    if np.any(d < 0.0):
-        raise DomainError("all distances must be >= 0")
-
-
 def eval_kernel_batch(spec: KernelSpec, distances) -> np.ndarray:
     """Evaluate phi elementwise on a matrix of nonnegative distances.
 
@@ -151,7 +131,10 @@ def eval_kernel_batch(spec: KernelSpec, distances) -> np.ndarray:
     path bit for bit.
     """
     d = np.asarray(distances, dtype=float)
-    _check_distances(d)
+    if not np.all(np.isfinite(d)):
+        raise DomainError("all distances must be finite")
+    if np.any(d < 0.0):
+        raise DomainError("all distances must be >= 0")
     return _fill(spec, d)
 
 
@@ -172,8 +155,7 @@ def _fill(spec: KernelSpec, r: np.ndarray, out: np.ndarray | None = None) -> np.
     that overflow become inf or nan without a warning; ``_factorize``
     rejects a kernel matrix holding them.
     """
-    kind, params = spec.kind, spec.params
-    eps, alpha, beta = params.epsilon, params.alpha, params.beta
+    kind, eps, alpha, beta = spec.kind, spec.epsilon, spec.alpha, spec.beta
     if out is None:
         out = np.empty(r.shape)
     flat_r, flat_out = r.reshape(-1), out.reshape(-1)

@@ -58,13 +58,14 @@ from .interpolation import (
     _solve,
     _system,
     evaluate,
-    fit,  # noqa: F401  (kept importable from this module)
+    fit,  # noqa: F401  (perfbench/tests/test_perfbench.py rebinds objectives.fit)
 )
-from .kernels import KernelSpec, _check_distances
+from .kernels import KernelSpec
 
 # Cost assigned to parameter trials whose linear algebra fails; finite so a
-# swarm can keep moving through bad regions of the search box.
-SENTINEL_COST = 1e30
+# swarm can keep moving through bad regions of the search box, and the
+# largest finite float so that no finite cost of a working trial ranks above it.
+SENTINEL_COST = float(np.finfo(float).max)
 
 # |A^-1_kk| at or below this magnitude makes Rippa's quotient meaningless.
 _BREAKDOWN_TOL = 1e-300
@@ -237,9 +238,7 @@ def prepare_search(spec: ObjectiveSpec, points: PointSet) -> SearchData:
             raise DomainError(f"loocv needs at least {minimum} points, got {points.n}")
     distances = _fit_distances(points, spec.augmented)
     if spec.kind == "rms":
-        grid_distances = pairwise_distances(spec.grid, points)
-        _check_distances(grid_distances)
-        return SearchData(distances, grid_distances)
+        return SearchData(distances, pairwise_distances(spec.grid, points))
     return SearchData(distances)
 
 
@@ -285,7 +284,7 @@ def _require_found(best_value: float) -> float:
     that is, if no trial found a finite cost."""
     if best_value == SENTINEL_COST:
         raise NumericalBreakdownError(
-            f"the search found no finite cost: its best trial cost the sentinel {SENTINEL_COST:g}"
+            "the search found no finite cost: its best trial cost the sentinel"
         )
     return best_value
 

@@ -49,6 +49,37 @@ class PsoConfig:
     bounds: tuple[tuple[float, float], ...] = DEFAULT_BOUNDS
     seed: int = 0
 
+    def __post_init__(self):
+        """Check stability, sizes, seed and bounds; one ConfigError names
+        every violation, joined by "; "."""
+        violations = []
+        csum = self.c1 + self.c2
+        if not 0.0 < csum < 4.0:
+            violations.append(
+                f"stability requires 0 < c1 + c2 < 4, got c1 + c2 = {csum:g}"
+            )
+        lower_w = csum / 2.0 - 1.0
+        if not lower_w < self.inertia_w < 1.0:
+            violations.append(
+                "stability requires (c1 + c2)/2 - 1 < w < 1, got "
+                f"w = {self.inertia_w:g} with (c1 + c2)/2 - 1 = {lower_w:g}"
+            )
+        for name, least in (("swarm_size", 1), ("generations", 1), ("seed", 0)):
+            try:
+                value = _as_int(name, getattr(self, name))
+            except ConfigError as exc:
+                violations.append(str(exc))
+                continue
+            if value < least:
+                violations.append(f"{name} must be >= {least}, got {value}")
+        for i, (lo, hi) in enumerate(self.bounds):
+            if not lo <= hi:
+                violations.append(f"bounds[{i}] has lower {lo:g} > upper {hi:g}")
+            elif not math.isfinite(float(hi) - float(lo)):
+                violations.append(f"bounds[{i}] from {lo:g} to {hi:g} has no finite width")
+        if violations:
+            raise ConfigError("; ".join(violations))
+
 
 @dataclass(frozen=True)
 class OptimizationTrace:
@@ -65,43 +96,6 @@ class PsoResult:
     trace: OptimizationTrace
 
 
-def validate_config(config: PsoConfig) -> list[str]:
-    """Check stability inequalities, sizes, seed and bounds; empty list means valid."""
-    violations = []
-    csum = config.c1 + config.c2
-    if not 0.0 < csum < 4.0:
-        violations.append(
-            f"stability requires 0 < c1 + c2 < 4, got c1 + c2 = {csum:g}"
-        )
-    lower_w = csum / 2.0 - 1.0
-    if not lower_w < config.inertia_w < 1.0:
-        violations.append(
-            "stability requires (c1 + c2)/2 - 1 < w < 1, got "
-            f"w = {config.inertia_w:g} with (c1 + c2)/2 - 1 = {lower_w:g}"
-        )
-    for name, least in (("swarm_size", 1), ("generations", 1), ("seed", 0)):
-        try:
-            value = _as_int(name, getattr(config, name))
-        except ConfigError as exc:
-            violations.append(str(exc))
-            continue
-        if value < least:
-            violations.append(f"{name} must be >= {least}, got {value}")
-    for i, (lo, hi) in enumerate(config.bounds):
-        if not lo <= hi:
-            violations.append(f"bounds[{i}] has lower {lo:g} > upper {hi:g}")
-        elif not math.isfinite(float(hi) - float(lo)):
-            violations.append(f"bounds[{i}] from {lo:g} to {hi:g} has no finite width")
-    return violations
-
-
-def require_valid_config(config: PsoConfig) -> None:
-    """Raise one ConfigError naming every violation of ``config``, joined by "; "."""
-    violations = validate_config(config)
-    if violations:
-        raise ConfigError("; ".join(violations))
-
-
 def pso_minimize(objective, config: PsoConfig) -> PsoResult:
     """Minimize objective(position) over the config's box.
 
@@ -111,7 +105,6 @@ def pso_minimize(objective, config: PsoConfig) -> PsoResult:
     swarm's positions.  Deterministic: equal (objective, config) give
     bitwise-equal traces.
     """
-    require_valid_config(config)
     lo, hi = np.array(config.bounds, dtype=float).reshape(-1, 2).T
     seeds = np.random.SeedSequence(config.seed).spawn(config.swarm_size)
     rngs = [np.random.default_rng(s) for s in seeds]

@@ -6,11 +6,11 @@ the whole array at once.
 
 import numpy as np
 
-from hybridrbf.kernels import HybridParams
+from hybridrbf.kernels import KernelSpec
 
 
-def phi(kind: str, params: HybridParams, r: np.ndarray) -> np.ndarray:
-    eps, alpha, beta = params.epsilon, params.alpha, params.beta
+def phi(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
+    kind, eps, alpha, beta = spec.kind, spec.epsilon, spec.alpha, spec.beta
     if kind == "gaussian":
         return np.exp(-((eps * r) ** 2))
     if kind == "cubic":

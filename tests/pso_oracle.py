@@ -7,11 +7,10 @@ in index order, one row at a time, with the same substreams and draws as
 
 import numpy as np
 
-from hybridrbf.pso import OptimizationTrace, PsoConfig, PsoResult, require_valid_config
+from hybridrbf.pso import OptimizationTrace, PsoConfig, PsoResult
 
 
 def pso_minimize(objective, config: PsoConfig) -> PsoResult:
-    require_valid_config(config)
     lo = np.array([b[0] for b in config.bounds], dtype=float)
     hi = np.array([b[1] for b in config.bounds], dtype=float)
     dims = lo.shape[0]

@@ -12,7 +12,6 @@ from scipy.linalg import _flapack
 
 from hybridrbf import (
     ConfigError,
-    HybridParams,
     KernelSpec,
     NumericalBreakdownError,
     ObjectiveSpec,
@@ -113,14 +112,15 @@ def test_spec_validation():
     spec = ExperimentSpec(study="franke", node_counts=(np.int64(25), np.int32(36)))
     assert spec.node_counts == (25, 36) and all(type(n) is int for n in spec.node_counts)
     assert spec_digest(spec) == spec_digest(ExperimentSpec(study="franke", node_counts=(25, 36)))
-    # So are the PSO sizes and seed (4.0 too), on one line.
-    for pso, message in (
-        (PsoConfig(swarm_size=4.0), "swarm_size must be an integer, got 4.0"),
-        (PsoConfig(generations=2.5, seed=1.5),
+    # So are the PSO sizes and seed (4.0 too), on one line, when the spec's
+    # PsoConfig is built.
+    for settings, message in (
+        ({"swarm_size": 4.0}, "swarm_size must be an integer, got 4.0"),
+        ({"generations": 2.5, "seed": 1.5},
          "generations must be an integer, got 2.5; seed must be an integer, got 1.5"),
     ):
         with pytest.raises(ConfigError, match=f"^{message}$"):
-            ExperimentSpec(study="franke", pso=pso)
+            ExperimentSpec(study="franke", pso=PsoConfig(**settings))
     numpy_sized = ExperimentSpec(study="franke", pso=PsoConfig(swarm_size=np.int64(4)))
     sized = ExperimentSpec(study="franke", pso=PsoConfig(swarm_size=4))
     assert spec_digest(numpy_sized) == spec_digest(sized)
@@ -779,7 +779,7 @@ def test_cells_match_the_public_fit_chain(spec):
         variant = cell.variant.removeprefix("sweep:")
         augmented = variant.endswith("+poly")
         kind = variant.removesuffix("+poly")
-        kernel = KernelSpec(kind, HybridParams(cell.epsilon, cell.alpha, cell.beta))
+        kernel = KernelSpec(kind, cell.epsilon, cell.alpha, cell.beta)
         model = fit(points, kernel, augmented=augmented)
         spectrum = spectral_report(assemble(points, kernel, augmented=augmented))
         assert cell.condition_number == spectrum.condition_number

@@ -226,9 +226,7 @@ def test_optimize_that_finds_no_finite_cost_is_one_error_line(tmp_path, capsys, 
     assert rc == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == (
-        "error: the search found no finite cost: its best trial cost the sentinel 1e+30\n"
-    )
+    assert err == "error: the search found no finite cost: its best trial cost the sentinel\n"
     assert not best.exists() and not trace.exists()
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
@@ -521,12 +519,12 @@ def test_config_file_precedence(tmp_path):
     rc = main(["--config", str(config), "fit", "--input", str(data),
                "--output", str(model_path)])
     assert rc == 0
-    assert load_model(model_path).kernel.params.epsilon == 2.5
+    assert load_model(model_path).kernel.epsilon == 2.5
     # explicit flags beat config entries
     rc = main(["--config", str(config), "fit", "--input", str(data),
                "--output", str(model_path), "--epsilon", "9.0"])
     assert rc == 0
-    assert load_model(model_path).kernel.params.epsilon == 9.0
+    assert load_model(model_path).kernel.epsilon == 9.0
 
 
 @pytest.mark.parametrize("entry, augmented", [("augment = true", True), ("augment = False", False)])

@@ -227,6 +227,21 @@ def test_min_separation_needs_two_points():
         min_separation(PointSet([[0.0, 0.0]]))
 
 
+def test_distances_that_are_not_finite_raise_without_a_warning(recwarn):
+    """Points 1e200 apart square past the float range, and infinite raw
+    coordinates give inf - inf: one DomainError, no RuntimeWarning."""
+    far = PointSet([[0.0, 0.0], [1e200, 0.0], [0.0, 1.0]])
+    for call in (
+        lambda: pairwise_distances(far, far),
+        lambda: pairwise_distances([[0.5, 0.5]], far),
+        lambda: min_separation(far),
+        lambda: pairwise_distances([[np.inf, 0.0]], [[np.inf, 1.0], [0.0, 0.0]]),
+    ):
+        with pytest.raises(DomainError, match="^all distances must be finite$"):
+            call()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_pointset_validation():
     for coords in (np.empty((0, 2)), np.empty((3, 0)), np.zeros((2, 2, 2))):
         with pytest.raises(ConfigError, match="^coords must be a nonempty N x s matrix$"):

@@ -48,7 +48,7 @@ from hybridrbf.interpolation import (
     model_from_text,
     model_to_text,
 )
-from hybridrbf.kernels import _FILL_BLOCK, KERNEL_KINDS, HybridParams
+from hybridrbf.kernels import _FILL_BLOCK, KERNEL_KINDS
 from kernel_oracle import phi
 
 E_INV = 0.36787944117144233
@@ -202,7 +202,7 @@ def test_evaluate_reproduces_values_at_centers():
 def test_predict_blocks_agree_with_the_unblocked_oracle(monkeypatch, kind):
     """Block edges around a patched block of 7 rows, with both distance sources."""
     pts = franke_data(6)
-    model = fit(pts, KernelSpec(kind, HybridParams(4.0, 0.6, 0.4)), augmented=True)
+    model = fit(pts, KernelSpec(kind, 4.0, 0.6, 0.4), augmented=True)
     step = 7
     monkeypatch.setattr(interpolation, "_FILL_BLOCK", step * pts.n)
     fills = []
@@ -221,7 +221,7 @@ def test_predict_blocks_agree_with_the_unblocked_oracle(monkeypatch, kind):
         blocked = _predict(model, targets)
         assert len(fills) == -(-m // step)
         assert np.array_equal(_predict(model, targets, distances), blocked)
-        kernel_values, poly = phi(kind, model.kernel.params, distances), _poly_block(targets)
+        kernel_values, poly = phi(model.kernel, distances), _poly_block(targets)
         oracle = kernel_values @ model.coeffs
         oracle += poly @ model.poly_coeffs
         # BLAS sums a block in another order than the whole matrix; bound the
@@ -490,7 +490,7 @@ def test_system_matrix_exactly_symmetric(kind, augmented):
     So does the condition estimate: _factorize takes the 1-norm of matrix.T
     with LAPACK dlange, which must equal numpy's norm of matrix bit for bit.
     """
-    kernel = KernelSpec(kind, HybridParams(2.7, 0.6, 0.4))
+    kernel = KernelSpec(kind, 2.7, 0.6, 0.4)
     side = int(np.sqrt(_FILL_BLOCK))
     for n in (5, side, side + 1, 2 * side):
         pts = make_halton_set(n, 2).with_values(np.zeros(n))
@@ -640,7 +640,9 @@ def _models(draw):
     beta = draw(st.floats(0.0, 1.0).filter(lambda b: b > 0.0 or alpha > 0.0))
     kernel = KernelSpec(
         draw(st.sampled_from(KERNEL_KINDS)),
-        HybridParams(draw(st.floats(0.0, 1e300)), alpha, beta),
+        draw(st.floats(0.0, 1e300)),
+        alpha,
+        beta,
     )
     return InterpolationModel(
         centers=PointSet(

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -13,7 +14,6 @@ import hybridrbf
 from hybridrbf import (
     ConfigError,
     DomainError,
-    HybridParams,
     KERNEL_KINDS,
     KernelSpec,
     eval_kernel,
@@ -75,7 +75,7 @@ def test_batch_cubic_matrix():
 
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
 def test_batch_matches_scalar_bitwise(kind):
-    spec = KernelSpec(kind, HybridParams(1.3, 0.6, 0.4))
+    spec = KernelSpec(kind, 1.3, 0.6, 0.4)
     rng = np.random.default_rng(11)
     distances = rng.uniform(0.0, 5.0, size=(7, 5))
     batch = eval_kernel_batch(spec, distances)
@@ -88,7 +88,7 @@ def test_batch_symmetric_input_symmetric_output():
     pts = rng.uniform(0, 1, (40, 2))
     d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
     for kind in KERNEL_KINDS:
-        out = eval_kernel_batch(KernelSpec(kind, HybridParams(2.0, 0.5, 0.5)), d)
+        out = eval_kernel_batch(KernelSpec(kind, 2.0, 0.5, 0.5), d)
         assert np.array_equal(out, out.T)
 
 
@@ -119,21 +119,21 @@ def test_gaussian_equals_hybrid_alpha_one():
 
 
 def test_wendland_compact_support():
-    spec = KernelSpec("wendland", HybridParams(2.0, 1.0, 0.0))
+    spec = KernelSpec("wendland", 2.0, 1.0, 0.0)
     assert eval_kernel(spec, 0.5) == 0.0  # r = 1/eps exactly
     assert eval_kernel(spec, 0.7) == 0.0
     assert eval_kernel(spec, 0.49) > 0.0
 
 
 def test_thin_plate_spline_zero_limit():
-    spec = KernelSpec("thin-plate-spline", HybridParams(0.0, 1.0, 0.0))
+    spec = KernelSpec("thin-plate-spline", 0.0, 1.0, 0.0)
     assert eval_kernel(spec, 0.0) == 0.0
     assert eval_kernel(spec, 2.0) == pytest.approx(4.0 * np.log(2.0), rel=1e-15)
 
 
 def test_multiquadric_pair():
-    mq = KernelSpec("multiquadric", HybridParams(1.0, 1.0, 0.0))
-    imq = KernelSpec("inverse-multiquadric", HybridParams(1.0, 1.0, 0.0))
+    mq = KernelSpec("multiquadric", 1.0, 1.0, 0.0)
+    imq = KernelSpec("inverse-multiquadric", 1.0, 1.0, 0.0)
     assert eval_kernel(mq, 1.0) == pytest.approx(np.sqrt(2.0), rel=1e-15)
     assert eval_kernel(imq, 1.0) == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-15)
 
@@ -144,12 +144,24 @@ def test_multiquadric_pair():
 )
 def test_invalid_params_rejected(eps, alpha, beta):
     with pytest.raises(ConfigError):
-        HybridParams(eps, alpha, beta)
+        KernelSpec("hybrid", eps, alpha, beta)
 
 
 def test_unknown_kind_rejected():
     with pytest.raises(ConfigError):
-        KernelSpec("quartic", HybridParams(1.0))
+        KernelSpec("quartic", 1.0)
+
+
+def test_parameter_errors_keep_their_messages_and_come_before_the_kind():
+    with pytest.raises(ConfigError, match=r"^epsilon must be finite and >= 0, got -1\.0$"):
+        KernelSpec("hybrid", -1.0, 0.5, 0.5)
+    with pytest.raises(ConfigError, match=r"^alpha and beta cannot both be zero"):
+        KernelSpec("quartic", 1.0, 0.0, 0.0)
+    with pytest.raises(ConfigError, match=r"^unknown kernel kind 'quartic'; expected one of"):
+        KernelSpec("quartic", 1.0)
+    with pytest.raises(ConfigError, match=r"^beta must lie in \[0, 1\], got 2$"):
+        dataclasses.replace(KernelSpec.cubic(), beta=2)
+    assert [f.name for f in dataclasses.fields(KernelSpec)] == ["kind", "epsilon", "alpha", "beta"]
 
 
 def test_record_round_trip():
@@ -183,34 +195,33 @@ FILL_SHAPES = [
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
 @pytest.mark.parametrize("shape", FILL_SHAPES, ids=str)
 def test_fill_bit_equal_to_phi(kind, shape):
-    params = HybridParams(2.7, 0.6, 0.4)
+    spec = KernelSpec(kind, 2.7, 0.6, 0.4)
     r = np.random.default_rng(len(shape) + sum(shape)).uniform(0.0, 1.5, size=shape)
     # exact zeros (the TPS limit, wendland and IMQ at r = 0) at the ends of
     # the array and of its first block, and every tenth cell
     flat = r.reshape(-1)
     flat[::10] = 0.0
     flat[[i for i in (_FILL_BLOCK - 1, _FILL_BLOCK, flat.size - 1) if 0 <= i < flat.size]] = 0.0
-    out = _fill(KernelSpec(kind, params), r)
+    out = _fill(spec, r)
     assert out.shape == r.shape
-    assert np.array_equal(out, phi(kind, params, r))
+    assert np.array_equal(out, phi(spec, r))
     buffer = np.full(r.shape, np.nan)
-    assert _fill(KernelSpec(kind, params), r, out=buffer) is buffer
+    assert _fill(spec, r, out=buffer) is buffer
     assert np.array_equal(buffer, out)
 
 
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
 def test_fill_bit_equal_to_phi_on_non_contiguous_input(kind):
-    params = HybridParams(5.5, 0.7, 1e-6)
-    spec = KernelSpec(kind, params)
+    spec = KernelSpec(kind, 5.5, 0.7, 1e-6)
     base = np.random.default_rng(21).uniform(0.0, 1.2, size=(260, 300))
     for r in (base.T, base[:, ::3], base[7:, 1:-1]):
         assert not r.flags.c_contiguous
-        assert np.array_equal(_fill(spec, r), phi(kind, params, r))
+        assert np.array_equal(_fill(spec, r), phi(spec, r))
 
 
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
 def test_fill_holds_the_output_plus_two_blocks(kind):
-    spec = KernelSpec(kind, HybridParams(2.7, 0.6, 0.4))
+    spec = KernelSpec(kind, 2.7, 0.6, 0.4)
     r = np.random.default_rng(5).uniform(0.0, 1.5, size=(625, 625))
     tracemalloc.start()
     try:
@@ -235,7 +246,7 @@ _radii = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
 @example(kind="wendland", epsilon=0.7454337761917519, beta=0.0, radii=[0.7454337761917519])
 def test_scalar_and_batch_agree_entry_for_entry(kind, epsilon, beta, radii):
     alpha = 1.0 if beta == 0.0 else 1.0 - beta
-    spec = KernelSpec(kind, HybridParams(epsilon, alpha, beta))
+    spec = KernelSpec(kind, epsilon, alpha, beta)
     r = np.array(radii)
     for shaped in (r, r.reshape(1, -1), r.reshape(-1, 1)):
         batch = eval_kernel_batch(spec, shaped)

@@ -193,6 +193,26 @@ def test_an_overflowing_loocv_norm_is_inf_without_a_warning(recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_every_finite_cost_ranks_below_the_sentinel():
+    """LOOCV costs near 1e32 are finite costs of working trials, so a search
+    that also meets singular trials keeps the least finite cost as its best."""
+    pts = make_halton_set(20, 2)
+    pts = pts.with_values(1e32 * np.sin(7 * pts.coords[:, 0]))
+    spec = ObjectiveSpec.loocv()
+    assert 1e31 < objective_value(spec, pts, KernelSpec.hybrid(3.0, 0.8, 0.1)) < SENTINEL_COST
+    objective, costs = kernel_objective(spec, pts), []
+
+    def recorded(position):
+        costs.append(objective(position))
+        return costs[-1]
+
+    bounds = ((0.01, 0.5), (0.0, 1.0), (0.0, 1e-9))
+    result = pso_minimize(recorded, PsoConfig(swarm_size=4, generations=2, bounds=bounds, seed=8))
+    finite = [c for c in costs if c != SENTINEL_COST]
+    assert SENTINEL_COST in costs and finite
+    assert result.best_value == min(finite)
+
+
 def test_objective_value_loocv_ordering_matches_brute():
     pts = franke_data(5)
     spec = ObjectiveSpec.loocv()
@@ -322,8 +342,7 @@ def test_trial_cost_bit_equal_to_composition(name):
     costs = []
     for kernel in trial_kernels(seed=len(name)):
         expected = composed_cost(spec, pts, kernel)
-        p = kernel.params
-        assert objective(np.array([p.epsilon, p.alpha, p.beta])) == expected
+        assert objective(np.array([kernel.epsilon, kernel.alpha, kernel.beta])) == expected
         assert objective_value(spec, pts, kernel) == expected
         costs.append(expected)
     assert costs[-1] == SENTINEL_COST

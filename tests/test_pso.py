@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import pso_oracle
-from hybridrbf import ConfigError, PsoConfig, pso_minimize, validate_config
+from hybridrbf import ConfigError, PsoConfig, pso_minimize
 from hybridrbf.pso import OptimizationTrace, read_trace_csv, write_trace_csv
 
 
@@ -30,39 +31,46 @@ def recording(objective):
 BOX3 = ((-5.0, 5.0), (-5.0, 5.0), (-5.0, 5.0))
 
 
+def violations(**settings) -> list[str]:
+    """The violations one ConfigError names for a PsoConfig of ``settings``."""
+    try:
+        PsoConfig(**settings)
+    except ConfigError as exc:
+        return str(exc).split("; ")
+    return []
+
+
 def test_default_config_is_stable():
-    assert validate_config(PsoConfig()) == []
+    assert violations() == []
+    assert [f.name for f in dataclasses.fields(PsoConfig)] == [
+        "swarm_size", "generations", "c1", "c2", "inertia_w", "bounds", "seed"
+    ]
 
 
 def test_validate_flags_learning_factor_sum():
-    violations = validate_config(PsoConfig(c1=3.0, c2=2.0))
-    assert any("c1 + c2 < 4" in v for v in violations)
+    assert any("c1 + c2 < 4" in v for v in violations(c1=3.0, c2=2.0))
 
 
 def test_validate_flags_inertia_bounds():
-    violations = validate_config(PsoConfig(c1=1.0, c2=1.0, inertia_w=1.5))
-    assert any("(c1 + c2)/2 - 1 < w < 1" in v for v in violations)
+    found = violations(c1=1.0, c2=1.0, inertia_w=1.5)
+    assert any("(c1 + c2)/2 - 1 < w < 1" in v for v in found)
 
 
 def test_validate_flags_bad_bounds_and_sizes():
-    violations = validate_config(
-        PsoConfig(swarm_size=0, generations=0, bounds=((1.0, 0.0),))
-    )
-    assert len(violations) == 3
-    assert validate_config(PsoConfig(swarm_size=4.5, generations=2.0, seed=1.5)) == [
+    assert len(violations(swarm_size=0, generations=0, bounds=((1.0, 0.0),))) == 3
+    assert violations(swarm_size=4.5, generations=2.0, seed=1.5) == [
         "swarm_size must be an integer, got 4.5",
         "generations must be an integer, got 2.0",
         "seed must be an integer, got 1.5",
     ]
-    assert validate_config(PsoConfig(swarm_size="4", seed=-1)) == [
+    assert violations(swarm_size="4", seed=-1) == [
         "swarm_size must be an integer, got '4'",
         "seed must be >= 0, got -1",
     ]
-    sized = PsoConfig(swarm_size=np.int64(4), generations=np.int32(2), seed=np.uint64(7))
-    assert validate_config(sized) == []
+    assert violations(swarm_size=np.int64(4), generations=np.int32(2), seed=np.uint64(7)) == []
     wide = ((0.01, np.inf), (-1e308, 1e308), (np.float64(-1e308), np.float64(1e308)),
             (-np.inf, -np.inf), (0.0, 0.0))
-    assert validate_config(PsoConfig(bounds=wide)) == [
+    assert violations(bounds=wide) == [
         "bounds[0] from 0.01 to inf has no finite width",
         "bounds[1] from -1e+308 to 1e+308 has no finite width",
         "bounds[2] from -1e+308 to 1e+308 has no finite width",
@@ -71,17 +79,20 @@ def test_validate_flags_bad_bounds_and_sizes():
 
 
 def test_pso_minimize_rejects_invalid_config():
-    # every violation on one line, as the command line prints it, before any
-    # trial (calling the objective None would raise TypeError)
-    for config, message in (
-        (PsoConfig(c1=3.0, c2=2.0), r"^stability requires 0 < c1 \+ c2 < 4, [^\n]*; stability"),
-        (PsoConfig(swarm_size=4.5), r"^swarm_size must be an integer, got 4\.5$"),
-        (PsoConfig(generations=2.0), r"^generations must be an integer, got 2\.0$"),
-        (PsoConfig(seed=1.5), r"^seed must be an integer, got 1\.5$"),
-        (PsoConfig(bounds=((0.01, np.inf),)), r"^bounds\[0\] from 0\.01 to inf has no finite"),
+    # every violation on one line, as the command line prints it, raised
+    # where the config is built or replaced, so no invalid config reaches
+    # pso_minimize
+    for settings, message in (
+        ({"c1": 3.0, "c2": 2.0}, r"^stability requires 0 < c1 \+ c2 < 4, [^\n]*; stability"),
+        ({"swarm_size": 4.5}, r"^swarm_size must be an integer, got 4\.5$"),
+        ({"generations": 2.0}, r"^generations must be an integer, got 2\.0$"),
+        ({"seed": 1.5}, r"^seed must be an integer, got 1\.5$"),
+        ({"bounds": ((0.01, np.inf),)}, r"^bounds\[0\] from 0\.01 to inf has no finite"),
     ):
         with pytest.raises(ConfigError, match=message):
-            pso_minimize(None, config)
+            PsoConfig(**settings)
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(PsoConfig(), **settings)
 
 
 def test_sphere_convergence():
@@ -146,15 +157,18 @@ def _stable_runs(draw):
     c2 = draw(st.floats(0.0, 2.0))
     lower_w = (c1 + c2) / 2.0 - 1.0
     w = lower_w + draw(st.floats(0.01, 0.99)) * (1.0 - lower_w)
-    config = PsoConfig(
-        swarm_size=draw(st.integers(1, 12)),
-        generations=draw(st.integers(1, 8)),
-        c1=c1,
-        c2=c2,
-        inertia_w=w,
-        bounds=tuple((lo, lo + width) for lo, width in zip(lows, widths)),
-        seed=draw(st.integers(0, 2**32 - 1)),
-    )
+    try:
+        config = PsoConfig(
+            swarm_size=draw(st.integers(1, 12)),
+            generations=draw(st.integers(1, 8)),
+            c1=c1,
+            c2=c2,
+            inertia_w=w,
+            bounds=tuple((lo, lo + width) for lo, width in zip(lows, widths)),
+            seed=draw(st.integers(0, 2**32 - 1)),
+        )
+    except ConfigError:
+        assume(False)  # c1 + c2 = 0, or w rounded onto a stability bound
     target = np.array(draw(st.lists(st.floats(-30.0, 30.0), min_size=dims, max_size=dims)))
     return config, target
 
@@ -163,7 +177,6 @@ def _stable_runs(draw):
 @given(_stable_runs())
 def test_positions_stay_in_random_bounds_property(run):
     config, target = run
-    assume(validate_config(config) == [])
     objective, seen = recording(lambda x: float(np.sum((x - target) ** 2)))
     result = pso_minimize(objective, config)
     lo = np.array([b[0] for b in config.bounds])
@@ -208,7 +221,6 @@ def _same_run(config, objective):
 @given(_stable_runs(), st.sampled_from(["smooth", "rounded", "constant", "sentinel"]))
 def test_whole_swarm_step_bit_equal_to_per_particle_oracle(run, kind):
     config, target = run
-    assume(validate_config(config) == [])
     _same_run(config, _objective(kind, target))
 
 
