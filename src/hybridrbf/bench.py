@@ -140,6 +140,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.study not in STUDIES:
             raise ConfigError(f"unknown study {self.study!r}; expected one of {STUDIES}")
+        if not isinstance(self.pso, PsoConfig):
+            raise ConfigError(f"pso must be a PsoConfig, got {self.pso!r}")
         reads = _STUDY_TABLE[self.study][1]
         for name in _STUDY_FIELDS:
             value = getattr(self, name)
@@ -188,6 +190,17 @@ class ExperimentSpec:
                 except (TypeError, ValueError, ConfigError) as exc:
                     raise ConfigError(f"params_per_n[{n!r}] = {triple!r}: {exc}") from None
             object.__setattr__(self, "params_per_n", pinned)
+            if set(self.node_counts) <= set(pinned):
+                # No cell searches, so the search fields must keep their
+                # defaults: equal cells then get one digest.
+                searched = {**reads, "pso": PsoConfig()}
+                for name in ("objective", "eval_grid_n", "pso"):
+                    value = getattr(self, name)
+                    if value != searched[name]:
+                        raise ConfigError(
+                            f"every node count is pinned in params_per_n, so no cell "
+                            f"searches and {name} must keep its default, got {value!r}"
+                        )
 
 
 _STUDY_FIELDS = sorted({f.name for f in fields(ExperimentSpec)} - {"study", "pso", "seed", "output_dir"})

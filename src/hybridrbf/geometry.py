@@ -10,6 +10,7 @@ import csv
 import io
 import itertools
 import operator
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -232,6 +233,43 @@ def _write_table(target, names, *columns) -> None:
             fh.write((template * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
+def _header_row(fh) -> list[str] | None:
+    """The first CSV record of ``fh`` (None for an empty file), read through
+    ``readline``: ``fh`` is left just past it with ``tell`` still working,
+    which iterating a text file would turn off."""
+    return next(csv.reader(iter(fh.readline, "")), None)
+
+
+def _float_table(fh, name: str, width: int) -> np.ndarray:
+    """The rows of ``fh`` from where it stands as a (rows, width) float table.
+
+    numpy's C tokenizer parses them first.  It converts each field with
+    ``PyOS_string_to_double``, the routine ``float`` uses, and accepts a
+    subset of what ``float`` and ``csv.reader`` accept (no ``_``, no
+    non-ASCII digit, no whitespace-only line), so a table it returns at the
+    header's width equals the csv path's bit for bit.  When numpy raises,
+    returns another width, or the stream cannot seek, :func:`_float_rows`
+    parses the rows again from where they begin, so every error is its own.
+    """
+    try:
+        start = fh.tell() if fh.seekable() else None
+    except OSError:  # a text file the caller iterated refuses tell()
+        start = None
+    if start is not None:
+        try:
+            with warnings.catch_warnings():
+                # A header-only table is a table, not a fault.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if table.shape[1] == width:
+                return table
+        fh.seek(start)
+    return _float_rows(csv.reader(fh), name, width)
+
+
 def _float_rows(reader, name: str, width: int) -> np.ndarray:
     """The remaining rows of a ``csv.reader`` as a (rows, width) float table.
 
@@ -269,19 +307,21 @@ def write_points_csv(target, points: PointSet) -> None:
 def read_points_table(source) -> tuple[np.ndarray, np.ndarray | None]:
     """Parse a points CSV into (coords, values-or-None); may be empty.
 
-    The header fixes the arity; any row with a different field count is
-    rejected with its 1-based line number.
+    The header fixes the arity.  Blank and whitespace-only lines are
+    skipped; a row with a different field count, or a field ``float``
+    refuses, is rejected with its 1-based line number.
     """
     with _opened(source, "r") as (fh, name):
         return _read_table(fh, name)
 
 
 def _read_table(fh, name: str) -> tuple[np.ndarray, np.ndarray | None]:
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ConfigError(f"{name}: empty file, expected a header line") from None
+    """Check the ``x1,...,xs[,value]`` header, then read the rows with
+    :func:`_float_table`.  Without a value column its table is returned
+    as it is; with one, it is split into contiguous coords and values."""
+    header = _header_row(fh)
+    if header is None:
+        raise ConfigError(f"{name}: empty file, expected a header line")
     header = [h.strip() for h in header]
     with_values = bool(header) and header[-1] == "value"
     dim = len(header) - (1 if with_values else 0)
@@ -289,7 +329,7 @@ def _read_table(fh, name: str) -> tuple[np.ndarray, np.ndarray | None]:
         raise ConfigError(
             f"{name}:1: header must be x1,...,xs[,value], got {','.join(header)!r}"
         )
-    table = _float_rows(reader, name, len(header))
+    table = _float_table(fh, name, len(header))
     if not with_values:
         return table, None
     return np.ascontiguousarray(table[:, :dim]), table[:, dim].copy()

@@ -20,14 +20,13 @@ depend on evaluation scheduling, and equal a per-particle loop's bit for bit.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import _as_int, _float_rows, _opened, _write_table
+from .geometry import _as_int, _float_table, _header_row, _opened, _write_table
 
 DEFAULT_C1 = 1.49445
 DEFAULT_C2 = 1.49445
@@ -160,16 +159,16 @@ def write_trace_csv(target, trace: OptimizationTrace, param_names=None) -> None:
 def read_trace_csv(source) -> OptimizationTrace:
     """Read back a trace CSV written by :func:`write_trace_csv`.
 
-    Rows are read as points rows are: blank lines are skipped, and a row with
-    a different field count than the header, or a non-numeric field
-    (generation included), is rejected with its 1-based line number.
+    Rows are read by the same table reader as points files: blank and
+    whitespace-only lines are skipped, and a row with a different field
+    count than the header, or a field ``float`` refuses (generation
+    included), is rejected with its 1-based line number.
     """
     with _opened(source, "r") as (fh, name):
-        reader = csv.reader(fh)
-        header = next(reader, [])
+        header = _header_row(fh) or []
         if len(header) < 3 or header[:2] != ["generation", "gbest_val"]:
             raise ConfigError("not a trace CSV (expected generation,gbest_val,... header)")
-        table = _float_rows(reader, name, len(header))
+        table = _float_table(fh, name, len(header))
     return OptimizationTrace(
         gbest_val=table[:, 1].copy(), gbest_pos=np.ascontiguousarray(table[:, 2:])
     )

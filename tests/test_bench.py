@@ -137,6 +137,32 @@ def test_spec_validation():
         assert "\n" not in str(err.value)
 
 
+def test_spec_refuses_a_pso_that_is_not_a_psoconfig():
+    with pytest.raises(ConfigError, match=r"^pso must be a PsoConfig, got \{'swarm_size': 2\}$"):
+        ExperimentSpec(
+            study="franke", node_counts=(16,), variants=("gaussian",), pso={"swarm_size": 2}
+        )
+
+
+@pytest.mark.parametrize(
+    "name, value", [("objective", "loocv"), ("eval_grid_n", 30), ("pso", PsoConfig(swarm_size=5))]
+)
+def test_pinned_spectra_refuse_search_fields_no_cell_reads(name, value):
+    pinned = {16: (2.0, 0.8, 1e-4)}
+    with pytest.raises(
+        ConfigError, match=f"^every node count is pinned .* {name} must keep its default, got "
+    ):
+        ExperimentSpec(study="spectra", node_counts=(16,), params_per_n=pinned, **{name: value})
+    # A searched node count reads the field; the defaults, given or not, keep the digest.
+    ExperimentSpec(study="spectra", node_counts=(16, 25), params_per_n=pinned, **{name: value})
+    defaults = dict(objective="rms", eval_grid_n=40, pso=PsoConfig())
+    for given_fields in ({}, defaults):
+        spec = ExperimentSpec(
+            study="spectra", node_counts=(16,), params_per_n=pinned, **given_fields
+        )
+        assert spec_digest(spec) == "27fbd51bb3"
+
+
 @pytest.mark.parametrize(
     "entries, message",
     [

@@ -20,10 +20,12 @@ from hybridrbf import (
     read_points_csv,
     write_points_csv,
 )
+from hybridrbf import geometry
 from hybridrbf.geometry import (
     _ROWS_PER_BLOCK,
     FLOAT_FMT,
     _csv_header,
+    _float_table,
     _read_table,
     points_to_csv_text,
     read_points_table,
@@ -439,30 +441,125 @@ _READER_INPUTS = {
     "header out of order": "x2,x1\n0,0\n",
     "value only": "value\n1\n",
     "overflow": "x1,value\n1e400,-1e400\n",
+    "whitespace-only line in one column": "x1\r\n1\r\n \t \r\n2\r\n",
+    "underscore in a number": "x1,x2\n1_0,2\n",
+    "non-ASCII digit": "x1\n\u0661\n",
+    "digit after a closing quote": 'x1,value\n"1"2,3\n',
+    "every row one field short": "x1,x2,value\n0,1\n2,3\n",
+    "CR line ends": "x1,value\r0,1\r\r2,3\r",
+    "bad row after many rows": "x1,value\n" + "0.5,1e-3\n" * 60_000 + "2,x\n",
 }
+
+
+def _outcome(reader, fh):
+    try:
+        return reader(fh, "in.csv"), None
+    except ConfigError as exc:
+        return None, str(exc)
+
+
+def _assert_same_outcome(got, want):
+    assert got[1] == want[1]
+    if want[1] is None:
+        _assert_bit_equal(got[0][0], want[0][0])
+        _assert_bit_equal(got[0][1], want[0][1])
+
+
+def _assert_reader_matches_oracle(text):
+    _assert_same_outcome(
+        _outcome(_read_table, io.StringIO(text, newline="")),
+        _outcome(_read_table_oracle, io.StringIO(text, newline="")),
+    )
 
 
 @pytest.mark.parametrize("text", _READER_INPUTS.values(), ids=_READER_INPUTS.keys())
 def test_csv_reader_matches_list_reader_oracle(text):
-    def run(reader):
-        try:
-            return reader(io.StringIO(text, newline=""), "in.csv"), None
-        except ConfigError as exc:
-            return None, str(exc)
-
-    got, got_err = run(_read_table)
-    want, want_err = run(_read_table_oracle)
-    assert got_err == want_err
-    if want_err is None:
-        _assert_bit_equal(got[0], want[0])
-        _assert_bit_equal(got[1], want[1])
+    _assert_reader_matches_oracle(text)
 
 
-def test_csv_reader_without_values_returns_the_table():
-    coords, values = read_points_table(io.StringIO("x1,x2\n0,1\n2,3\n"))
-    assert values is None
-    assert coords.base is not None and coords.flags.c_contiguous
-    assert coords.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+# Pieces of fields that float(), csv.reader and numpy's tokenizer may treat
+# differently: signs, exponents, quotes, padding, "_", non-ASCII digits.
+_FIELD_PIECES = st.sampled_from(
+    ["0", "1", "25", ".", "-", "+", "e", "E-3", "e400", "inf", "nan", '"', '""',
+     " ", "\t", "_", "\u0661", "\u00a0", "x"]
+)
+_PADDING = st.sampled_from(["", " ", "\t", '"', '""', "\u00a0"])
+_NUMBERS = st.one_of(
+    _finite.map(repr), st.tuples(_PADDING, _finite.map(repr), _PADDING).map("".join)
+)
+_FIELDS = st.one_of(_NUMBERS, st.lists(_FIELD_PIECES, max_size=4).map("".join))
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def _table_texts(draw):
+    # Half the tables hold only numbers, so that numpy accepts many of them.
+    header = _csv_header(draw(st.integers(1, 3)), draw(st.booleans()))
+    awkward = draw(st.booleans())
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", " \t "] if awkward else [""])))
+        else:
+            count = len(header) + (draw(st.sampled_from([0, 0, -1, 1])) if awkward else 0)
+            fields = st.lists(_FIELDS if awkward else _NUMBERS, min_size=count, max_size=count)
+            lines.append(",".join(draw(fields)))
+    ends = draw(st.lists(_LINE_ENDS, min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_table_texts())
+def test_csv_reader_property_matches_list_reader_oracle(text):
+    _assert_reader_matches_oracle(text)
+
+
+class _Unseekable(io.BytesIO):
+    def seekable(self):
+        return False
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["blank lines CRLF", "short row", "quoted numbers", "whitespace-only line in one column",
+     "bad row after many rows"],
+)
+def test_csv_reader_on_files_and_unseekable_streams_matches_oracle(tmp_path, key):
+    # A preamble line is skipped before the table: by readline, or by next(),
+    # after which a text file refuses tell().
+    text = _READER_INPUTS[key]
+    data = ("# preamble\n" + text).encode("utf-8")
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    want = _outcome(_read_table_oracle, io.StringIO(text, newline=""))
+    readline = io.TextIOWrapper.readline
+    for opened, skip in (
+        (open(path, encoding="utf-8", newline=""), readline),
+        (open(path, encoding="utf-8", newline=""), next),
+        (io.TextIOWrapper(_Unseekable(data), encoding="utf-8", newline=""), readline),
+    ):
+        with opened as fh:
+            skip(fh)
+            _assert_same_outcome(_outcome(_read_table, fh), want)
+
+
+def test_csv_reader_without_values_returns_the_table(monkeypatch):
+    # Without a value column the parsed table is handed out, not copied,
+    # whether numpy parsed it or the csv path did (the whitespace-only line).
+    parsed = []
+
+    def recorded(*args):
+        parsed.append(_float_table(*args))
+        return parsed[-1]
+
+    monkeypatch.setattr(geometry, "_float_table", recorded)
+    for text in ("x1,x2\n0,1\n2,3\n", "x1,x2\n0,1\n \n2,3\n"):
+        coords, values = read_points_table(io.StringIO(text))
+        assert values is None and coords is parsed[-1]
+        assert coords.flags.c_contiguous
+        assert coords.tolist() == [[0.0, 1.0], [2.0, 3.0]]
 
 
 def test_csv_io_memory_stays_near_one_table(tmp_path):
