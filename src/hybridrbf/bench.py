@@ -121,7 +121,9 @@ def linear_truth(x, y):
 class ExperimentSpec:
     """One study request.  study, pso, seed and output_dir are common to all
     studies; None in any other field takes the default of the study's
-    ``_STUDY_TABLE`` row, and a field the row does not name refuses a value."""
+    ``_STUDY_TABLE`` row, and a field the row does not name refuses a value.
+    seed is an int >= 0; each cell seeds its search from it (``_cell_seed``),
+    so pso is stored with seed 0, and a pso seed reaches no digest."""
 
     study: str
     node_counts: tuple[int, ...] | None = None
@@ -142,6 +144,10 @@ class ExperimentSpec:
             raise ConfigError(f"unknown study {self.study!r}; expected one of {STUDIES}")
         if not isinstance(self.pso, PsoConfig):
             raise ConfigError(f"pso must be a PsoConfig, got {self.pso!r}")
+        object.__setattr__(self, "pso", replace(self.pso, seed=0))
+        object.__setattr__(self, "seed", _as_int("seed", self.seed))
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         reads = _STUDY_TABLE[self.study][1]
         for name in _STUDY_FIELDS:
             value = getattr(self, name)
@@ -289,29 +295,29 @@ def _truth_grid(points_per_side: int, truth: Callable, dim: int = 2) -> PointSet
     return grid.with_values(truth(grid.coords[:, 0], grid.coords[:, 1]))
 
 
-def _variant_augmented(variant: str) -> bool:
-    return variant.endswith("+poly")
+def _variant(name: str) -> tuple[str, bool]:
+    """A variant's kernel kind, and whether its system is augmented."""
+    kind = name.removesuffix("+poly")
+    return kind, kind != name
 
 
 def _optimize_variant(
-    points: PointSet, ospec: ObjectiveSpec, pso: PsoConfig, variant: str, seed: int
+    points: PointSet, ospec: ObjectiveSpec, pso: PsoConfig, kind: str, seed: int
 ) -> tuple[KernelSpec, float, SearchData]:
-    """Best kernel of one variant, its cost and the search's checked data.
+    """Best kernel of one kind, its cost and the search's checked data.
 
-    cubic has nothing to search.  NumericalBreakdownError if no trial found
-    a finite cost.
+    cubic has nothing to search; gaussian searches epsilon alone, on the
+    first bound.  NumericalBreakdownError if no trial found a finite cost.
     """
     data = prepare_search(ospec, points)
-    if variant == "cubic":
+    if kind == "cubic":
         kernel = KernelSpec.cubic()
         return kernel, _require_found(objective_value(ospec, points, kernel, data)), data
-    if variant == "gaussian":
-        cfg = replace(pso, bounds=(pso.bounds[0],), seed=seed)
-        to_kernel = lambda p: KernelSpec.gaussian(p[0])
-    else:
-        cfg = replace(pso, seed=seed)
-        to_kernel = lambda p: KernelSpec.hybrid(p[0], p[1], p[2])
-    result = pso_minimize(kernel_objective(ospec, points, to_kernel, data), cfg)
+    bounds = pso.bounds[:1] if kind == "gaussian" else pso.bounds
+    to_kernel = lambda position: KernelSpec(kind, *position)
+    result = pso_minimize(
+        kernel_objective(ospec, points, to_kernel, data), replace(pso, bounds=bounds, seed=seed)
+    )
     return to_kernel(result.best_position), _require_found(result.best_value), data
 
 
@@ -377,9 +383,9 @@ def _optimized_cell(
 ) -> CellRecord:
     cell = CellRecord(study=spec.study, variant=variant, n=points.n, objective=objective)
     with _timed(cell):
-        augmented = _variant_augmented(variant)
-        ospec = ObjectiveSpec.from_kind(objective, grid, grid.values, augmented)
-        kernel, best_cost, data = _optimize_variant(points, ospec, spec.pso, variant, seed)
+        kind, augmented = _variant(variant)
+        ospec = ObjectiveSpec(objective, grid, grid.values, augmented)
+        kernel, best_cost, data = _optimize_variant(points, ospec, spec.pso, kind, seed)
         model = _fit_step(cell, points, data.distances, kernel, augmented)
         cell.rms = rms_error(model, grid, grid.values)
         cell.loocv_cost = (
@@ -402,16 +408,15 @@ def _spectra_cell(
     """Eigenvalue spectrum of one variant's system, with an output directory
     also as an ``index,eigenvalue`` CSV listed in ``files``: the kernel takes
     ``spec.params_per_n[N]`` if given, else is searched in the cell."""
-    augmented = _variant_augmented(variant)
-    kind = variant.removesuffix("+poly")
+    kind, augmented = _variant(variant)
     cell = CellRecord(study=spec.study, variant=variant, n=points.n)
     with _timed(cell):
         if points.n in spec.params_per_n:
-            kernel = KernelSpec.from_name(kind, *spec.params_per_n[points.n])
+            kernel = KernelSpec(kind, *spec.params_per_n[points.n])
             distances = _fit_distances(points, augmented)
         else:
-            ospec = ObjectiveSpec.from_kind(objective, grid, grid.values, augmented)
-            kernel, _, data = _optimize_variant(points, ospec, spec.pso, variant, seed)
+            ospec = ObjectiveSpec(objective, grid, grid.values, augmented)
+            kernel, _, data = _optimize_variant(points, ospec, spec.pso, kind, seed)
             distances = data.distances
         spectrum = _spectrum_step(cell, points, distances, kernel, augmented)
         if spec.output_dir is not None:
@@ -499,8 +504,8 @@ def _epsilon_sweep(
     out = []
     for eps in np.geomspace(0.05, 20.0, spec.sweep_points):
         for base in ("gaussian", "hybrid", "hybrid+poly"):
-            augmented = _variant_augmented(base)
-            kernel = KernelSpec.from_name(base.removesuffix("+poly"), eps, alpha, beta)
+            kind, augmented = _variant(base)
+            kernel = KernelSpec(kind, eps, alpha, beta)
             cell = CellRecord(
                 study=spec.study,
                 variant=f"sweep:{base}",

@@ -23,7 +23,7 @@ from .bench import (
     linear_truth,
     run_study,
 )
-from .errors import ConfigError, ToolkitError
+from .errors import ConfigError, NumericalBreakdownError, ToolkitError
 from .geometry import (
     PointSet,
     _csv_header,
@@ -32,7 +32,6 @@ from .geometry import (
     _write_table,
     read_points_csv,
     read_points_table,
-    write_points_csv,
 )
 from .interpolation import _fit, _fit_distances, _predict, evaluate, load_model, save_model
 from .kernels import KERNEL_KINDS, KernelSpec
@@ -141,7 +140,7 @@ def cmd_fit(args) -> int:
     points = read_points_csv(args.input)
     if points.values is None:
         raise ConfigError(f"{args.input}: fit needs a value column")
-    kernel = KernelSpec.from_name(args.kernel, args.epsilon, args.alpha, args.beta)
+    kernel = KernelSpec(args.kernel, args.epsilon, args.alpha, args.beta)
     # One distance matrix serves the fit, the data-site residual and the
     # minimum separation.
     distances = _fit_distances(points, args.augment)
@@ -162,12 +161,12 @@ def cmd_eval(args) -> int:
     model = load_model(args.model)
     coords, _ = read_points_table(args.input)
     values = evaluate(model, coords)  # checks the dimension of empty input too
-    if coords.shape[0] == 0:
-        # empty target file: emit a header-only values CSV
-        _write_table(args.output, _csv_header(coords.shape[1], True), coords, np.empty(0))
-        print(f"evaluated 0 points; wrote {args.output}")
-        return 0
-    write_points_csv(args.output, PointSet(coords, values))
+    overflowed = np.count_nonzero(~np.isfinite(values))
+    if overflowed:
+        raise NumericalBreakdownError(
+            f"{overflowed} of {values.size} evaluated values are not finite"
+        )
+    _write_table(args.output, _csv_header(coords.shape[1], True), coords, values)
     print(f"evaluated {coords.shape[0]} points; wrote {args.output}")
     return 0
 

@@ -233,15 +233,17 @@ def _write_table(target, names, *columns) -> None:
             fh.write((template * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
-def _header_row(fh) -> list[str] | None:
-    """The first CSV record of ``fh`` (None for an empty file), read through
-    ``readline``: ``fh`` is left just past it with ``tell`` still working,
-    which iterating a text file would turn off."""
-    return next(csv.reader(iter(fh.readline, "")), None)
+def _header_row(fh) -> tuple[list[str] | None, int]:
+    """The first CSV record of ``fh`` (None for an empty file) and its line
+    count, read through ``readline``: ``fh`` is left just past it with
+    ``tell`` still working, which iterating a text file would turn off."""
+    reader = csv.reader(iter(fh.readline, ""))
+    return next(reader, None), reader.line_num
 
 
-def _float_table(fh, name: str, width: int) -> np.ndarray:
-    """The rows of ``fh`` from where it stands as a (rows, width) float table.
+def _float_table(fh, name: str, width: int, header_lines: int) -> np.ndarray:
+    """The rows of ``fh`` below a header of ``header_lines`` lines, from
+    where it stands, as a (rows, width) float table.
 
     numpy's C tokenizer parses them first.  It converts each field with
     ``PyOS_string_to_double``, the routine ``float`` uses, and accepts a
@@ -267,21 +269,23 @@ def _float_table(fh, name: str, width: int) -> np.ndarray:
             if table.shape[1] == width:
                 return table
         fh.seek(start)
-    return _float_rows(csv.reader(fh), name, width)
+    return _float_rows(csv.reader(fh), name, width, header_lines)
 
 
-def _float_rows(reader, name: str, width: int) -> np.ndarray:
+def _float_rows(reader, name: str, width: int, header_lines: int) -> np.ndarray:
     """The remaining rows of a ``csv.reader`` as a (rows, width) float table.
 
     Blank and whitespace-only lines are skipped.  A row with another field
-    count, or a field ``float`` rejects, raises ConfigError with its 1-based
-    line number (the header is line 1).  Rows stream into one flat array, so
-    no per-row Python list outlives its line.
+    count, or a field ``float`` rejects, raises ConfigError with the 1-based
+    physical line it ends on, counted from the header's first line: a quoted
+    field may hold a line break.  Rows stream into one flat array, so no
+    per-row Python list outlives its line.
     """
     last = [0, None]  # line number and fields of the last row handed out
 
     def rows():
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = header_lines + reader.line_num
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue  # blank line
             if len(row) != width:
@@ -319,7 +323,7 @@ def _read_table(fh, name: str) -> tuple[np.ndarray, np.ndarray | None]:
     """Check the ``x1,...,xs[,value]`` header, then read the rows with
     :func:`_float_table`.  Without a value column its table is returned
     as it is; with one, it is split into contiguous coords and values."""
-    header = _header_row(fh)
+    header, header_lines = _header_row(fh)
     if header is None:
         raise ConfigError(f"{name}: empty file, expected a header line")
     header = [h.strip() for h in header]
@@ -329,7 +333,7 @@ def _read_table(fh, name: str) -> tuple[np.ndarray, np.ndarray | None]:
         raise ConfigError(
             f"{name}:1: header must be x1,...,xs[,value], got {','.join(header)!r}"
         )
-    table = _float_table(fh, name, len(header))
+    table = _float_table(fh, name, len(header), header_lines)
     if not with_values:
         return table, None
     return np.ascontiguousarray(table[:, :dim]), table[:, dim].copy()

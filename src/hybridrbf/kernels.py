@@ -35,10 +35,13 @@ class KernelSpec:
 
     epsilon is the inverse-length shape parameter and must be >= 0; alpha
     and beta weight the Gaussian and cubic parts and live in [0, 1].  The
-    pair alpha = beta = 0 would give the zero kernel and is rejected.
-    cubic and thin-plate-spline ignore epsilon; alpha and beta are read only
-    by the hybrid kind.  gaussian(eps) evaluates identically to
-    hybrid(eps, alpha=1, beta=0).
+    pair alpha = beta = 0 would give the zero kernel and is rejected.  The
+    whole triple is checked for every kind, and then the parameters the
+    kind's formula does not read are stored as fixed values: cubic holds
+    (0, 0, 1), thin-plate-spline (0, 1, 0), and gaussian, multiquadric,
+    inverse-multiquadric and wendland (epsilon, 1, 0); only hybrid keeps
+    all three.  So two specs that differ only in what their kind ignores
+    are equal.  gaussian(eps) evaluates identically to hybrid(eps, 1, 0).
     """
 
     kind: str
@@ -60,6 +63,12 @@ class KernelSpec:
             raise ConfigError(
                 f"unknown kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}"
             )
+        if self.kind == "cubic":
+            eps, alpha, beta = 0.0, 0.0, 1.0
+        elif self.kind == "thin-plate-spline":
+            eps, alpha, beta = 0.0, 1.0, 0.0
+        elif self.kind != "hybrid":
+            alpha, beta = 1.0, 0.0
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
@@ -70,28 +79,11 @@ class KernelSpec:
 
     @classmethod
     def cubic(cls) -> "KernelSpec":
-        return cls("cubic", 0.0, 0.0, 1.0)
+        return cls("cubic", 0.0)
 
     @classmethod
     def hybrid(cls, epsilon: float, alpha: float, beta: float) -> "KernelSpec":
         return cls("hybrid", epsilon, alpha, beta)
-
-    @classmethod
-    def from_name(
-        cls, kind: str, epsilon: float, alpha: float, beta: float
-    ) -> "KernelSpec":
-        """Kernel ``kind`` holding only the parameters its formula reads.
-
-        hybrid takes all three; cubic and thin-plate-spline read none and
-        get fixed parameters; every other kind reads epsilon alone.
-        """
-        if kind == "hybrid":
-            return cls.hybrid(epsilon, alpha, beta)
-        if kind == "cubic":
-            return cls.cubic()
-        if kind == "thin-plate-spline":
-            return cls(kind, 0.0)
-        return cls(kind, epsilon)
 
     def to_record(self) -> str:
         """Serialize as ``kind,epsilon,alpha,beta`` with round-trip floats."""

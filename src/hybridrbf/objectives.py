@@ -2,7 +2,8 @@
 
 Two costs are supported: the exact RMS error against a known truth on an
 evaluation grid, and the leave-one-out cross-validation (LOOCV) cost, which
-needs no truth.  LOOCV errors come from Rippa's shortcut
+needs no truth, so an ``ObjectiveSpec`` of kind loocv holds none.  LOOCV
+errors come from Rippa's shortcut
 
     e_k = c_k / (A**-1)_kk
 
@@ -84,8 +85,9 @@ class ObjectiveSpec:
     """Which cost to minimize and the data it needs.
 
     kind "rms" requires an evaluation grid with truth values; kind "loocv"
-    uses only the data's own values.  augmented selects the polynomial-tail
-    fit for rms and the brute-force path for loocv.
+    uses only the data's own values, so a loocv spec stores no grid and no
+    truth, whatever it is given.  augmented selects the polynomial-tail fit
+    for rms and the brute-force path for loocv.
     """
 
     kind: str
@@ -105,6 +107,9 @@ class ObjectiveSpec:
                     f"got {truth.shape[0]} truth values for {self.grid.n} grid points"
                 )
             object.__setattr__(self, "truth_values", truth)
+        else:
+            object.__setattr__(self, "grid", None)
+            object.__setattr__(self, "truth_values", None)
 
     @classmethod
     def rms(cls, grid: PointSet, truth_values, augmented: bool = False):
@@ -113,13 +118,6 @@ class ObjectiveSpec:
     @classmethod
     def loocv(cls, augmented: bool = False):
         return cls("loocv", augmented=augmented)
-
-    @classmethod
-    def from_kind(cls, kind: str, grid=None, truth_values=None, augmented: bool = False):
-        """The objective named by ``kind``; loocv ignores grid and truth."""
-        if kind == "rms":
-            return cls(kind, grid, truth_values, augmented)
-        return cls(kind, augmented=augmented)
 
 
 def _rms(values: np.ndarray, truth: np.ndarray) -> float:

@@ -165,10 +165,10 @@ def read_trace_csv(source) -> OptimizationTrace:
     included), is rejected with its 1-based line number.
     """
     with _opened(source, "r") as (fh, name):
-        header = _header_row(fh) or []
-        if len(header) < 3 or header[:2] != ["generation", "gbest_val"]:
+        header, header_lines = _header_row(fh)
+        if header is None or len(header) < 3 or header[:2] != ["generation", "gbest_val"]:
             raise ConfigError("not a trace CSV (expected generation,gbest_val,... header)")
-        table = _float_table(fh, name, len(header))
+        table = _float_table(fh, name, len(header), header_lines)
     return OptimizationTrace(
         gbest_val=table[:, 1].copy(), gbest_pos=np.ascontiguousarray(table[:, 2:])
     )

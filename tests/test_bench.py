@@ -137,6 +137,21 @@ def test_spec_validation():
         assert "\n" not in str(err.value)
 
 
+def test_spec_checks_its_seed_when_built():
+    for seed, message in (
+        (-1, "seed must be >= 0, got -1"),
+        (2.0, "seed must be an integer, got 2.0"),
+        ("7", "seed must be an integer, got '7'"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentSpec(
+                study="linear-reproduction", node_counts=(16,), variants=("cubic",), seed=seed
+            )
+    numpy_seeded = ExperimentSpec(study="franke", seed=np.int64(3))
+    assert type(numpy_seeded.seed) is int
+    assert spec_digest(numpy_seeded) == spec_digest(ExperimentSpec(study="franke", seed=3))
+
+
 def test_spec_refuses_a_pso_that_is_not_a_psoconfig():
     with pytest.raises(ConfigError, match=r"^pso must be a PsoConfig, got \{'swarm_size': 2\}$"):
         ExperimentSpec(
@@ -300,6 +315,9 @@ def test_digest_hashes_only_the_fields_a_study_reads():
         # pso and seed reach every digest; scaling reads neither
         assert set(reaching) == set(_STUDY_TABLE[study][1]) | {"pso", "seed"}
         counts[study] = len(reaching)
+        # but not pso.seed: each cell seeds its search from seed
+        reseeded = ExperimentSpec(study=study, pso=PsoConfig(seed=7))
+        assert spec_digest(reseeded) == spec_digest(ExperimentSpec(study=study))
     assert counts == {
         "linear-reproduction": 6, "franke": 7, "spectra": 7,
         "objective-comparison": 5, "fault": 4, "scaling": 3,

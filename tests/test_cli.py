@@ -700,6 +700,24 @@ def test_fit_kernel_keeps_the_parameters_its_kind_reads(tmp_path, kind, record):
     assert f"kernel: {record}" in model_path.read_text().splitlines()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--kernel", "cubic", "--epsilon", "-1"], "epsilon must be finite and >= 0, got -1.0"),
+        (["--kernel", "gaussian", "--alpha", "0", "--beta", "0"],
+         "alpha and beta cannot both be zero (zero kernel)"),
+        (["--kernel", "thin-plate-spline", "--beta", "2"], "beta must lie in [0, 1], got 2.0"),
+    ],
+    ids=["cubic-epsilon", "gaussian-weights", "thin-plate-spline-beta"],
+)
+def test_fit_checks_every_kernel_flag_its_kind_ignores(tmp_path, capsys, flags, message):
+    data, model_path = tmp_path / "fault.csv", tmp_path / "model.txt"
+    write_points_csv(data, synthetic_fault_surface(30, seed=4))
+    assert main(["fit", "--input", str(data), "--output", str(model_path), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not model_path.exists()
+
+
 def test_eval_output_round_trips_through_reader(tmp_path):
     grid = make_tensor_grid(4, 2)
     data = tmp_path / "data.csv"
@@ -712,25 +730,6 @@ def test_eval_output_round_trips_through_reader(tmp_path):
           "--output", str(out_path)])
     again = read_points_csv(out_path)
     assert again.n == 16 and again.values is not None
-
-
-def test_eval_overflowing_kernel_values_is_one_error_line(tmp_path, capsys):
-    grid = make_tensor_grid(3, 2)
-    data, model_path = tmp_path / "data.csv", tmp_path / "model.txt"
-    write_points_csv(data, grid.with_values(grid.coords[:, 0]))
-    assert main(["fit", "--input", str(data), "--output", str(model_path),
-                 "--kernel", "cubic"]) == 0
-    far = tmp_path / "far.csv"
-    write_points_csv(far, PointSet([[1e105, 0.5]]))  # r**3 overflows
-    out = tmp_path / "values.csv"
-    capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
-        rc = main(["eval", "--model", str(model_path), "--input", str(far),
-                   "--output", str(out)])
-    assert rc == 2
-    assert capsys.readouterr().err == "error: values must be finite\n"
-    assert not out.exists()
 
 
 def count_distance_calls(monkeypatch) -> list:
@@ -886,6 +885,26 @@ def test_overflowing_kernel_values_are_one_error_line(tmp_path):
     assert result.returncode == 1
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+
+
+def test_eval_overflowing_kernel_values_is_one_error_line(tmp_path, capsys):
+    grid = make_tensor_grid(3, 2)
+    data, model_path = tmp_path / "data.csv", tmp_path / "model.txt"
+    write_points_csv(data, grid.with_values(grid.coords[:, 0]))
+    assert main(["fit", "--input", str(data), "--output", str(model_path),
+                 "--kernel", "cubic"]) == 0
+    far = tmp_path / "far.csv"
+    write_points_csv(far, PointSet([[1e105, 0.5]]))  # r**3 overflows
+    out = tmp_path / "values.csv"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        rc = main(["eval", "--model", str(model_path), "--input", str(far),
+                   "--output", str(out)])
+    # an overflow is a numerical failure, not a bad input: exit 1, no file
+    assert rc == 1
+    assert capsys.readouterr().err == "error: 1 of 1 evaluated values are not finite\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -336,7 +336,8 @@ def _read_table_oracle(fh, name):
             f"{name}:1: header must be x1,...,xs[,value], got {','.join(header)!r}"
         )
     coords_rows, values_rows = [], []
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
+        lineno = reader.line_num  # the physical line the row ends on
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != len(header):
@@ -448,6 +449,8 @@ _READER_INPUTS = {
     "every row one field short": "x1,x2,value\n0,1\n2,3\n",
     "CR line ends": "x1,value\r0,1\r\r2,3\r",
     "bad row after many rows": "x1,value\n" + "0.5,1e-3\n" * 60_000 + "2,x\n",
+    "header spanning two lines": '"x1\n",value\n1,2\n3,x\n',
+    "row spanning two lines": 'x1,value\n"1\n",2\n3,x\n',
 }
 
 
@@ -475,6 +478,13 @@ def _assert_reader_matches_oracle(text):
 @pytest.mark.parametrize("text", _READER_INPUTS.values(), ids=_READER_INPUTS.keys())
 def test_csv_reader_matches_list_reader_oracle(text):
     _assert_reader_matches_oracle(text)
+
+
+@pytest.mark.parametrize("key", ["header spanning two lines", "row spanning two lines"])
+def test_csv_errors_name_the_physical_line_of_the_row(key):
+    # "3,x" is on line 4 though it is the third record
+    with pytest.raises(ConfigError, match=r"^in\.csv:4: non-numeric field in \['3', 'x'\]$"):
+        _read_table(io.StringIO(_READER_INPUTS[key], newline=""), "in.csv")
 
 
 # Pieces of fields that float(), csv.reader and numpy's tokenizer may treat

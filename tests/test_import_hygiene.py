@@ -1,9 +1,9 @@
 """Import hygiene of the package source, checked on its syntax trees.
 
-No linter runs on the package, so a deletion could leave an import behind
-that nothing reads; these tests catch that, and a public name that
-``hybridrbf`` imports but does not list in ``__all__`` (or lists but does
-not bind).
+No linter runs on the package, so a deletion could leave an import, or a
+private helper, behind that nothing reads; these tests catch that, and a
+public name that ``hybridrbf`` imports but does not list in ``__all__`` (or
+lists but does not bind).
 """
 
 import ast
@@ -42,7 +42,9 @@ def _annotations(tree: ast.Module):
 
 def _read_names(tree: ast.Module) -> set[str]:
     """Every name the module reads, including names inside string annotations."""
-    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
     for annotation in _annotations(tree):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -69,6 +71,41 @@ def test_no_module_imports_a_name_it_never_uses():
             if name not in used and (path.stem, name) not in UNUSED_ON_PURPOSE:
                 unused.append(f"{path.name}:{line}: {name}")
     assert unused == []
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each private (one leading underscore) function, class or constant a
+    module defines at its top level, with its line."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+def test_every_private_name_is_read_somewhere_in_the_package():
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))
+    }
+    read = set()
+    for tree in trees.values():
+        read |= _read_names(tree)
+        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    dead = [
+        f"{path.name}:{line}: {name}"
+        for path, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in read
+    ]
+    assert dead == []
 
 
 def test_the_exception_is_still_an_unused_import():

@@ -1,13 +1,15 @@
 import dataclasses
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hybridrbf
@@ -164,6 +166,40 @@ def test_parameter_errors_keep_their_messages_and_come_before_the_kind():
     assert [f.name for f in dataclasses.fields(KernelSpec)] == ["kind", "epsilon", "alpha", "beta"]
 
 
+def _triple_read_by(kind, epsilon, alpha, beta):
+    """The triple the removed ``KernelSpec.from_name`` stored for ``kind``."""
+    if kind == "hybrid":
+        return float(epsilon), float(alpha), float(beta)
+    if kind == "cubic":
+        return 0.0, 0.0, 1.0
+    if kind == "thin-plate-spline":
+        return 0.0, 1.0, 0.0
+    return float(epsilon), 1.0, 0.0
+
+
+_TRIPLES = st.tuples(st.floats(0.0, 30.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)).filter(
+    lambda t: t[1] != 0.0 or t[2] != 0.0
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(KERNEL_KINDS), first=_TRIPLES, second=_TRIPLES)
+def test_a_kernel_stores_fixed_values_for_the_parameters_its_kind_ignores(kind, first, second):
+    spec = KernelSpec(kind, *first)
+    want = _triple_read_by(kind, *first)
+    stored = (spec.epsilon, spec.alpha, spec.beta)
+    assert struct.pack("<3d", *stored) == struct.pack("<3d", *want)
+    r = np.linspace(0.0, 3.0, 13)
+    oracle = phi(types.SimpleNamespace(kind=kind, epsilon=want[0], alpha=want[1], beta=want[2]), r)
+    assert _fill(spec, r).tobytes() == oracle.tobytes()
+    # a triple that differs from first only where the kind does not read it
+    read = {"hybrid": 3, "cubic": 0, "thin-plate-spline": 0}.get(kind, 1)
+    other = first[:read] + second[read:]
+    assume(other[1] != 0.0 or other[2] != 0.0)
+    assert KernelSpec(kind, *other) == spec
+    assert hash(KernelSpec(kind, *other)) == hash(spec)
+
+
 def test_record_round_trip():
     spec = KernelSpec.hybrid(5.5434, 0.6749, 4.915e-07)
     again = KernelSpec.from_record(spec.to_record())
@@ -272,7 +308,7 @@ from hybridrbf import KernelSpec, make_evaluation_grid, make_tensor_grid
 from hybridrbf.geometry import pairwise_distances
 from hybridrbf.kernels import _fill
 r = pairwise_distances(make_evaluation_grid(40), make_tensor_grid(25, 2))
-for spec in (KernelSpec.cubic(), KernelSpec.from_name("wendland", 2.7, 1.0, 0.0)):
+for spec in (KernelSpec.cubic(), KernelSpec("wendland", 2.7)):
     print(hashlib.sha256(_fill(spec, r).tobytes()).hexdigest())
 """
 

@@ -255,20 +255,21 @@ def test_objective_spec_validation():
         ObjectiveSpec.rms(grid, np.zeros(5))
 
 
-def test_objective_spec_from_kind():
+def test_objective_spec_stores_only_what_its_kind_reads():
     grid = make_evaluation_grid(4)
     truth = np.arange(16.0)
     for augmented in (False, True):
-        rms = ObjectiveSpec.from_kind("rms", grid, truth, augmented)
+        rms = ObjectiveSpec("rms", grid, truth, augmented)
         assert (rms.kind, rms.grid, rms.augmented) == ("rms", grid, augmented)
         assert np.array_equal(rms.truth_values, truth)
-        assert ObjectiveSpec.from_kind("loocv", grid, truth, augmented) == ObjectiveSpec.loocv(
-            augmented
-        )
+        # a loocv spec drops the grid and truth it does not read
+        loocv = ObjectiveSpec("loocv", grid, truth, augmented)
+        assert loocv == ObjectiveSpec.loocv(augmented)
+        assert (loocv.grid, loocv.truth_values) == (None, None)
     with pytest.raises(ConfigError):
-        ObjectiveSpec.from_kind("rms", augmented=True)
+        ObjectiveSpec("rms", augmented=True)
     with pytest.raises(ConfigError):
-        ObjectiveSpec.from_kind("mse", grid, truth)
+        ObjectiveSpec("mse", grid, truth)
 
 
 def test_kernel_objective_zero_weights_sentinel():
