@@ -44,7 +44,6 @@ from time import perf_counter
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.linalg import _flapack
 
 from .errors import ConfigError, ToolkitError
 from .geometry import (
@@ -61,6 +60,7 @@ from .interpolation import (
     SpectralReport,
     _fit,
     _fit_distances,
+    _lapack,
     _system,
     evaluate,
     fit,
@@ -268,8 +268,8 @@ def spec_digest(spec: ExperimentSpec) -> str:
     """Short stable hash of everything that influences the numbers."""
     payload = asdict(spec)
     payload.pop("output_dir")
-    # Only numpy numbers a caller put in the PsoConfig need converting.
-    text = json.dumps(payload, sort_keys=True, default=lambda value: value.tolist())
+    # Every field is stored as a Python value when the spec is built.
+    text = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:10]
 
 
@@ -627,8 +627,10 @@ def scaling_study(spec: ExperimentSpec) -> ExperimentReport:
 @contextmanager
 def _one_blas_thread():
     """Run scipy's LAPACK at one thread if its OpenBLAS exports a setter,
-    restoring the caller's count after; yields the count run at, in words."""
-    lib = ctypes.CDLL(_flapack.__file__)  # finds the setter among its libraries
+    restoring the caller's count after; yields the count run at, in words.
+    The setter is read after ``_lapack`` has loaded scipy, so a first load
+    here restores the count scipy started with."""
+    lib = ctypes.CDLL(_lapack().library)  # finds the setter among its libraries
     if not hasattr(lib, "scipy_openblas_set_num_threads"):
         yield "the BLAS library's own thread count"
         return

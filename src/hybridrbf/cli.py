@@ -199,14 +199,15 @@ def cmd_optimize(args) -> int:
     result = pso_minimize(kernel_objective(ospec, points), config)
     _require_found(result.best_value)  # before any file is written
     eps, alpha, beta = result.best_position
+    # The parameters go last, so a run that fails leaves none for fit to read.
+    if args.trace:
+        write_trace_csv(args.trace, result.trace, param_names=("epsilon", "alpha", "beta"))
     _write_table(
         args.output,
         ["epsilon", "alpha", "beta", "cost"],
         result.best_position[None, :],
         np.array([result.best_value]),
     )
-    if args.trace:
-        write_trace_csv(args.trace, result.trace, param_names=("epsilon", "alpha", "beta"))
     print(
         f"best: epsilon={eps:.6g} alpha={alpha:.6g} beta={beta:.6g} "
         f"cost={result.best_value:.6g}"

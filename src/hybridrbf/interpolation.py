@@ -9,6 +9,11 @@ side conditions, giving the symmetric saddle-point block form
 
 which guarantees nonsingularity for conditionally positive definite kernels
 on unisolvent nodes and makes the interpolant reproduce linear data exactly.
+
+The LAPACK and BLAS routines come from scipy, which :func:`_lapack` imports
+at the first factorization: importing ``scipy.linalg`` costs more than the
+rest of the package, and assembling, evaluating, spectra and model files
+never need it.
 """
 
 from __future__ import annotations
@@ -17,10 +22,10 @@ import ctypes
 import io
 import math
 from dataclasses import dataclass
+from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import cython_lapack
 
 from .errors import (
     ConfigError,
@@ -44,10 +49,6 @@ from .kernels import _FILL_BLOCK, KernelSpec, _fill
 # largest is treated as numerically singular.
 PIVOT_RTOL = 1e-14
 
-# Every matrix the package factors is float64, so the LAPACK routines are
-# bound once here rather than looked up on each call.
-_dgetrf, _dgetrs = sla.lapack.dgetrf, sla.lapack.dgetrs
-
 
 def _capsule_address(capsule) -> int:
     """The C pointer a PyCapsule holds, whatever name it carries."""
@@ -57,10 +58,28 @@ def _capsule_address(capsule) -> int:
     return get(capsule, name(capsule))
 
 
-# scipy's own LAPACK dgecon: (norm, n, a, lda, anorm, rcond, work, iwork, info).
-_dgecon_raw = ctypes.CFUNCTYPE(None, ctypes.c_char_p, *[ctypes.c_void_p] * 8)(
-    _capsule_address(cython_lapack.__pyx_capi__["dgecon"])
-)
+@cache
+def _lapack() -> SimpleNamespace:
+    """scipy's float64 LAPACK and BLAS routines, imported and bound once.
+
+    Every matrix the package factors is float64, so the routines are bound
+    here rather than looked up on each call.  ``dgecon`` is scipy's own
+    LAPACK routine called through ctypes, with arguments (norm, n, a, lda,
+    anorm, rcond, work, iwork, info); ``library`` is the file of scipy's
+    LAPACK extension, whose OpenBLAS thread setter ``bench`` calls.
+    """
+    import scipy.linalg as sla
+    from scipy.linalg import _flapack, cython_lapack
+
+    dgecon = ctypes.CFUNCTYPE(None, ctypes.c_char_p, *[ctypes.c_void_p] * 8)(
+        _capsule_address(cython_lapack.__pyx_capi__["dgecon"])
+    )
+    lapack, blas = sla.lapack, sla.blas
+    return SimpleNamespace(
+        dgetrf=lapack.dgetrf, dgetrs=lapack.dgetrs, dlange=lapack.dlange,
+        dtrtri=lapack.dtrtri, dlaswp=lapack.dlaswp, dtrmm=blas.dtrmm,
+        dgecon=dgecon, library=_flapack.__file__,
+    )
 
 
 def _dgecon(lu: np.ndarray, anorm: float) -> tuple[float, int]:
@@ -77,7 +96,7 @@ def _dgecon(lu: np.ndarray, anorm: float) -> tuple[float, int]:
     ints = np.array([n, max(1, n), 0], dtype=np.intc)  # n, lda, info
     reals = np.array([anorm, 0.0])  # anorm, rcond
     a, iwork = np.asfortranarray(lu, np.float64), np.empty(n, np.intc)
-    _dgecon_raw(
+    _lapack().dgecon(
         b"1", ints.ctypes.data, a.ctypes.data, ints[1:].ctypes.data, reals.ctypes.data,
         reals[1:].ctypes.data, work.ctypes.data, iwork.ctypes.data, ints[2:].ctypes.data,
     )
@@ -210,11 +229,12 @@ def _factorize(matrix: np.ndarray, estimate: bool = True):
     its place.  No cost depends on it, so search trials, LOOCV costs and the
     inverse diagonal skip it, while ``fit`` keeps it for the model.
     """
+    lapack = _lapack()
     # The 1-norm of matrix.T (its row sums) is that of matrix: no temporary.
-    anorm = sla.lapack.dlange("1", matrix.T)
+    anorm = lapack.dlange("1", matrix.T)
     if not math.isfinite(anorm):
         raise NumericalBreakdownError("kernel matrix is not finite: kernel values overflow")
-    lu, piv, info = _dgetrf(matrix.T, overwrite_a=1)
+    lu, piv, info = lapack.dgetrf(matrix.T, overwrite_a=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dgetrf")
     # info > 0 flags an exact zero pivot, which the check below rejects.
@@ -239,7 +259,7 @@ def _factorize(matrix: np.ndarray, estimate: bool = True):
 def _lu_solve(factors, rhs: np.ndarray) -> np.ndarray:
     """Solve A x = rhs from the factors of :func:`_factorize`; rhs is kept."""
     lu, piv = factors
-    x, info = _dgetrs(lu, piv, rhs)
+    x, info = _lapack().dgetrs(lu, piv, rhs)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of dgetrs")
     return x
@@ -372,7 +392,7 @@ def _invert_triangle(a: np.ndarray, lo: int, hi: int, lower: int) -> None:
     if hi - lo <= _INVDIAG_BLOCK:
         # In place when the block is the whole (Fortran-order) matrix, and
         # then the write-back is a no-op; otherwise f2py inverts a copy.
-        block, info = sla.lapack.dtrtri(
+        block, info = _lapack().dtrtri(
             a[lo:hi, lo:hi], lower=lower, unitdiag=lower, overwrite_c=1
         )
         if info != 0:
@@ -389,8 +409,9 @@ def _invert_triangle(a: np.ndarray, lo: int, hi: int, lower: int) -> None:
         off, left, right = (slice(mid, hi), slice(lo, mid)), second, first
     else:
         off, left, right = (slice(lo, mid), slice(mid, hi)), first, second
-    block = sla.blas.dtrmm(1.0, right, a[off], side=1, lower=lower, diag=lower)
-    a[off] = sla.blas.dtrmm(-1.0, left, block, lower=lower, diag=lower, overwrite_b=1)
+    dtrmm = _lapack().dtrmm
+    block = dtrmm(1.0, right, a[off], side=1, lower=lower, diag=lower)
+    a[off] = dtrmm(-1.0, left, block, lower=lower, diag=lower, overwrite_b=1)
 
 
 def _inverse_diagonal(factors) -> np.ndarray:
@@ -410,7 +431,7 @@ def _inverse_diagonal(factors) -> np.ndarray:
     n = lu.shape[0]
     _invert_triangle(lu, 0, n, lower=0)  # U**-1
     _invert_triangle(lu, 0, n, lower=1)  # L**-1, with its unit diagonal
-    rows = sla.lapack.dlaswp(np.arange(n, dtype=float)[:, None], piv)[:, 0]
+    rows = _lapack().dlaswp(np.arange(n, dtype=float)[:, None], piv)[:, 0]
     q = np.empty(n, dtype=np.intp)
     q[rows.astype(np.intp)] = np.arange(n)
     k = np.arange(n)

@@ -50,31 +50,48 @@ class PsoConfig:
 
     def __post_init__(self):
         """Check stability, sizes, seed and bounds; one ConfigError names
-        every violation, joined by "; "."""
+        every violation, joined by "; ".  The counts are stored as int, the
+        factors as float and the bounds as (float, float) pairs, so equal
+        configs hold equal values."""
         violations = []
-        csum = self.c1 + self.c2
-        if not 0.0 < csum < 4.0:
-            violations.append(
-                f"stability requires 0 < c1 + c2 < 4, got c1 + c2 = {csum:g}"
-            )
-        lower_w = csum / 2.0 - 1.0
-        if not lower_w < self.inertia_w < 1.0:
-            violations.append(
-                "stability requires (c1 + c2)/2 - 1 < w < 1, got "
-                f"w = {self.inertia_w:g} with (c1 + c2)/2 - 1 = {lower_w:g}"
-            )
+        for name in ("c1", "c2", "inertia_w"):
+            try:
+                object.__setattr__(self, name, float(getattr(self, name)))
+            except (TypeError, ValueError):
+                violations.append(f"{name} must be a number, got {getattr(self, name)!r}")
+        if not violations:  # the stability region needs all three factors
+            csum = self.c1 + self.c2
+            if not 0.0 < csum < 4.0:
+                violations.append(
+                    f"stability requires 0 < c1 + c2 < 4, got c1 + c2 = {csum:g}"
+                )
+            lower_w = csum / 2.0 - 1.0
+            if not lower_w < self.inertia_w < 1.0:
+                violations.append(
+                    "stability requires (c1 + c2)/2 - 1 < w < 1, got "
+                    f"w = {self.inertia_w:g} with (c1 + c2)/2 - 1 = {lower_w:g}"
+                )
         for name, least in (("swarm_size", 1), ("generations", 1), ("seed", 0)):
             try:
                 value = _as_int(name, getattr(self, name))
             except ConfigError as exc:
                 violations.append(str(exc))
                 continue
+            object.__setattr__(self, name, value)
             if value < least:
                 violations.append(f"{name} must be >= {least}, got {value}")
-        for i, (lo, hi) in enumerate(self.bounds):
+        try:
+            bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
+        except (TypeError, ValueError):
+            violations.append(
+                f"bounds must be (lower, upper) pairs of numbers, got {self.bounds!r}"
+            )
+            bounds = ()
+        object.__setattr__(self, "bounds", bounds)
+        for i, (lo, hi) in enumerate(bounds):
             if not lo <= hi:
                 violations.append(f"bounds[{i}] has lower {lo:g} > upper {hi:g}")
-            elif not math.isfinite(float(hi) - float(lo)):
+            elif not math.isfinite(hi - lo):
                 violations.append(f"bounds[{i}] from {lo:g} to {hi:g} has no finite width")
         if violations:
             raise ConfigError("; ".join(violations))

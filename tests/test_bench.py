@@ -152,6 +152,22 @@ def test_spec_checks_its_seed_when_built():
     assert spec_digest(numpy_seeded) == spec_digest(ExperimentSpec(study="franke", seed=3))
 
 
+def test_equal_pso_configs_give_equal_digests():
+    default = ExperimentSpec(study="franke")
+    assert spec_digest(default) == "34fa4ab502"
+    for pso in (
+        PsoConfig(bounds=((0.01, 20), (0, 1), (0, 1))),
+        PsoConfig(bounds=[[0.01, 20.0], [0.0, 1.0], [0.0, 1.0]]),
+        PsoConfig(bounds=np.array([[0.01, 20.0], [0.0, 1.0], [0.0, 1.0]])),
+    ):
+        spec = ExperimentSpec(study="franke", pso=pso)
+        assert spec == default and hash(spec) == hash(default)
+        assert spec_digest(spec) == spec_digest(default)
+    given = ExperimentSpec(study="franke", pso=PsoConfig(c1=1, c2=1, inertia_w=np.float32(0.5)))
+    stored = ExperimentSpec(study="franke", pso=PsoConfig(c1=1.0, c2=1.0, inertia_w=0.5))
+    assert spec_digest(given) == spec_digest(stored)
+
+
 def test_spec_refuses_a_pso_that_is_not_a_psoconfig():
     with pytest.raises(ConfigError, match=r"^pso must be a PsoConfig, got \{'swarm_size': 2\}$"):
         ExperimentSpec(

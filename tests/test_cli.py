@@ -231,6 +231,18 @@ def test_optimize_that_finds_no_finite_cost_is_one_error_line(tmp_path, capsys, 
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_optimize_whose_trace_cannot_be_written_leaves_no_parameters(tmp_path, capsys):
+    # fit reads best.csv, so a run that fails must not leave one behind
+    best, trace = tmp_path / "best.csv", tmp_path / "nodir" / "trace.csv"
+    rc = main(["optimize", "--truth", "linear", "--nodes", "16", "--swarm", "2",
+               "--generations", "1", "--output", str(best), "--trace", str(trace)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not best.exists() and not trace.exists()
+
+
 def test_optimize_rejects_unstable_config(tmp_path, capsys):
     data = tmp_path / "fault.csv"
     write_points_csv(data, synthetic_fault_surface(20, seed=1))
@@ -846,15 +858,16 @@ def test_readme_library_example_runs():
     assert namespace["surface"].shape == (40 * 40,)
 
 
-def run_fresh_python(*args) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter that imports this package's source tree."""
+def run_fresh_python(*args, **env) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this package's source tree, with
+    ``env`` added to the environment."""
     src = str(Path(hybridrbf.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=120,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": src, **env},
     )
 
 
@@ -868,11 +881,96 @@ def test_overflowing_distances_are_one_error_line(tmp_path):
     assert result.stderr == "error: all distances must be finite\n"
 
 
-def test_cli_import_does_not_load_scipy_spatial():
-    """scipy.spatial costs over 100 ms at import; the CLI must not pull it in."""
-    result = run_fresh_python("-c", "import sys, hybridrbf.cli; print('scipy.spatial' in sys.modules)")
+# Prints the scipy modules a fresh interpreter has loaded.  In-process tests
+# cannot see this: pytest imports scipy.linalg for its filterwarnings.
+_PRINT_SCIPY = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+def test_import_loads_no_scipy():
+    """Importing scipy.linalg costs more than the rest of start-up, so the
+    package imports it at its first factorization, not at its own import."""
+    result = run_fresh_python(
+        "-c", f"import sys, hybridrbf; {_PRINT_SCIPY}; import hybridrbf.cli; {_PRINT_SCIPY}"
+    )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.splitlines() == ["[]", "[]"]
+
+
+def _fitted_model(tmp_path) -> tuple[Path, Path]:
+    grid = make_tensor_grid(4, 2)
+    data, model = tmp_path / "data.csv", tmp_path / "model.txt"
+    write_points_csv(data, grid.with_values(np.sin(3 * grid.coords[:, 0]) + grid.coords[:, 1]))
+    assert main(["fit", "--input", str(data), "--output", str(model),
+                 "--kernel", "hybrid", "--epsilon", "2", "--alpha", "0.7", "--beta", "0.1"]) == 0
+    return data, model
+
+
+def test_help_eval_and_config_errors_load_no_scipy(tmp_path):
+    data, model = _fitted_model(tmp_path)
+    targets, out = tmp_path / "targets.csv", tmp_path / "values.csv"
+    write_points_csv(targets, make_tensor_grid(9, 2))
+    assert main(["eval", "--model", str(model), "--input", str(targets),
+                 "--output", str(tmp_path / "expected.csv")]) == 0
+    script = f"""
+import contextlib, io, sys
+from hybridrbf.cli import main
+model, targets, out, data = sys.argv[1:]
+codes = []
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        main(["--help"])
+    except SystemExit as exc:
+        codes.append(exc.code)
+    codes.append(main(["eval", "--model", model, "--input", targets, "--output", out]))
+    codes.append(main(["fit", "--input", data, "--output", out + ".model",
+                       "--kernel", "cubic", "--epsilon", "-1"]))
+print(codes)
+{_PRINT_SCIPY}
+"""
+    result = run_fresh_python("-c", script, str(model), str(targets), str(out), str(data))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[0, 0, 2]", "[]"]
+    assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+def test_fit_in_a_fresh_interpreter_loads_scipy_and_writes_the_same_model(tmp_path):
+    data, model = _fitted_model(tmp_path)
+    fresh = tmp_path / "fresh.txt"
+    script = """
+import sys
+from hybridrbf.cli import main
+data, out = sys.argv[1:]
+assert main(["fit", "--input", data, "--output", out,
+             "--kernel", "hybrid", "--epsilon", "2", "--alpha", "0.7", "--beta", "0.1"]) == 0
+print("scipy.linalg" in sys.modules)
+"""
+    result = run_fresh_python("-c", script, str(data), str(fresh))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "True"
+    assert fresh.read_bytes() == model.read_bytes()
+
+
+def test_one_blas_thread_restores_the_count_of_a_first_scipy_load():
+    """bench._one_blas_thread loads scipy itself when nothing has yet; on
+    leaving, scipy's OpenBLAS runs at the count it started with."""
+    threads = "ctypes.CDLL(_lapack().library).scipy_openblas_get_num_threads()"
+    two = {"OPENBLAS_NUM_THREADS": "2"}  # a start count other than 1 where the host has 2 CPUs
+    baseline = run_fresh_python(
+        "-c", f"import ctypes; from hybridrbf.interpolation import _lapack; print({threads})", **two
+    )
+    assert baseline.returncode == 0, baseline.stderr
+    script = f"""
+import ctypes, sys
+from hybridrbf import bench
+from hybridrbf.interpolation import _lapack
+{_PRINT_SCIPY}
+with bench._one_blas_thread() as words:
+    print(words, {threads})
+print({threads})
+"""
+    result = run_fresh_python("-c", script, **two)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", "1 BLAS thread 1", baseline.stdout.strip()]
 
 
 def test_overflowing_kernel_values_are_one_error_line(tmp_path):

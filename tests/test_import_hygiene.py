@@ -3,7 +3,9 @@
 No linter runs on the package, so a deletion could leave an import, or a
 private helper, behind that nothing reads; these tests catch that, and a
 public name that ``hybridrbf`` imports but does not list in ``__all__`` (or
-lists but does not bind).
+lists but does not bind).  They also keep scipy, whose ``scipy.linalg``
+costs more to import than the rest of the package, inside the one loader
+that imports it at the first factorization.
 """
 
 import ast
@@ -106,6 +108,22 @@ def test_every_private_name_is_read_somewhere_in_the_package():
         if name not in read
     ]
     assert dead == []
+
+
+def _imports_scipy(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+
+
+def test_scipy_is_imported_only_inside_the_lapack_loader():
+    places = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            function = isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
+            place = f"{path.stem}.{top.name}" if function else f"{path.name}:{top.lineno}"
+            places += [place for node in ast.walk(top) if _imports_scipy(node)]
+    assert sorted(set(places)) == ["interpolation._lapack"]
 
 
 def test_the_exception_is_still_an_unused_import():

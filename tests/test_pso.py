@@ -78,6 +78,37 @@ def test_validate_flags_bad_bounds_and_sizes():
     ]
 
 
+def test_config_stores_canonical_values():
+    # counts as int, factors as float, bounds as a tuple of float pairs, so
+    # configs that search alike are equal, hash alike and digest alike
+    given = PsoConfig(
+        swarm_size=np.int64(4), generations=np.int32(2), c1=1, c2=np.float32(1.5),
+        inertia_w=0.5, bounds=[[0.01, 20], np.array([0, 1])], seed=np.uint64(7),
+    )
+    assert given == PsoConfig(4, 2, 1.0, 1.5, 0.5, ((0.01, 20.0), (0.0, 1.0)), 7)
+    assert hash(given) == hash(PsoConfig(4, 2, 1.0, 1.5, 0.5, ((0.01, 20.0), (0.0, 1.0)), 7))
+    for name in ("swarm_size", "generations", "seed"):
+        assert type(getattr(given, name)) is int
+    for name in ("c1", "c2", "inertia_w"):
+        assert type(getattr(given, name)) is float
+    assert type(given.bounds) is tuple
+    assert all(type(pair) is tuple and list(map(type, pair)) == [float, float]
+               for pair in given.bounds)
+    # a value that is no number is one ConfigError beside the others
+    assert violations(bounds=((0, "a"),)) == [
+        "bounds must be (lower, upper) pairs of numbers, got ((0, 'a'),)"
+    ]
+    assert violations(bounds=((0.0, 1.0, 2.0),), c1="x", seed=-1) == [
+        "c1 must be a number, got 'x'",
+        "seed must be >= 0, got -1",
+        "bounds must be (lower, upper) pairs of numbers, got ((0.0, 1.0, 2.0),)",
+    ]
+    assert violations(inertia_w=None, bounds=5) == [
+        "inertia_w must be a number, got None",
+        "bounds must be (lower, upper) pairs of numbers, got 5",
+    ]
+
+
 def test_pso_minimize_rejects_invalid_config():
     # every violation on one line, as the command line prints it, raised
     # where the config is built or replaced, so no invalid config reaches
