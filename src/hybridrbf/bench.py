@@ -35,6 +35,7 @@ import ctypes
 import hashlib
 import json
 import math
+import os
 import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -144,10 +145,17 @@ class ExperimentSpec:
             raise ConfigError(f"unknown study {self.study!r}; expected one of {STUDIES}")
         if not isinstance(self.pso, PsoConfig):
             raise ConfigError(f"pso must be a PsoConfig, got {self.pso!r}")
+        if len(self.pso.bounds) != 3:
+            raise ConfigError(
+                "pso.bounds must be three (lower, upper) pairs, for epsilon, alpha "
+                f"and beta; got {self.pso.bounds!r}"
+            )
         object.__setattr__(self, "pso", replace(self.pso, seed=0))
         object.__setattr__(self, "seed", _as_int("seed", self.seed))
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.output_dir is not None and not isinstance(self.output_dir, (str, os.PathLike)):
+            raise ConfigError(f"output_dir must be a path, got {self.output_dir!r}")
         reads = _STUDY_TABLE[self.study][1]
         for name in _STUDY_FIELDS:
             value = getattr(self, name)

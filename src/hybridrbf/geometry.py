@@ -10,6 +10,7 @@ import csv
 import io
 import itertools
 import operator
+import reprlib
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -41,6 +42,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _float_array(name: str, obj, **kwargs) -> np.ndarray:
+    """A float copy of ``obj``; ConfigError if it holds anything but numbers."""
+    try:
+        return np.array(obj, dtype=float, **kwargs)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be numbers, got {reprlib.repr(obj)}") from None
+
+
 @dataclass(frozen=True)
 class PointSet:
     """N points in s-dimensional space, optionally with one value per point."""
@@ -49,14 +58,14 @@ class PointSet:
     values: np.ndarray | None = None
 
     def __post_init__(self):
-        coords = np.array(self.coords, dtype=float, ndmin=2)
+        coords = _float_array("coords", self.coords, ndmin=2)
         if coords.ndim != 2 or coords.shape[0] < 1 or coords.shape[1] < 1:
             raise ConfigError("coords must be a nonempty N x s matrix")
         if not np.all(np.isfinite(coords)):
             raise ConfigError("coords must be finite")
         object.__setattr__(self, "coords", _freeze(coords))
         if self.values is not None:
-            values = np.array(self.values, dtype=float).ravel()
+            values = _float_array("values", self.values).ravel()
             if values.shape[0] != coords.shape[0]:
                 raise ConfigError(
                     f"got {values.shape[0]} values for {coords.shape[0]} points"
@@ -87,10 +96,17 @@ class EvaluationGrid(PointSet):
 
 
 def _as_coords(obj) -> np.ndarray:
+    """``obj`` as an N x s float matrix (a vector is one point), or DomainError."""
     if isinstance(obj, PointSet):
         return obj.coords
     # A view of float64 input, not a copy: callers only read coordinates.
-    return np.atleast_2d(np.asarray(obj, dtype=float))
+    try:
+        coords = np.atleast_2d(np.asarray(obj, dtype=float))
+    except (TypeError, ValueError):
+        raise DomainError(f"coordinates must be numbers, got {reprlib.repr(obj)}") from None
+    if coords.ndim != 2:
+        raise DomainError(f"coordinates must be an N x s matrix, got shape {coords.shape}")
+    return coords
 
 
 def make_tensor_grid(

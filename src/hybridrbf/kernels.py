@@ -18,15 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 
-KERNEL_KINDS = (
-    "gaussian",
-    "cubic",
-    "hybrid",
-    "multiquadric",
-    "inverse-multiquadric",
-    "thin-plate-spline",
-    "wendland",
-)
+KERNEL_KINDS = ("gaussian", "cubic", "hybrid")
 
 
 @dataclass(frozen=True)
@@ -34,14 +26,11 @@ class KernelSpec:
     """A kernel kind plus its parameter triple (epsilon, alpha, beta).
 
     epsilon is the inverse-length shape parameter and must be >= 0; alpha
-    and beta weight the Gaussian and cubic parts and live in [0, 1].  The
-    pair alpha = beta = 0 would give the zero kernel and is rejected.  The
-    whole triple is checked for every kind, and then the parameters the
-    kind's formula does not read are stored as fixed values: cubic holds
-    (0, 0, 1), thin-plate-spline (0, 1, 0), and gaussian, multiquadric,
-    inverse-multiquadric and wendland (epsilon, 1, 0); only hybrid keeps
-    all three.  So two specs that differ only in what their kind ignores
-    are equal.  gaussian(eps) evaluates identically to hybrid(eps, 1, 0).
+    and beta weight the Gaussian and cubic parts and live in [0, 1], and
+    not both are 0 (the zero kernel).  The whole triple is checked for every
+    kind; then gaussian stores (epsilon, 1, 0) and cubic (0, 0, 1), the two
+    ends of the hybrid.  So specs that differ only in what their kind
+    ignores are equal, and gaussian(eps) equals hybrid(eps, 1, 0) bit for bit.
     """
 
     kind: str
@@ -50,7 +39,11 @@ class KernelSpec:
     beta: float = 0.0
 
     def __post_init__(self):
-        eps, alpha, beta = float(self.epsilon), float(self.alpha), float(self.beta)
+        try:
+            eps, alpha, beta = float(self.epsilon), float(self.alpha), float(self.beta)
+        except (TypeError, ValueError):
+            triple = f"{self.epsilon!r}, {self.alpha!r}, {self.beta!r}"
+            raise ConfigError(f"epsilon, alpha and beta must be numbers, got {triple}") from None
         if not np.isfinite(eps) or eps < 0.0:
             raise ConfigError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if not 0.0 <= alpha <= 1.0:
@@ -65,9 +58,7 @@ class KernelSpec:
             )
         if self.kind == "cubic":
             eps, alpha, beta = 0.0, 0.0, 1.0
-        elif self.kind == "thin-plate-spline":
-            eps, alpha, beta = 0.0, 1.0, 0.0
-        elif self.kind != "hybrid":
+        elif self.kind == "gaussian":
             alpha, beta = 1.0, 0.0
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "alpha", alpha)
@@ -135,59 +126,40 @@ def eval_kernel_batch(spec: KernelSpec, distances) -> np.ndarray:
 _FILL_BLOCK = 32_768
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+@np.errstate(over="ignore")
 def _fill(spec: KernelSpec, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """phi on checked distances: the one place each kernel formula is written.
+    """phi on checked distances: alpha * exp(-(epsilon * r)**2) + beta * r**3
+    at the spec's stored triple, the one formula every kind runs.
 
-    Each kind's ufuncs run in place on one block at a time of one output, so
-    a fill holds the output plus one block of scratch.  Powers are products:
-    the cube is two multiplications and wendland's fourth power two squares,
-    whose bits no SIMD dispatch changes.  The output is ``out`` when given (a
-    C-contiguous float array of ``r``'s shape), else a new array.  Values
-    that overflow become inf or nan without a warning; ``_factorize``
-    rejects a kernel matrix holding them.
+    A term whose weight is 0 is skipped, so a gaussian never meets an
+    overflowing cube, and a weight of 1 is not multiplied.  The ufuncs run
+    in place on one block of the output at a time, with one block of
+    scratch; the cube is two multiplications, whose bits no SIMD dispatch
+    changes.  The output is ``out`` when given (a C-contiguous float array
+    of ``r``'s shape), else a new array.  Overflow gives inf without a
+    warning; ``_factorize`` rejects a kernel matrix holding it.
     """
-    kind, eps, alpha, beta = spec.kind, spec.epsilon, spec.alpha, spec.beta
+    eps, alpha, beta = spec.epsilon, spec.alpha, spec.beta
     if out is None:
         out = np.empty(r.shape)
     flat_r, flat_out = r.reshape(-1), out.reshape(-1)
-    scratch = np.empty(min(_FILL_BLOCK, flat_r.size))
+    scratch = np.empty(min(_FILL_BLOCK, flat_r.size) if alpha != 0.0 and beta != 0.0 else 0)
     for start in range(0, flat_r.size, _FILL_BLOCK):
         src = flat_r[start : start + _FILL_BLOCK]
         dst = flat_out[start : start + _FILL_BLOCK]
-        tmp = scratch[: src.size]
-        if kind in ("cubic", "thin-plate-spline"):
-            np.multiply(src, src, out=dst)
-            if kind == "cubic":
-                dst *= src
-            else:  # r**2 * log(r), with the limit value 0 at r = 0
-                np.log(src, out=tmp)
-                dst *= tmp
-                dst[~(src > 0.0)] = 0.0
-            continue
-        np.multiply(eps, src, out=dst)
-        if kind == "wendland":  # (1 - eps*r)_+**4 * (4*eps*r + 1)
-            np.subtract(1.0, dst, out=dst)
-            np.maximum(dst, 0.0, out=dst)
+        if alpha != 0.0:
+            np.multiply(eps, src, out=dst)
             np.square(dst, out=dst)
-            np.square(dst, out=dst)
-            np.multiply(4.0 * eps, src, out=tmp)
-            tmp += 1.0
-            dst *= tmp
-            continue
-        np.square(dst, out=dst)
-        if kind in ("multiquadric", "inverse-multiquadric"):  # (1 + (eps*r)**2)**(+-1/2)
-            dst += 1.0
-            np.sqrt(dst, out=dst)
-            if kind == "inverse-multiquadric":
-                np.divide(1.0, dst, out=dst)
-            continue
-        np.negative(dst, out=dst)  # gaussian exp(-(eps*r)**2), and hybrid adds beta*r**3
-        np.exp(dst, out=dst)
-        if kind == "hybrid":
-            dst *= alpha
-            np.multiply(src, src, out=tmp)
-            tmp *= src
-            tmp *= beta
-            dst += tmp
+            np.negative(dst, out=dst)
+            np.exp(dst, out=dst)
+            if alpha != 1.0:
+                dst *= alpha
+        if beta != 0.0:
+            cube = dst if alpha == 0.0 else scratch[: src.size]
+            np.multiply(src, src, out=cube)
+            cube *= src
+            if beta != 1.0:
+                cube *= beta
+            if alpha != 0.0:
+                dst += cube
     return out

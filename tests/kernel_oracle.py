@@ -1,7 +1,9 @@
 """Whole-array kernel formulas: the oracle the blocked fill must equal bit for bit.
 
-Each expression runs the ufuncs ``kernels._fill`` runs, in the same order, on
-the whole array at once.
+Each kind has its own expression, written apart from ``kernels._fill`` but
+with the ufuncs it runs, in the same order, on the whole array at once.  A
+hybrid term whose weight is 0 is left out, as the fill leaves it out, so an
+overflowing cube never meets a zero beta.
 """
 
 import numpy as np
@@ -9,6 +11,7 @@ import numpy as np
 from hybridrbf.kernels import KernelSpec
 
 
+@np.errstate(over="ignore")
 def phi(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     kind, eps, alpha, beta = spec.kind, spec.epsilon, spec.alpha, spec.beta
     if kind == "gaussian":
@@ -16,17 +19,9 @@ def phi(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     if kind == "cubic":
         return r * r * r
     if kind == "hybrid":
+        if beta == 0.0:
+            return alpha * np.exp(-((eps * r) ** 2))
+        if alpha == 0.0:
+            return beta * (r * r * r)
         return alpha * np.exp(-((eps * r) ** 2)) + beta * (r * r * r)
-    if kind == "multiquadric":
-        return np.sqrt(1.0 + (eps * r) ** 2)
-    if kind == "inverse-multiquadric":
-        return 1.0 / np.sqrt(1.0 + (eps * r) ** 2)
-    if kind == "thin-plate-spline":
-        # r**2 * log(r), with the limit value 0 at r = 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(r > 0.0, r * r * np.log(r), 0.0)
-    if kind == "wendland":
-        cut = np.maximum(1.0 - eps * r, 0.0)
-        c2 = cut * cut
-        return c2 * c2 * (4.0 * eps * r + 1.0)
     raise ValueError(f"unknown kernel kind {kind!r}")

@@ -152,6 +152,19 @@ def test_spec_checks_its_seed_when_built():
     assert spec_digest(numpy_seeded) == spec_digest(ExperimentSpec(study="franke", seed=3))
 
 
+@pytest.mark.parametrize("bounds", [(), ((0.01, 20.0),), ((0.0, 1.0),) * 4])
+def test_spec_refuses_a_pso_box_that_is_not_three_pairs(bounds):
+    message = "pso.bounds must be three (lower, upper) pairs, for epsilon, alpha and beta; got "
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        ExperimentSpec(study="franke", node_counts=(16,), pso=PsoConfig(bounds=bounds))
+
+
+@pytest.mark.parametrize("output_dir", [3, b"reports", ["reports"]])
+def test_spec_refuses_an_output_dir_that_is_no_path(output_dir):
+    with pytest.raises(ConfigError, match=f"^output_dir must be a path, got {re.escape(repr(output_dir))}$"):
+        ExperimentSpec(study="scaling", output_dir=output_dir)
+
+
 def test_equal_pso_configs_give_equal_digests():
     default = ExperimentSpec(study="franke")
     assert spec_digest(default) == "34fa4ab502"

@@ -695,10 +695,6 @@ def test_bench_scaling_below_timing_resolution_fails_its_slope_row(tmp_path, cap
         ("gaussian", "gaussian,2.5,1.0,0.0"),
         ("cubic", "cubic,0.0,0.0,1.0"),
         ("hybrid", "hybrid,2.5,0.8,1e-06"),
-        ("multiquadric", "multiquadric,2.5,1.0,0.0"),
-        ("inverse-multiquadric", "inverse-multiquadric,2.5,1.0,0.0"),
-        ("thin-plate-spline", "thin-plate-spline,0.0,1.0,0.0"),
-        ("wendland", "wendland,2.5,1.0,0.0"),
     ],
 )
 def test_fit_kernel_keeps_the_parameters_its_kind_reads(tmp_path, kind, record):
@@ -718,9 +714,9 @@ def test_fit_kernel_keeps_the_parameters_its_kind_reads(tmp_path, kind, record):
         (["--kernel", "cubic", "--epsilon", "-1"], "epsilon must be finite and >= 0, got -1.0"),
         (["--kernel", "gaussian", "--alpha", "0", "--beta", "0"],
          "alpha and beta cannot both be zero (zero kernel)"),
-        (["--kernel", "thin-plate-spline", "--beta", "2"], "beta must lie in [0, 1], got 2.0"),
+        (["--kernel", "cubic", "--beta", "2"], "beta must lie in [0, 1], got 2.0"),
     ],
-    ids=["cubic-epsilon", "gaussian-weights", "thin-plate-spline-beta"],
+    ids=["cubic-epsilon", "gaussian-weights", "cubic-beta"],
 )
 def test_fit_checks_every_kernel_flag_its_kind_ignores(tmp_path, capsys, flags, message):
     data, model_path = tmp_path / "fault.csv", tmp_path / "model.txt"
@@ -728,6 +724,25 @@ def test_fit_checks_every_kernel_flag_its_kind_ignores(tmp_path, capsys, flags, 
     assert main(["fit", "--input", str(data), "--output", str(model_path), *flags]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not model_path.exists()
+
+
+@pytest.mark.parametrize(
+    "kind", ["multiquadric", "inverse-multiquadric", "thin-plate-spline", "wendland"]
+)
+def test_a_model_file_naming_a_removed_kind_is_one_error_line(tmp_path, capsys, kind):
+    data, model_path, out = tmp_path / "two.csv", tmp_path / "model.txt", tmp_path / "v.csv"
+    write_two_point_csv(data)
+    assert main(["fit", "--input", str(data), "--output", str(model_path),
+                 "--kernel", "gaussian", "--epsilon", "1.0"]) == 0
+    text = model_path.read_text()
+    model_path.write_text(text.replace("kernel: gaussian,", f"kernel: {kind},"))
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(model_path), "--input", str(data), "--output", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: unknown kernel kind {kind!r}; expected one of ('gaussian', 'cubic', 'hybrid')\n"
+    )
+    assert not out.exists()
 
 
 def test_eval_output_round_trips_through_reader(tmp_path):

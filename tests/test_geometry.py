@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -254,6 +255,19 @@ def test_pointset_validation():
         PointSet([[0.0, 1.0]], [1.0, 2.0])
     with pytest.raises(ConfigError):
         PointSet([[0.0]], [np.nan])
+
+
+@pytest.mark.parametrize(
+    "coords, values, message",
+    [
+        ("abc", None, "coords must be numbers, got 'abc'"),
+        ([[0.0, "x"]], None, "coords must be numbers, got [[0.0, 'x']]"),
+        ([[0.0, 1.0]], ["x"], "values must be numbers, got ['x']"),
+    ],
+)
+def test_a_pointset_of_no_numbers_is_a_config_error(coords, values, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        PointSet(coords, values)
 
 
 def test_csv_round_trip_with_values(tmp_path):

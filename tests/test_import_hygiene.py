@@ -5,7 +5,8 @@ private helper, behind that nothing reads; these tests catch that, and a
 public name that ``hybridrbf`` imports but does not list in ``__all__`` (or
 lists but does not bind).  They also keep scipy, whose ``scipy.linalg``
 costs more to import than the rest of the package, inside the one loader
-that imports it at the first factorization.
+that imports it at the first factorization, and the kernel fill one formula
+that never asks which kind it fills.
 """
 
 import ast
@@ -124,6 +125,20 @@ def test_scipy_is_imported_only_inside_the_lapack_loader():
             place = f"{path.stem}.{top.name}" if function else f"{path.name}:{top.lineno}"
             places += [place for node in ast.walk(top) if _imports_scipy(node)]
     assert sorted(set(places)) == ["interpolation._lapack"]
+
+
+def test_the_kernel_fill_reads_no_kind():
+    """Every kind fills as the hybrid at its stored triple, so ``_fill``
+    reads no ``.kind``, by attribute or by ``getattr`` name."""
+    tree = ast.parse((PACKAGE / "kernels.py").read_text(encoding="utf-8"))
+    (fill,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_fill"]
+    reads = [
+        node.lineno
+        for node in ast.walk(fill)
+        if isinstance(node, ast.Attribute) and node.attr == "kind"
+        or isinstance(node, ast.Constant) and node.value == "kind"
+    ]
+    assert reads == []
 
 
 def test_the_exception_is_still_an_unused_import():

@@ -185,10 +185,31 @@ def test_fit_flat_gaussian_singular_carries_index():
     assert err.value.index is not None
 
 
+def test_a_zero_beta_hybrid_fits_what_the_gaussian_fits_where_the_cube_overflows():
+    pts = PointSet([[0.0], [1e103]], [1.0, 2.0])  # r**3 overflows, exp(-r**2) is 0
+    gauss = fit(pts, KernelSpec.gaussian(1.0))
+    hybrid = fit(pts, KernelSpec.hybrid(1.0, 1.0, 0.0))
+    assert np.array_equal(gauss.coeffs, [1.0, 2.0])
+    assert hybrid.coeffs.tobytes() == gauss.coeffs.tobytes()
+
+
 def test_evaluate_dimension_mismatch():
     model = fit(PointSet([[0.0, 0.0]], [1.0]), KernelSpec.gaussian(1.0))
     with pytest.raises(DomainError):
         evaluate(model, [[0.0]])
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (np.zeros((2, 2, 2)), r"^coordinates must be an N x s matrix, got shape \(2, 2, 2\)$"),
+        ([["a", 0.0]], r"^coordinates must be numbers, got \[\['a', 0.0\]\]$"),
+    ],
+)
+def test_evaluate_refuses_targets_that_are_no_matrix_of_numbers(grid, message):
+    model = fit(PointSet([[0.0, 0.0], [1.0, 1.0]], [0.0, 1.0]), KernelSpec.cubic())
+    with pytest.raises(DomainError, match=message):
+        evaluate(model, grid)
 
 
 def test_evaluate_reproduces_values_at_centers():
@@ -198,7 +219,7 @@ def test_evaluate_reproduces_values_at_centers():
     assert residual <= 1e-8 * (1.0 + np.max(np.abs(pts.values)))
 
 
-@pytest.mark.parametrize("kind", ("cubic", "hybrid", "multiquadric"))
+@pytest.mark.parametrize("kind", ("cubic", "hybrid", "gaussian"))
 def test_predict_blocks_agree_with_the_unblocked_oracle(monkeypatch, kind):
     """Block edges around a patched block of 7 rows, with both distance sources."""
     pts = franke_data(6)

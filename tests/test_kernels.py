@@ -116,28 +116,10 @@ def test_gaussian_bound():
 def test_gaussian_equals_hybrid_alpha_one():
     gauss = KernelSpec.gaussian(2.5)
     hybrid = KernelSpec.hybrid(2.5, 1.0, 0.0)
-    r = np.linspace(0, 4, 50)
+    # at 1e103 the cube overflows, and a zero beta must not turn it into nan
+    r = np.append(np.linspace(0, 4, 50), 1e103)
     assert np.array_equal(eval_kernel_batch(gauss, r), eval_kernel_batch(hybrid, r))
-
-
-def test_wendland_compact_support():
-    spec = KernelSpec("wendland", 2.0, 1.0, 0.0)
-    assert eval_kernel(spec, 0.5) == 0.0  # r = 1/eps exactly
-    assert eval_kernel(spec, 0.7) == 0.0
-    assert eval_kernel(spec, 0.49) > 0.0
-
-
-def test_thin_plate_spline_zero_limit():
-    spec = KernelSpec("thin-plate-spline", 0.0, 1.0, 0.0)
-    assert eval_kernel(spec, 0.0) == 0.0
-    assert eval_kernel(spec, 2.0) == pytest.approx(4.0 * np.log(2.0), rel=1e-15)
-
-
-def test_multiquadric_pair():
-    mq = KernelSpec("multiquadric", 1.0, 1.0, 0.0)
-    imq = KernelSpec("inverse-multiquadric", 1.0, 1.0, 0.0)
-    assert eval_kernel(mq, 1.0) == pytest.approx(np.sqrt(2.0), rel=1e-15)
-    assert eval_kernel(imq, 1.0) == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-15)
+    assert eval_kernel(hybrid, 1e103) == eval_kernel(gauss, 1e103) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -152,6 +134,14 @@ def test_invalid_params_rejected(eps, alpha, beta):
 def test_unknown_kind_rejected():
     with pytest.raises(ConfigError):
         KernelSpec("quartic", 1.0)
+
+
+@pytest.mark.parametrize(
+    "triple", [(None,), ("a", 0.5, 0.5), (1.0, [0.5], 0.5), (1.0, 0.5, object())]
+)
+def test_a_parameter_that_is_no_number_is_a_config_error(triple):
+    with pytest.raises(ConfigError, match="^epsilon, alpha and beta must be numbers, got "):
+        KernelSpec("hybrid", *triple)
 
 
 def test_parameter_errors_keep_their_messages_and_come_before_the_kind():
@@ -172,8 +162,6 @@ def _triple_read_by(kind, epsilon, alpha, beta):
         return float(epsilon), float(alpha), float(beta)
     if kind == "cubic":
         return 0.0, 0.0, 1.0
-    if kind == "thin-plate-spline":
-        return 0.0, 1.0, 0.0
     return float(epsilon), 1.0, 0.0
 
 
@@ -193,7 +181,7 @@ def test_a_kernel_stores_fixed_values_for_the_parameters_its_kind_ignores(kind, 
     oracle = phi(types.SimpleNamespace(kind=kind, epsilon=want[0], alpha=want[1], beta=want[2]), r)
     assert _fill(spec, r).tobytes() == oracle.tobytes()
     # a triple that differs from first only where the kind does not read it
-    read = {"hybrid": 3, "cubic": 0, "thin-plate-spline": 0}.get(kind, 1)
+    read = {"hybrid": 3, "cubic": 0, "gaussian": 1}[kind]
     other = first[:read] + second[read:]
     assume(other[1] != 0.0 or other[2] != 0.0)
     assert KernelSpec(kind, *other) == spec
@@ -233,8 +221,8 @@ FILL_SHAPES = [
 def test_fill_bit_equal_to_phi(kind, shape):
     spec = KernelSpec(kind, 2.7, 0.6, 0.4)
     r = np.random.default_rng(len(shape) + sum(shape)).uniform(0.0, 1.5, size=shape)
-    # exact zeros (the TPS limit, wendland and IMQ at r = 0) at the ends of
-    # the array and of its first block, and every tenth cell
+    # exact zeros (where the cube is 0) at the ends of the array and of its
+    # first block, and every tenth cell
     flat = r.reshape(-1)
     flat[::10] = 0.0
     flat[[i for i in (_FILL_BLOCK - 1, _FILL_BLOCK, flat.size - 1) if 0 <= i < flat.size]] = 0.0
@@ -278,8 +266,6 @@ _radii = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
     beta=st.floats(min_value=0.0, max_value=1.0),
     radii=st.lists(_radii, min_size=1, max_size=40),
 )
-# numpy's scalar x**4 rounds differently from the array loop here
-@example(kind="wendland", epsilon=0.7454337761917519, beta=0.0, radii=[0.7454337761917519])
 def test_scalar_and_batch_agree_entry_for_entry(kind, epsilon, beta, radii):
     alpha = 1.0 if beta == 0.0 else 1.0 - beta
     spec = KernelSpec(kind, epsilon, alpha, beta)
@@ -288,6 +274,20 @@ def test_scalar_and_batch_agree_entry_for_entry(kind, epsilon, beta, radii):
         batch = eval_kernel_batch(spec, shaped)
         for idx in np.ndindex(shaped.shape):
             assert batch[idx] == eval_kernel(spec, float(shaped[idx]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(KERNEL_KINDS),
+    triple=_TRIPLES,
+    radii=st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1, max_size=40),
+)
+@example(kind="gaussian", triple=(1.0, 1.0, 0.0), radii=[0.0, 1e103])
+def test_every_kind_fills_as_the_hybrid_at_its_stored_triple(kind, triple, radii):
+    spec = KernelSpec(kind, *triple)
+    hybrid = KernelSpec("hybrid", spec.epsilon, spec.alpha, spec.beta)
+    r = np.array(radii)
+    assert _fill(spec, r).tobytes() == _fill(hybrid, r).tobytes()
 
 
 def test_overflowing_kernel_values_are_inf_without_warning(recwarn):
@@ -300,22 +300,19 @@ def test_overflowing_kernel_values_are_inf_without_warning(recwarn):
 
 
 # The Franke study's 1600 x 625 grid-to-node distances, on which numpy's
-# pow(r, 3) and pow(x, 4) give other bits when its AVX-512 and AVX2 loops are
-# disabled.
+# pow(r, 3) gives other bits when its AVX-512 and AVX2 loops are disabled.
 _CUBE_HASH = """
 import hashlib
 from hybridrbf import KernelSpec, make_evaluation_grid, make_tensor_grid
 from hybridrbf.geometry import pairwise_distances
 from hybridrbf.kernels import _fill
 r = pairwise_distances(make_evaluation_grid(40), make_tensor_grid(25, 2))
-for spec in (KernelSpec.cubic(), KernelSpec("wendland", 2.7)):
-    print(hashlib.sha256(_fill(spec, r).tobytes()).hexdigest())
+print(hashlib.sha256(_fill(KernelSpec.cubic(), r).tobytes()).hexdigest())
 """
 
 
 def test_cube_bits_do_not_follow_simd_dispatch():
-    """The cube and wendland's fourth power are IEEE multiplications, so
-    numpy's SIMD level leaves them.
+    """The cube is two IEEE multiplications, so numpy's SIMD level leaves it.
 
     numpy ignores disabled feature names the CPU lacks, so both runs start
     on any host.
@@ -335,8 +332,8 @@ def test_cube_bits_do_not_follow_simd_dispatch():
             check=True,
         )
         digests.append(result.stdout.split())
-    # two SHA-256 hex digests: both runs printed both
-    assert [len(d) for d in digests[0]] == [64, 64]
+    # one SHA-256 hex digest per run
+    assert [len(d) for d in digests[0]] == [64]
     assert digests[0] == digests[1]
 
 
