@@ -31,7 +31,6 @@ exponential argument is negative.
 from __future__ import annotations
 
 import csv
-import ctypes
 import hashlib
 import json
 import math
@@ -61,7 +60,7 @@ from .interpolation import (
     SpectralReport,
     _fit,
     _fit_distances,
-    _lapack,
+    _one_blas_thread,
     _system,
     evaluate,
     fit,
@@ -630,24 +629,6 @@ def scaling_study(spec: ExperimentSpec) -> ExperimentReport:
         slope_cell.detail = "fewer than two timing cells above resolution"
     cells.append(slope_cell)
     return _finish(spec, cells, (FRANKE_NOTE,))
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run scipy's LAPACK at one thread if its OpenBLAS exports a setter,
-    restoring the caller's count after; yields the count run at, in words.
-    The setter is read after ``_lapack`` has loaded scipy, so a first load
-    here restores the count scipy started with."""
-    lib = ctypes.CDLL(_lapack().library)  # finds the setter among its libraries
-    if not hasattr(lib, "scipy_openblas_set_num_threads"):
-        yield "the BLAS library's own thread count"
-        return
-    before = lib.scipy_openblas_get_num_threads()
-    lib.scipy_openblas_set_num_threads(1)
-    try:
-        yield "1 BLAS thread"
-    finally:
-        lib.scipy_openblas_set_num_threads(before)
 
 
 def _timed_fit(points: PointSet, kernel: KernelSpec) -> float:

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .kernels import _FILL_BLOCK
 
 HALTON_BASES = (2, 3, 5, 7, 11, 13)
 
@@ -166,32 +167,39 @@ def pairwise_distances(a, b) -> np.ndarray:
 
     Computed as sqrt of the squared coordinate differences summed in
     coordinate order, so the self-distance matrix is exactly symmetric with
-    an exactly zero diagonal.  The sum accumulates one coordinate at a time
-    in the output buffer, so the only temporary is one |a| x |b| scratch
-    buffer.  A distance that is not finite (far-apart points overflow)
-    raises DomainError, so every matrix returned is finite.
+    an exactly zero diagonal.  The rows are done in blocks of _FILL_BLOCK
+    cells (at least one row), as ``kernels._fill`` does: each block's sum
+    accumulates one coordinate at a time in the output, so the only
+    temporary is one block of scratch.  A distance that is not finite
+    (far-apart points overflow) raises DomainError, so every matrix
+    returned is finite.
     """
     av, bv = _as_coords(a), _as_coords(b)
     if av.shape[1] != bv.shape[1]:
         raise DomainError(
             f"dimension mismatch: {av.shape[1]} vs {bv.shape[1]} coordinates"
         )
-    s = av.shape[1]
-    out = np.zeros((av.shape[0], bv.shape[0]))
+    (m, s), n = av.shape, bv.shape[0]
+    out = np.zeros((m, n))
     if s == 0:
         return out
+    step = max(1, _FILL_BLOCK // max(1, n))
+    tmp = np.empty((min(step, m), n) if s > 1 else 0)
     # An overflow gives inf without a warning; the check below reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract.outer(av[:, 0], bv[:, 0], out=out)
-        out *= out
-        tmp = np.empty_like(out) if s > 1 else None
-        for j in range(1, s):
-            np.subtract.outer(av[:, j], bv[:, j], out=tmp)
-            tmp *= tmp
-            out += tmp
-    np.sqrt(out, out=out)
-    if not np.all(np.isfinite(out)):
-        raise DomainError("all distances must be finite")
+        for start in range(0, m, step):
+            rows = slice(start, start + step)
+            block = out[rows]
+            scratch = tmp[: block.shape[0]]
+            np.subtract.outer(av[rows, 0], bv[:, 0], out=block)
+            block *= block
+            for j in range(1, s):
+                np.subtract.outer(av[rows, j], bv[:, j], out=scratch)
+                scratch *= scratch
+                block += scratch
+            np.sqrt(block, out=block)
+            if not np.isfinite(block).all():
+                raise DomainError("all distances must be finite")
     return out
 
 

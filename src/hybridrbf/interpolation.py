@@ -13,7 +13,11 @@ on unisolvent nodes and makes the interpolant reproduce linear data exactly.
 The LAPACK and BLAS routines come from scipy, which :func:`_lapack` imports
 at the first factorization: importing ``scipy.linalg`` costs more than the
 rest of the package, and assembling, evaluating, spectra and model files
-never need it.
+never need it.  The condition estimate and the triangular inverses call
+their routines by pointer, so they release the GIL and copy no block, and
+:func:`_one_blas_thread` runs scipy's and numpy's OpenBLAS at one thread
+for a search or a timed fit.  ``fit`` and ``assemble`` fill the kernel
+matrix over the distance matrix they build.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import ctypes
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 from types import SimpleNamespace
@@ -50,12 +55,29 @@ from .kernels import _FILL_BLOCK, KernelSpec, _fill
 PIVOT_RTOL = 1e-14
 
 
-def _capsule_address(capsule) -> int:
-    """The C pointer a PyCapsule holds, whatever name it carries."""
+def _routine(module, name: str, options: int, pointers: int):
+    """LAPACK or BLAS routine ``name`` of scipy's ``cython_lapack`` or
+    ``cython_blas`` module, as a ctypes function.
+
+    Every argument is a pointer: ``options`` one-letter strings, then
+    ``pointers`` addresses.  A ctypes call releases the GIL, which scipy's
+    f2py wrappers of these routines hold.
+    """
+    capsule = module.__pyx_capi__[name]
     api, obj = ctypes.pythonapi, ctypes.py_object
-    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, obj)(("PyCapsule_GetName", api))
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, obj)(("PyCapsule_GetName", api))
     get = ctypes.PYFUNCTYPE(ctypes.c_void_p, obj, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
-    return get(capsule, name(capsule))
+    argtypes = [ctypes.c_char_p] * options + [ctypes.c_void_p] * pointers
+    return ctypes.CFUNCTYPE(None, *argtypes)(get(capsule, get_name(capsule)))
+
+
+# The thread-count getter and setter each OpenBLAS copy exports: scipy's,
+# which runs the LAPACK calls, and numpy's (64-bit integers), which runs
+# its products, norms and eigvalsh.
+_BLAS_THREADS = (
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+)
 
 
 @cache
@@ -63,23 +85,49 @@ def _lapack() -> SimpleNamespace:
     """scipy's float64 LAPACK and BLAS routines, imported and bound once.
 
     Every matrix the package factors is float64, so the routines are bound
-    here rather than looked up on each call.  ``dgecon`` is scipy's own
-    LAPACK routine called through ctypes, with arguments (norm, n, a, lda,
-    anorm, rcond, work, iwork, info); ``library`` is the file of scipy's
-    LAPACK extension, whose OpenBLAS thread setter ``bench`` calls.
+    here rather than looked up on each call.  ``dgecon``, ``dtrtri_at`` and
+    ``dtrmm_at`` are called by pointer (see :func:`_routine`).
+    ``blas_threads`` holds a (getter, setter) pair of thread-count functions
+    for each of scipy's and numpy's OpenBLAS copies that exports one.
     """
     import scipy.linalg as sla
-    from scipy.linalg import _flapack, cython_lapack
+    from numpy.linalg import _umath_linalg
+    from scipy.linalg import _flapack, cython_blas, cython_lapack
 
-    dgecon = ctypes.CFUNCTYPE(None, ctypes.c_char_p, *[ctypes.c_void_p] * 8)(
-        _capsule_address(cython_lapack.__pyx_capi__["dgecon"])
-    )
-    lapack, blas = sla.lapack, sla.blas
+    threads = []
+    for path, names in zip((_flapack.__file__, _umath_linalg.__file__), _BLAS_THREADS):
+        library = ctypes.CDLL(path)  # finds the functions among its libraries
+        if hasattr(library, names[1]):
+            get, set_ = (getattr(library, name) for name in names)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            threads.append((get, set_))
+    lapack = sla.lapack
     return SimpleNamespace(
         dgetrf=lapack.dgetrf, dgetrs=lapack.dgetrs, dlange=lapack.dlange,
-        dtrtri=lapack.dtrtri, dlaswp=lapack.dlaswp, dtrmm=blas.dtrmm,
-        dgecon=dgecon, library=_flapack.__file__,
+        dtrtri=lapack.dtrtri, dlaswp=lapack.dlaswp,
+        dgecon=_routine(cython_lapack, "dgecon", 1, 8),
+        dtrtri_at=_routine(cython_lapack, "dtrtri", 2, 4),
+        dtrmm_at=_routine(cython_blas, "dtrmm", 4, 7),
+        blas_threads=tuple(threads),
     )
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run scipy's and numpy's OpenBLAS at one thread each, where they
+    export a setter, restoring the caller's counts after; yields the count
+    run at, in words.  The setters are read after ``_lapack`` has loaded
+    scipy, so a first load here restores the count scipy started with."""
+    threads = _lapack().blas_threads
+    before = [get() for get, _ in threads]
+    for _, set_ in threads:
+        set_(1)
+    try:
+        yield "1 BLAS thread" if threads else "the BLAS library's own thread count"
+    finally:
+        for (_, set_), count in zip(threads, before):
+            set_(count)
 
 
 def _dgecon(lu: np.ndarray, anorm: float) -> tuple[float, int]:
@@ -196,11 +244,19 @@ def _fit_distances(points: PointSet, augmented: bool) -> np.ndarray:
 
 
 def _system(
-    points: PointSet, distances: np.ndarray, kernel: KernelSpec, augmented: bool
+    points: PointSet,
+    distances: np.ndarray,
+    kernel: KernelSpec,
+    augmented: bool,
+    out: np.ndarray | None = None,
 ) -> AssembledSystem:
-    """Kernel fill on checked self-distances (see :func:`_fit_distances`)."""
+    """Kernel fill on checked self-distances (see :func:`_fit_distances`).
+
+    The kernel block is filled into ``out`` when given: an N x N
+    C-contiguous float array the caller owns, which may be ``distances``.
+    """
     n, s = points.n, points.dim
-    a = _fill(kernel, distances)
+    a = _fill(kernel, distances, out)
     if not augmented:
         return AssembledSystem(a, points.values.copy(), n_centers=n, n_poly=0)
     p = _poly_block(points.coords)
@@ -210,8 +266,12 @@ def _system(
 
 
 def assemble(points: PointSet, kernel: KernelSpec, augmented: bool = False) -> AssembledSystem:
-    """Build the (plain or augmented) interpolation system for given data."""
-    return _system(points, _fit_distances(points, augmented), kernel, augmented)
+    """Build the (plain or augmented) interpolation system for given data.
+
+    The kernel values overwrite the distance matrix built here.
+    """
+    distances = _fit_distances(points, augmented)
+    return _system(points, distances, kernel, augmented, out=distances)
 
 
 def _factorize(matrix: np.ndarray, estimate: bool = True):
@@ -288,12 +348,15 @@ def _fit(
     kernel: KernelSpec,
     augmented: bool,
     estimate: bool = True,
+    out: np.ndarray | None = None,
 ) -> InterpolationModel:
     """Solve the system built on checked self-distances.
 
-    With ``estimate`` false the model's condition_estimate is nan.
+    With ``estimate`` false the model's condition_estimate is nan.  ``out``
+    is as for :func:`_system`; a plain system's LU overwrites it.
     """
-    solution, cond = _solve(_system(points, distances, kernel, augmented), estimate)
+    system = _system(points, distances, kernel, augmented, out)
+    solution, cond = _solve(system, estimate)
     n = points.n
     return InterpolationModel(
         centers=points,
@@ -305,8 +368,13 @@ def _fit(
 
 
 def fit(points: PointSet, kernel: KernelSpec, augmented: bool = False) -> InterpolationModel:
-    """Solve the interpolation system and return the fitted model."""
-    return _fit(points, _fit_distances(points, augmented), kernel, augmented)
+    """Solve the interpolation system and return the fitted model.
+
+    The kernel values, then a plain system's LU, overwrite the distance
+    matrix built here.
+    """
+    distances = _fit_distances(points, augmented)
+    return _fit(points, distances, kernel, augmented, out=distances)
 
 
 def _predict(
@@ -377,41 +445,63 @@ def spectral_report(system: AssembledSystem) -> SpectralReport:
 def _invert_triangle(a: np.ndarray, lo: int, hi: int, lower: int) -> None:
     """Invert one triangle of ``a[lo:hi, lo:hi]`` in place, by halves.
 
-    The upper triangle (lower=0) is inverted with its diagonal, the lower
-    one (lower=1) as unit triangular.  Blocks of at most _INVDIAG_BLOCK rows
-    go to LAPACK ``dtrtri``; a larger block inverts both halves and then
-    joins them with two level-3 ``dtrmm`` products (Elmroth, Gustavson,
-    Jonsson and Kagstrom, SIAM Review 46, 2004):
+    ``a`` is Fortran-ordered, as dgetrf leaves it.  The upper triangle
+    (lower=0) is inverted with its diagonal, the lower one (lower=1) as unit
+    triangular.  Blocks of at most _INVDIAG_BLOCK rows go to LAPACK
+    ``dtrtri``; a larger block inverts both halves and then joins them with
+    two level-3 ``dtrmm`` products (Elmroth, Gustavson, Jonsson and
+    Kagstrom, SIAM Review 46, 2004):
 
         U12 <- -U11**-1 U12 U22**-1,    L21 <- -L22**-1 L21 L11**-1.
 
     ``dtrmm`` reads only the named triangle, so the opposite triangle of
-    ``a`` is left unchanged.  A zero pivot raises SingularSystemError with
-    its index in ``a``.
+    ``a`` is left unchanged.  The blocks are passed by pointer, with ``a``'s
+    leading dimension, so no block is copied and the GIL is released; only
+    a whole matrix of at most _INVDIAG_BLOCK rows goes through scipy's
+    wrapper, which costs less per call.  A zero pivot raises
+    SingularSystemError with its index in ``a``.
     """
+    lapack, n = _lapack(), a.shape[0]
+    if hi - lo == n <= _INVDIAG_BLOCK:  # f2py inverts the whole matrix in place
+        _, info = lapack.dtrtri(a, lower=lower, unitdiag=lower, overwrite_c=1)
+        _check_pivot(info, lo)
+        return
+    if a.dtype != np.float64 or a.shape != (n, n) or not a.flags.f_contiguous:
+        raise ValueError("the triangles must be those of a square Fortran-order float64 matrix")
+    uplo, diag = (b"L", b"U") if lower else (b"U", b"N")
+    ld = ctypes.byref(ctypes.c_int(n))
+
+    def at(i: int, j: int) -> int:
+        return a.ctypes.data + a.itemsize * (i + j * n)
+
     if hi - lo <= _INVDIAG_BLOCK:
-        # In place when the block is the whole (Fortran-order) matrix, and
-        # then the write-back is a no-op; otherwise f2py inverts a copy.
-        block, info = _lapack().dtrtri(
-            a[lo:hi, lo:hi], lower=lower, unitdiag=lower, overwrite_c=1
-        )
-        if info != 0:
-            raise SingularSystemError(
-                f"triangular inverse failed (info={info})", index=lo + max(info - 1, 0)
-            )
-        a[lo:hi, lo:hi] = block
+        status = ctypes.c_int()
+        size = ctypes.byref(ctypes.c_int(hi - lo))
+        lapack.dtrtri_at(uplo, diag, size, at(lo, lo), ld, ctypes.byref(status))
+        _check_pivot(status.value, lo)
         return
     mid = lo + (hi - lo) // 2
     _invert_triangle(a, lo, mid, lower)
     _invert_triangle(a, mid, hi, lower)
-    first, second = a[lo:mid, lo:mid], a[mid:hi, mid:hi]
-    if lower:
-        off, left, right = (slice(mid, hi), slice(lo, mid)), second, first
-    else:
-        off, left, right = (slice(lo, mid), slice(mid, hi)), first, second
-    dtrmm = _lapack().dtrmm
-    block = dtrmm(1.0, right, a[off], side=1, lower=lower, diag=lower)
-    a[off] = dtrmm(-1.0, left, block, lower=lower, diag=lower, overwrite_b=1)
+    # The off-diagonal block at (r, c) is multiplied by the inverted diagonal
+    # block at c on its right, then at r on its left.
+    r, c = (mid, lo) if lower else (lo, mid)
+    m, k = (hi - mid, mid - lo) if lower else (mid - lo, hi - mid)
+    shape = ctypes.byref(ctypes.c_int(m)), ctypes.byref(ctypes.c_int(k))
+    for side, alpha, d in ((b"R", 1.0, c), (b"L", -1.0, r)):
+        lapack.dtrmm_at(
+            side, uplo, b"N", diag, *shape,
+            ctypes.byref(ctypes.c_double(alpha)), at(d, d), ld, at(r, c), ld,
+        )
+
+
+def _check_pivot(info: int, lo: int) -> None:
+    """SingularSystemError for a dtrtri ``info`` that flags a zero pivot in
+    the block starting at row ``lo``."""
+    if info != 0:
+        raise SingularSystemError(
+            f"triangular inverse failed (info={info})", index=lo + max(info - 1, 0)
+        )
 
 
 def _inverse_diagonal(factors) -> np.ndarray:
@@ -567,5 +657,10 @@ def save_model(model: InterpolationModel, path) -> None:
 
 
 def load_model(path) -> InterpolationModel:
-    with _opened(path, "r") as (fh, _):
-        return model_from_text(fh.read())
+    """Read a model file; a ConfigError names the file, as CSV errors do."""
+    with _opened(path, "r") as (fh, name):
+        text = fh.read()
+    try:
+        return model_from_text(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{name}: {exc}") from None

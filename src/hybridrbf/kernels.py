@@ -136,17 +136,24 @@ def _fill(spec: KernelSpec, r: np.ndarray, out: np.ndarray | None = None) -> np.
     in place on one block of the output at a time, with one block of
     scratch; the cube is two multiplications, whose bits no SIMD dispatch
     changes.  The output is ``out`` when given (a C-contiguous float array
-    of ``r``'s shape), else a new array.  Overflow gives inf without a
-    warning; ``_factorize`` rejects a kernel matrix holding it.
+    of ``r``'s shape, which may be ``r`` itself: each block's cube is taken
+    before the Gaussian overwrites its distances), else a new array.
+    Overflow gives inf without a warning; ``_factorize`` rejects a kernel
+    matrix holding it.
     """
     eps, alpha, beta = spec.epsilon, spec.alpha, spec.beta
     if out is None:
         out = np.empty(r.shape)
     flat_r, flat_out = r.reshape(-1), out.reshape(-1)
-    scratch = np.empty(min(_FILL_BLOCK, flat_r.size) if alpha != 0.0 and beta != 0.0 else 0)
+    scratch = np.empty(min(_FILL_BLOCK, flat_r.size) if beta != 0.0 else 0)
     for start in range(0, flat_r.size, _FILL_BLOCK):
         src = flat_r[start : start + _FILL_BLOCK]
         dst = flat_out[start : start + _FILL_BLOCK]
+        if beta != 0.0:
+            cube = np.multiply(src, src, out=scratch[: src.size])
+            cube = np.multiply(cube, src, out=dst if alpha == 0.0 else cube)
+            if beta != 1.0:
+                cube *= beta
         if alpha != 0.0:
             np.multiply(eps, src, out=dst)
             np.square(dst, out=dst)
@@ -154,12 +161,6 @@ def _fill(spec: KernelSpec, r: np.ndarray, out: np.ndarray | None = None) -> np.
             np.exp(dst, out=dst)
             if alpha != 1.0:
                 dst *= alpha
-        if beta != 0.0:
-            cube = dst if alpha == 0.0 else scratch[: src.size]
-            np.multiply(src, src, out=cube)
-            cube *= src
-            if beta != 1.0:
-                cube *= beta
-            if alpha != 0.0:
+            if beta != 0.0:
                 dst += cube
     return out

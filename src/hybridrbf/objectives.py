@@ -20,6 +20,12 @@ compares a search's cost with it bit for bit; an augmented shortcut needs
 that check to accept a tolerance first.  It also serves as the independent
 oracle for the plain shortcut.
 
+A search may run its trials on several threads (see ``pso_minimize``).
+They share the read-only search data, and each thread but the main one
+fills its trials into one N x N matrix it maps for the search and returns
+to the operating system when the thread ends, so a pooled search holds one
+trial matrix per thread and no heap keeps a worker's matrices.
+
 ``_trial_cost`` alone picks Rippa's shortcut or brute force: a search's
 trials and the bench report's LOOCV cost both call it, and the public
 ``loocv_cost_*`` each run one path.  A cost is the 2-norm of the
@@ -36,6 +42,7 @@ every trial reuses it through the same private steps that ``fit`` and
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,8 +142,10 @@ def rms_error(model: InterpolationModel, grid: PointSet, truth_values) -> float:
     return _rms(evaluate(model, grid), truth)
 
 
-def _loocv_rippa(points: PointSet, distances: np.ndarray, kernel: KernelSpec) -> CostValue:
-    system = _system(points, distances, kernel, augmented=False)
+def _loocv_rippa(
+    points: PointSet, distances: np.ndarray, kernel: KernelSpec, out: np.ndarray | None = None
+) -> CostValue:
+    system = _system(points, distances, kernel, augmented=False, out=out)
     factors, _ = _factorize(system.matrix, estimate=False)
     # Solve first: the inverse diagonal overwrites the factors.
     coeffs = _lu_solve(factors, system.rhs)
@@ -158,7 +167,11 @@ def loocv_cost_rippa(points: PointSet, kernel: KernelSpec) -> CostValue:
 
 
 def _loocv_brute(
-    points: PointSet, distances: np.ndarray, kernel: KernelSpec, augmented: bool
+    points: PointSet,
+    distances: np.ndarray,
+    kernel: KernelSpec,
+    augmented: bool,
+    out: np.ndarray | None = None,
 ) -> CostValue:
     """Refit without each point in turn, from one fill of the full system.
 
@@ -170,7 +183,7 @@ def _loocv_brute(
     pieces on either side of entry k.
     """
     n = points.n
-    full = _system(points, distances, kernel, augmented)
+    full = _system(points, distances, kernel, augmented, out)
     a, rhs, size = full.matrix, full.rhs, full.size - 1
     errors = np.empty(n)
     for k in range(n):
@@ -241,15 +254,21 @@ def prepare_search(spec: ObjectiveSpec, points: PointSet) -> SearchData:
 
 
 def _trial_cost(
-    spec: ObjectiveSpec, points: PointSet, kernel: KernelSpec, data: SearchData
+    spec: ObjectiveSpec,
+    points: PointSet,
+    kernel: KernelSpec,
+    data: SearchData,
+    out: np.ndarray | None = None,
 ) -> float:
+    """One trial's cost; its kernel matrix is filled into ``out`` when given
+    (see ``objective_value``)."""
     if spec.kind == "rms":
-        model = _fit(points, data.distances, kernel, spec.augmented, estimate=False)
+        model = _fit(points, data.distances, kernel, spec.augmented, estimate=False, out=out)
         values = _predict(model, spec.grid.coords, data.grid_distances)
         return _rms(values, spec.truth_values)
     if spec.augmented:
-        return _loocv_brute(points, data.distances, kernel, augmented=True).value
-    return _loocv_rippa(points, data.distances, kernel).value
+        return _loocv_brute(points, data.distances, kernel, augmented=True, out=out).value
+    return _loocv_rippa(points, data.distances, kernel, out).value
 
 
 def objective_value(
@@ -257,6 +276,7 @@ def objective_value(
     points: PointSet,
     kernel: KernelSpec,
     data: SearchData | None = None,
+    out: np.ndarray | None = None,
 ) -> float:
     """Cost of one parameter trial; numerical failures become SENTINEL_COST.
 
@@ -264,12 +284,14 @@ def objective_value(
     breakdowns, and non-finite costs are mapped to the sentinel, so an
     optimizer can keep sampling while misuse stays loud.  ``data`` is
     ``prepare_search(spec, points)``; a search passes it to every trial, and
-    without it the call prepares its own.
+    without it the call prepares its own.  ``out``, when given, is an N x N
+    C-contiguous float array that the trial's kernel matrix is filled into
+    and, for a plain system, factored in; otherwise the trial allocates it.
     """
     if data is None:
         data = prepare_search(spec, points)
     try:
-        cost = _trial_cost(spec, points, kernel, data)
+        cost = _trial_cost(spec, points, kernel, data, out)
     except (SingularSystemError, NumericalBreakdownError):
         return SENTINEL_COST
     if not np.isfinite(cost):
@@ -287,6 +309,26 @@ def _require_found(best_value: float) -> float:
     return best_value
 
 
+def _trial_matrix(local: threading.local, n: int) -> np.ndarray | None:
+    """The N x N matrix a pool worker fills its trials into, or None on the
+    main thread, whose trials allocate their own.
+
+    Each worker thread maps its matrix once, stores it in ``local`` and
+    reuses it for every trial; the mapping bypasses malloc, so it goes back
+    to the operating system when the thread ends, not into a heap that
+    keeps it.
+    """
+    if threading.current_thread() is threading.main_thread():
+        return None
+    matrix = getattr(local, "matrix", None)
+    if matrix is None:
+        import mmap
+
+        buffer = mmap.mmap(-1, n * n * np.dtype(float).itemsize)
+        local.matrix = matrix = np.frombuffer(buffer, dtype=float).reshape(n, n)
+    return matrix
+
+
 def kernel_objective(
     spec: ObjectiveSpec, points: PointSet, to_kernel=None, data: SearchData | None = None
 ):
@@ -298,17 +340,23 @@ def kernel_objective(
     raising, since they are optimizer trials, not user configuration.
     ``data`` is ``prepare_search(spec, points)``; without it the search data
     is prepared here, once, so input errors raise here too.
+
+    The objective is thread-safe: trials share only the read-only search
+    data, and a trial on any thread but the main one fills the N x N matrix
+    that thread owns (see :func:`_trial_matrix`), so a search on W threads
+    holds W - 1 such matrices besides the main thread's own.
     """
     if to_kernel is None:
         to_kernel = lambda pos: KernelSpec.hybrid(pos[0], pos[1], pos[2])
     if data is None:
         data = prepare_search(spec, points)
+    local = threading.local()
 
     def objective(position) -> float:
         try:
             kernel = to_kernel(np.asarray(position, dtype=float))
         except ConfigError:
             return SENTINEL_COST
-        return objective_value(spec, points, kernel, data)
+        return objective_value(spec, points, kernel, data, _trial_matrix(local, points.n))
 
     return objective

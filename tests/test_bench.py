@@ -1,4 +1,3 @@
-import ctypes
 import io
 import re
 import struct
@@ -8,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import _flapack
 
+from blas_threads import blas_counts
 from hybridrbf import (
     ConfigError,
     KernelSpec,
@@ -573,18 +572,17 @@ def test_scaling_study_slope_row():
 
 
 def test_scaling_study_fits_at_one_blas_thread_and_restores_the_count(monkeypatch):
-    lib = ctypes.CDLL(_flapack.__file__)
-    before = lib.scipy_openblas_get_num_threads()
+    before = blas_counts()
     seen = []
 
     def counted_fit(*args):
-        seen.append(lib.scipy_openblas_get_num_threads())
+        seen.append(blas_counts())
         return fit(*args)
 
     monkeypatch.setattr(bench, "fit", counted_fit)
     report = run_study(ExperimentSpec(study="scaling", node_counts=(25, 121)))
-    assert seen == [1] * 8  # one warm-up and three timed fits per N
-    assert lib.scipy_openblas_get_num_threads() == before
+    assert seen == [[1, 1]] * 8  # one warm-up and three timed fits per N
+    assert blas_counts() == before
     slope = next(c for c in report.cells if c.variant == "slope")
     assert slope.detail.endswith("at 1 BLAS thread")
 

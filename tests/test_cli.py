@@ -16,6 +16,7 @@ from hybridrbf import KernelSpec, PsoConfig, bench, cli, geometry
 from hybridrbf.cli import build_parser, main
 from hybridrbf.geometry import (
     PointSet,
+    make_halton_set,
     make_tensor_grid,
     min_separation,
     read_points_csv,
@@ -740,7 +741,8 @@ def test_a_model_file_naming_a_removed_kind_is_one_error_line(tmp_path, capsys, 
     rc = main(["eval", "--model", str(model_path), "--input", str(data), "--output", str(out)])
     assert rc == 2
     assert capsys.readouterr().err == (
-        f"error: unknown kernel kind {kind!r}; expected one of ('gaussian', 'cubic', 'hybrid')\n"
+        f"error: {model_path}: unknown kernel kind {kind!r}; "
+        "expected one of ('gaussian', 'cubic', 'hybrid')\n"
     )
     assert not out.exists()
 
@@ -965,27 +967,56 @@ print("scipy.linalg" in sys.modules)
     assert fresh.read_bytes() == model.read_bytes()
 
 
+_PRINT_BLAS_COUNTS = """
+def blas_counts():
+    import ctypes
+    from numpy.linalg import _umath_linalg
+    from scipy.linalg import _flapack
+    return [getattr(ctypes.CDLL(path), name)() for path, name in (
+        (_flapack.__file__, "scipy_openblas_get_num_threads"),
+        (_umath_linalg.__file__, "scipy_openblas_get_num_threads64_"))]
+"""
+
+
 def test_one_blas_thread_restores_the_count_of_a_first_scipy_load():
-    """bench._one_blas_thread loads scipy itself when nothing has yet; on
-    leaving, scipy's OpenBLAS runs at the count it started with."""
-    threads = "ctypes.CDLL(_lapack().library).scipy_openblas_get_num_threads()"
+    """interpolation._one_blas_thread loads scipy itself when nothing has
+    yet; on leaving, scipy's and numpy's OpenBLAS run at the counts they
+    started with."""
     two = {"OPENBLAS_NUM_THREADS": "2"}  # a start count other than 1 where the host has 2 CPUs
-    baseline = run_fresh_python(
-        "-c", f"import ctypes; from hybridrbf.interpolation import _lapack; print({threads})", **two
-    )
+    baseline = run_fresh_python("-c", f"{_PRINT_BLAS_COUNTS}\nprint(blas_counts())", **two)
     assert baseline.returncode == 0, baseline.stderr
     script = f"""
-import ctypes, sys
-from hybridrbf import bench
-from hybridrbf.interpolation import _lapack
+import sys
+from hybridrbf.interpolation import _one_blas_thread
+{_PRINT_BLAS_COUNTS}
 {_PRINT_SCIPY}
-with bench._one_blas_thread() as words:
-    print(words, {threads})
-print({threads})
+with _one_blas_thread() as words:
+    print(words, blas_counts())
+print(blas_counts())
 """
     result = run_fresh_python("-c", script, **two)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["[]", "1 BLAS thread 1", baseline.stdout.strip()]
+    assert result.stdout.splitlines() == ["[]", "1 BLAS thread [1, 1]", baseline.stdout.strip()]
+
+
+def test_optimize_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    """A search pins both OpenBLAS copies to one thread, so its outputs do
+    not follow OPENBLAS_NUM_THREADS; at 324 points a 2-thread LU differs
+    from a 1-thread one in the last bits."""
+    data = tmp_path / "data.csv"
+    nodes = make_halton_set(324, 2)
+    write_points_csv(data, nodes.with_values(bench.franke(*nodes.coords.T)))
+    outputs = []
+    for threads in ("1", "2"):
+        best, trace = tmp_path / f"best{threads}.csv", tmp_path / f"trace{threads}.csv"
+        result = run_fresh_python(
+            "-m", "hybridrbf", "optimize", "--input", str(data), "--swarm", "4",
+            "--generations", "2", "--output", str(best), "--trace", str(trace),
+            OPENBLAS_NUM_THREADS=threads,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append((best.read_bytes(), trace.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_overflowing_kernel_values_are_one_error_line(tmp_path):

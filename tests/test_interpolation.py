@@ -39,6 +39,7 @@ from hybridrbf.interpolation import (
     _INVDIAG_BLOCK,
     InterpolationModel,
     _factorize,
+    _fit,
     _fit_distances,
     _inverse_diagonal,
     _invert_triangle,
@@ -492,6 +493,38 @@ def test_invert_triangle_matches_dtrtri(n, kind, lower):
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+def _f2py_invert_triangle(a: np.ndarray, lo: int, hi: int, lower: int) -> None:
+    """The triangular inverse as scipy's f2py wrappers ran it, on copies of
+    each block: the oracle of the pointer calls."""
+    if hi - lo <= B:
+        block, info = sla.lapack.dtrtri(
+            a[lo:hi, lo:hi], lower=lower, unitdiag=lower, overwrite_c=1
+        )
+        assert info == 0
+        a[lo:hi, lo:hi] = block
+        return
+    mid = lo + (hi - lo) // 2
+    _f2py_invert_triangle(a, lo, mid, lower)
+    _f2py_invert_triangle(a, mid, hi, lower)
+    first, second = a[lo:mid, lo:mid], a[mid:hi, mid:hi]
+    if lower:
+        off, left, right = (slice(mid, hi), slice(lo, mid)), second, first
+    else:
+        off, left, right = (slice(lo, mid), slice(mid, hi)), first, second
+    block = sla.blas.dtrmm(1.0, right, a[off], side=1, lower=lower, diag=lower)
+    a[off] = sla.blas.dtrmm(-1.0, left, block, lower=lower, diag=lower, overwrite_b=1)
+
+
+@pytest.mark.parametrize("lower", (0, 1))
+@pytest.mark.parametrize("n", (B + 1, 300, 1024))
+def test_pointer_triangular_inverse_matches_the_f2py_calls(n, lower):
+    lu, _, _ = old_factorize(pivoting_system(n, "hybrid").matrix)
+    want, got = lu.copy(order="F"), lu.copy(order="F")
+    _f2py_invert_triangle(want, 0, n, lower)
+    _invert_triangle(got, 0, n, lower)
+    assert got.tobytes(order="F") == want.tobytes(order="F")
+
+
 def test_zero_pivot_in_a_later_block_raises_the_global_index():
     lu, piv, _ = old_factorize(pivoting_system(300, "hybrid").matrix)
     lu[200, 200] = 0.0  # inside the base block of rows 150..224
@@ -569,6 +602,25 @@ def test_fit_bit_equal_to_factoring_a_copy(augmented):
     if augmented:
         assert np.array_equal(model.poly_coeffs, solution[pts.n :])
     assert model.condition_estimate == cond
+
+
+@pytest.mark.parametrize("augmented", (False, True))
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_fit_and_assemble_in_place_match_a_fill_into_a_fresh_array(kind, augmented):
+    # 200 x 200 cells are two fill blocks; fit and assemble fill over the
+    # distances they build, the private steps here into new arrays.
+    pts = make_halton_set(200, 2).with_values(np.sin(np.arange(200.0)))
+    kernel = KernelSpec(kind, 9.0, 0.6, 0.4)
+    distances = _fit_distances(pts, augmented)
+    fresh = _system(pts, distances, kernel, augmented)
+    assert assemble(pts, kernel, augmented).matrix.tobytes() == fresh.matrix.tobytes()
+    want = _fit(pts, distances, kernel, augmented)
+    got = fit(pts, kernel, augmented)
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    if augmented:
+        assert got.poly_coeffs.tobytes() == want.poly_coeffs.tobytes()
+    assert got.condition_estimate == want.condition_estimate
+    assert distances.tobytes() == _fit_distances(pts, augmented).tobytes()
 
 
 def test_singular_kernel_raises_the_old_pivot_index():
@@ -798,7 +850,8 @@ def test_augmented_fit_needs_one_point_more_than_the_dimension():
         ("poly-count", "model file has 2 polynomial coefficients, expected 3"),
     ],
 )
-def test_model_parse_names_what_is_wrong(case, message):
+def test_model_parse_names_what_is_wrong(case, message, tmp_path):
+    """model_from_text says what is wrong; load_model also names the file."""
     model = fit(franke_data(3), KernelSpec.hybrid(3.0, 0.8, 0.1), augmented=True)
     lines = model_to_text(model).splitlines()
     at = lines.index
@@ -816,3 +869,7 @@ def test_model_parse_names_what_is_wrong(case, message):
         del lines[at("poly-coeffs:") + 1]
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         model_from_text("\n".join(lines) + "\n")
+    path = tmp_path / "model.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_model(path)

@@ -1,4 +1,5 @@
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from hybridrbf import (
     rms_error,
 )
 from hybridrbf import interpolation, objectives
+from hybridrbf import pso as pso_module
 from hybridrbf.bench import franke
 from hybridrbf.objectives import _trial_cost, prepare_search
 
@@ -529,3 +531,33 @@ def test_search_computes_no_condition_estimate_and_fit_one(monkeypatch):
     model = fit(halton_franke(30), KernelSpec.hybrid(3.0, 0.8, 0.1))
     assert len(calls) == 1
     assert np.isfinite(model.condition_estimate)
+
+
+@pytest.mark.parametrize("cpus", (1, 2))
+def test_searches_give_equal_traces_at_one_and_two_workers(monkeypatch, cpus):
+    """Pooled trials fill the matrix their worker thread maps; the traces
+    are those of the serial search, bit for bit, at 1 and 2 workers."""
+    grid = make_evaluation_grid(12)
+    truth = franke(*grid.coords.T)
+    config = PsoConfig(swarm_size=4, generations=2, seed=5)
+    cases = (
+        (ObjectiveSpec.rms(grid, truth), franke_data(12)),
+        (ObjectiveSpec.rms(grid, truth, augmented=True), franke_data(12)),
+        (ObjectiveSpec.loocv(), halton_franke(300)),
+        (ObjectiveSpec.loocv(augmented=True), halton_franke(20)),
+    )
+    serial = [pso_minimize(kernel_objective(spec, pts), config) for spec, pts in cases]
+    monkeypatch.setattr(pso_module, "_POOL_MIN_TRIAL_S", 0.0)
+    monkeypatch.setattr(pso_module, "_available_cpus", lambda: cpus)
+    threads = set()
+    for (spec, pts), want in zip(cases, serial):
+        objective = kernel_objective(spec, pts)
+
+        def recorded(x, objective=objective):
+            threads.add(threading.current_thread())
+            return objective(x)
+
+        got = pso_minimize(recorded, config)
+        assert got.trace.gbest_val.tobytes() == want.trace.gbest_val.tobytes()
+        assert got.trace.gbest_pos.tobytes() == want.trace.gbest_pos.tobytes()
+    assert (threads != {threading.main_thread()}) == (cpus > 1)

@@ -1,6 +1,11 @@
 import csv
 import dataclasses
 import io
+import math
+import sys
+import threading
+import time
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -9,7 +14,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import pso_oracle
-from hybridrbf import ConfigError, PsoConfig, pso_minimize
+from blas_threads import blas_counts
+from hybridrbf import ConfigError, PsoConfig, ToolkitError, pso_minimize
+from hybridrbf import pso as pso_module
 from hybridrbf.pso import OptimizationTrace, read_trace_csv, write_trace_csv
 
 
@@ -233,19 +240,41 @@ def _objective(kind, target):
     return lambda x: squared(x) if squared(x) < 30.0 else 1e30
 
 
-def _same_run(config, objective):
+@contextmanager
+def pool_forced(cpus: int = 3):
+    """Searches pool every generation after the first, on min(cpus, swarm)
+    threads, however cheap their trials."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pso_module, "_POOL_MIN_TRIAL_S", 0.0)
+        patch.setattr(pso_module, "_available_cpus", lambda: cpus)
+        yield
+
+
+def _generations(seen, swarm):
+    """Each generation's positions as a sorted list of their bytes."""
+    return [sorted(x.tobytes() for x in seen[g : g + swarm]) for g in range(0, len(seen), swarm)]
+
+
+def _same_run(config, objective, pooled=False, cpus=3):
     """The whole-swarm step and the per-particle oracle agree bit for bit on
-    the trace, the result and every position passed to the objective."""
+    the trace, the result and every position passed to the objective: in
+    order, or, pooled on up to ``cpus`` threads, as each generation's
+    multiset."""
     fast, seen_fast = recording(objective)
     slow, seen_slow = recording(objective)
-    got = pso_minimize(fast, config)
+    with pool_forced(cpus) if pooled else nullcontext():
+        got = pso_minimize(fast, config)
     want = pso_oracle.pso_minimize(slow, config)
     assert _bits(got.trace.gbest_val) == _bits(want.trace.gbest_val)
     assert _bits(got.trace.gbest_pos) == _bits(want.trace.gbest_pos)
     assert _bits(got.best_position) == _bits(want.best_position)
     assert _bits(np.float64(got.best_value)) == _bits(np.float64(want.best_value))
     assert type(got.best_value) is float
-    assert _bits(np.array(seen_fast)) == _bits(np.array(seen_slow))
+    if pooled:
+        swarm = config.swarm_size
+        assert _generations(seen_fast, swarm) == _generations(seen_slow, swarm)
+    else:
+        assert _bits(np.array(seen_fast)) == _bits(np.array(seen_slow))
 
 
 @settings(max_examples=250, deadline=None)
@@ -262,6 +291,126 @@ def test_ties_pick_the_oracle_best(kind, seed):
     # rounded so that equal personal bests improve on the global best together
     config = PsoConfig(swarm_size=12, generations=8, bounds=BOX3, seed=seed)
     _same_run(config, _objective(kind, np.array([4.0, -4.0, 4.5])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_stable_runs(), st.sampled_from(["smooth", "rounded", "constant", "sentinel"]))
+def test_pooled_generations_bit_equal_to_per_particle_oracle(run, kind):
+    config, target = run
+    _same_run(config, _objective(kind, target), pooled=True)
+
+
+def test_a_pool_wider_than_the_host_under_fast_switching_runs_each_trial_once():
+    # Eight threads on a 2-vCPU host, switching every microsecond: a lost
+    # or repeated index would change a generation's multiset or the trace.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        config = PsoConfig(swarm_size=16, generations=10, bounds=BOX3, seed=11)
+        _same_run(config, _objective("rounded", np.array([1.0, -2.0, 0.5])), True, cpus=8)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _oracle_positions(config):
+    """Every position the oracle passes to its objective, in call order."""
+    objective, seen = recording(sphere)
+    pso_oracle.pso_minimize(objective, config)
+    return seen
+
+
+def test_a_cheap_objective_runs_in_index_order_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(pso_module, "_available_cpus", lambda: 4)
+    config = PsoConfig(swarm_size=8, generations=4, bounds=BOX3, seed=3)
+    threads = []
+
+    def objective(x):
+        threads.append(threading.current_thread())
+        return sphere(x)
+
+    recorded, seen = recording(objective)
+    pso_minimize(recorded, config)
+    assert _bits(np.array(seen)) == _bits(np.array(_oracle_positions(config)))
+    assert threads == [threading.current_thread()] * len(seen)
+
+
+def _two_thread_sphere(counts):
+    """sphere, recording each call's thread and BLAS counts; a pooled call
+    on the calling thread waits (up to 10 s) until a pool thread has run a
+    trial, so a pooled search is seen to use its pool."""
+    caller, helped, threads = threading.current_thread(), threading.Event(), set()
+
+    def objective(x):
+        threads.add(threading.current_thread())
+        counts.append(blas_counts())
+        if threading.current_thread() is not caller:
+            helped.set()
+        elif len(counts) > 4:  # after the serial first generation of 4
+            helped.wait(10.0)
+        return sphere(x)
+
+    return objective, threads
+
+
+def test_a_pooled_search_runs_at_one_blas_thread_and_leaves_no_thread_behind():
+    counts, before, active = [], blas_counts(), threading.active_count()
+    objective, threads = _two_thread_sphere(counts)
+    config = PsoConfig(swarm_size=4, generations=3, bounds=BOX3, seed=8)
+    with pool_forced(cpus=2):
+        result = pso_minimize(objective, config)
+    assert len(threads) == 2
+    assert counts == [[1, 1]] * 16
+    assert blas_counts() == before
+    assert threading.active_count() == active
+    want = pso_oracle.pso_minimize(sphere, config)
+    assert _bits(result.trace.gbest_val) == _bits(want.trace.gbest_val)
+
+
+def test_with_one_available_cpu_no_thread_starts():
+    active, threads = threading.active_count(), []
+
+    def objective(x):
+        threads.append((threading.current_thread(), threading.active_count()))
+        return sphere(x)
+
+    with pool_forced(cpus=1):
+        pso_minimize(objective, PsoConfig(swarm_size=6, generations=3, bounds=BOX3))
+    assert threads == [(threading.current_thread(), active)] * 24
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_a_non_finite_cost_is_one_error_naming_the_particle_and_position(bad):
+    config = PsoConfig(swarm_size=5, generations=3, bounds=((-1.0, 1.0),))
+    first = next(i for i, x in enumerate(_oracle_positions(config)) if x[0] > 0)
+    position = _oracle_positions(config)[first]
+    with pytest.raises(ToolkitError) as err:
+        pso_minimize(lambda x: bad if x[0] > 0 else x[0] ** 2, config)
+    assert str(err.value) == (
+        f"objective returned {bad} for particle {first} at position "
+        f"{position.tolist()}; costs must be finite"
+    )
+
+
+@pytest.mark.parametrize("pooled", (False, True))
+def test_a_trial_error_propagates_unchanged_lowest_index_first(pooled):
+    config = PsoConfig(swarm_size=6, generations=2, bounds=BOX3, seed=4)
+    generation = _oracle_positions(config)[6:12]
+    failing = {generation[1].tobytes(), generation[4].tobytes()}
+    raised, active = {}, threading.active_count()
+
+    def objective(x):
+        if x.tobytes() in failing:
+            if x.tobytes() == generation[1].tobytes():
+                time.sleep(0.05)  # pooled, particle 4 fails first
+            raised[x.tobytes()] = error = RuntimeError("trial failed")
+            raise error
+        return sphere(x)
+
+    with pool_forced() if pooled else nullcontext():
+        with pytest.raises(RuntimeError) as err:
+            pso_minimize(objective, config)
+    assert err.value is raised[generation[1].tobytes()]
+    assert threading.active_count() == active
 
 
 def test_beats_random_search_on_matched_budget():
