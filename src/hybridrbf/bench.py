@@ -167,14 +167,14 @@ class ExperimentSpec:
             if value is not None:
                 object.__setattr__(self, name, _as_int(name, value))
         if self.node_counts is not None:
-            counts = tuple(_as_int("node count", n) for n in self.node_counts)
+            counts = tuple(_as_int("node count", n) for n in _entries("node_counts", self.node_counts))
             object.__setattr__(self, "node_counts", counts)
             if not self.node_counts:
                 raise ConfigError("node_counts must not be empty")
             for n in self.node_counts:
                 _grid_side(n)
         if self.variants is not None:
-            object.__setattr__(self, "variants", tuple(self.variants))
+            object.__setattr__(self, "variants", _entries("variants", self.variants))
             if not self.variants:
                 raise ConfigError("at least one kernel variant is required")
             for v in self.variants:
@@ -192,6 +192,8 @@ class ExperimentSpec:
         if self.sweep_points is not None and self.sweep_points < 0:
             raise ConfigError(f"sweep_points must be >= 0, got {self.sweep_points}")
         if self.params_per_n is not None:
+            if not isinstance(self.params_per_n, Mapping):
+                raise ConfigError(f"params_per_n must be a mapping, got {self.params_per_n!r}")
             pinned = {}
             for n, triple in self.params_per_n.items():
                 if n not in self.node_counts:
@@ -200,7 +202,7 @@ class ExperimentSpec:
                     epsilon, alpha, beta = (float(t) for t in triple)
                     KernelSpec.hybrid(epsilon, alpha, beta)  # raises on a bad triple
                     pinned[int(n)] = (epsilon, alpha, beta)
-                except (TypeError, ValueError, ConfigError) as exc:
+                except (TypeError, ValueError, OverflowError, ConfigError) as exc:
                     raise ConfigError(f"params_per_n[{n!r}] = {triple!r}: {exc}") from None
             object.__setattr__(self, "params_per_n", pinned)
             if set(self.node_counts) <= set(pinned):
@@ -214,6 +216,14 @@ class ExperimentSpec:
                             f"every node count is pinned in params_per_n, so no cell "
                             f"searches and {name} must keep its default, got {value!r}"
                         )
+
+
+def _entries(name: str, value) -> tuple:
+    """``value`` as a tuple; ConfigError if it is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be a sequence, got {value!r}") from None
 
 
 _STUDY_FIELDS = sorted({f.name for f in fields(ExperimentSpec)} - {"study", "pso", "seed", "output_dir"})

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 import operator
 import reprlib
 import warnings
@@ -47,7 +48,7 @@ def _float_array(name: str, obj, **kwargs) -> np.ndarray:
     """A float copy of ``obj``; ConfigError if it holds anything but numbers."""
     try:
         return np.array(obj, dtype=float, **kwargs)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be numbers, got {reprlib.repr(obj)}") from None
 
 
@@ -122,9 +123,15 @@ def make_tensor_grid(
         raise ConfigError(f"points_per_side must be >= 2, got {points_per_side}")
     if s < 1:
         raise ConfigError(f"dim must be >= 1, got {dim}")
-    if not upper > lower:
+    try:
+        lo, hi = float(lower), float(upper)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"lower and upper must be numbers, got {lower!r} and {upper!r}") from None
+    if not hi > lo:
         raise ConfigError(f"need upper > lower, got [{lower}, {upper}]")
-    axis = np.linspace(lower, upper, k)
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"[{lower}, {upper}] has no finite width")
+    axis = np.linspace(lo, hi, k)
     mesh = np.meshgrid(*([axis] * s), indexing="ij")
     coords = np.stack([m.ravel() for m in mesh], axis=-1)
     return PointSet(coords)

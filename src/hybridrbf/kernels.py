@@ -41,7 +41,7 @@ class KernelSpec:
     def __post_init__(self):
         try:
             eps, alpha, beta = float(self.epsilon), float(self.alpha), float(self.beta)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             triple = f"{self.epsilon!r}, {self.alpha!r}, {self.beta!r}"
             raise ConfigError(f"epsilon, alpha and beta must be numbers, got {triple}") from None
         if not np.isfinite(eps) or eps < 0.0:

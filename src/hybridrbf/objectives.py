@@ -53,7 +53,7 @@ from .errors import (
     NumericalBreakdownError,
     SingularSystemError,
 )
-from .geometry import PointSet, pairwise_distances
+from .geometry import PointSet, _float_array, pairwise_distances
 from .interpolation import (
     AssembledSystem,
     InterpolationModel,
@@ -108,7 +108,9 @@ class ObjectiveSpec:
         if self.kind == "rms":
             if self.grid is None or self.truth_values is None:
                 raise ConfigError("rms objective requires grid and truth_values")
-            truth = np.asarray(self.truth_values, dtype=float).ravel()
+            if not isinstance(self.grid, PointSet):
+                raise ConfigError(f"grid must be a PointSet, got {self.grid!r}")
+            truth = _float_array("truth_values", self.truth_values).ravel()
             if truth.shape[0] != self.grid.n:
                 raise ConfigError(
                     f"got {truth.shape[0]} truth values for {self.grid.n} grid points"

@@ -17,9 +17,9 @@ trace bits rest on one substream per particle, spawned from the single seed,
 that gives its start and then r1 then r2 each generation: so results never
 depend on evaluation scheduling, and equal a per-particle loop's bit for bit.
 A generation's trials are independent of one another, so a search whose
-trials are slow enough runs each generation on a thread pool (Schutte,
-Reinbolt, Fregly, Haftka and George, Int. J. Numer. Meth. Eng. 61, 2004)
-with the same iterates.
+first two trials are slow enough runs every trial after them on a thread
+pool (Schutte, Reinbolt, Fregly, Haftka and George, Int. J. Numer. Meth.
+Eng. 61, 2004) with the same iterates.
 """
 
 from __future__ import annotations
@@ -47,12 +47,13 @@ DEFAULT_INERTIA = 0.729
 # the cap at 20 comfortably covers the optima seen on unit-square problems.
 DEFAULT_BOUNDS = ((0.01, 20.0), (0.0, 1.0), (0.0, 1.0))
 
-# A search whose first generation's median trial takes at least this long
-# runs its later generations on a thread pool.  A trial holds the GIL for
-# its Python steps, and handing it to a thread costs some microseconds, so
-# short trials gain nothing: on a 2-vCPU x86-64 VM, LOOCV searches broke
-# even at about 0.25 ms a trial (about 90 points), and the 78-point fault
-# search, at 0.18 ms, ran 4 % slower pooled.
+# A search whose first two trials each take at least this long runs every
+# later trial on a thread pool.  Two, so that a one-off cost of a first call
+# (a lazily built objective, an import) cannot pool a cheap search.  A
+# trial holds the GIL for its Python steps, and handing it to a thread
+# costs some microseconds, so short trials gain nothing: on a 2-vCPU x86-64
+# VM, 20 x 5 LOOCV searches on Halton points ran 7-13 % slower pooled at
+# 90 points (0.34-0.42 ms a trial) and 6-9 % faster at 120 (0.64-0.68 ms).
 _POOL_MIN_TRIAL_S = 5e-4
 
 
@@ -75,7 +76,7 @@ class PsoConfig:
         for name in ("c1", "c2", "inertia_w"):
             try:
                 object.__setattr__(self, name, float(getattr(self, name)))
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 violations.append(f"{name} must be a number, got {getattr(self, name)!r}")
         if not violations:  # the stability region needs all three factors
             csum = self.c1 + self.c2
@@ -100,7 +101,7 @@ class PsoConfig:
                 violations.append(f"{name} must be >= {least}, got {value}")
         try:
             bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             violations.append(
                 f"bounds must be (lower, upper) pairs of numbers, got {self.bounds!r}"
             )
@@ -149,10 +150,10 @@ def _cost(objective, index: int, position: np.ndarray) -> float:
     return value
 
 
-def _costs(objective, positions: np.ndarray, pool, helpers: int) -> np.ndarray:
-    """The costs of one generation: in index order on the calling thread
-    without a pool, else on the calling thread and ``helpers`` pool
-    threads, each taking the lowest index left.
+def _costs(objective, positions: np.ndarray, pool, helpers: int, first: int = 0) -> np.ndarray:
+    """The costs of particles ``first`` onward of one generation: in index
+    order on the calling thread without a pool, else on the calling thread
+    and ``helpers`` pool threads, each taking the lowest index left.
 
     Each helper runs in a copy of the caller's context, so numpy's error
     state holds there too.  After a trial raises, no thread takes another
@@ -160,11 +161,11 @@ def _costs(objective, positions: np.ndarray, pool, helpers: int) -> np.ndarray:
     the lowest failing index is raised, unchanged, once all have stopped.
     """
     if pool is None:
-        return np.array([_cost(objective, i, x) for i, x in enumerate(positions)])
+        return np.array([_cost(objective, i, positions[i]) for i in range(first, len(positions))])
     from concurrent.futures import wait
 
-    values = np.empty(len(positions))
-    left = list(range(len(positions) - 1, -1, -1))  # popped lowest first
+    values = np.empty(len(positions) - first)
+    left = list(range(len(positions) - 1, first - 1, -1))  # popped lowest first
     failed: dict[int, Exception] = {}
     lock = threading.Lock()
 
@@ -175,7 +176,7 @@ def _costs(objective, positions: np.ndarray, pool, helpers: int) -> np.ndarray:
                     return
                 i = left.pop()
             try:
-                values[i] = _cost(objective, i, positions[i])
+                values[i - first] = _cost(objective, i, positions[i])
             except Exception as exc:
                 with lock:
                     failed[i] = exc
@@ -204,13 +205,15 @@ def pso_minimize(objective, config: PsoConfig) -> PsoResult:
     value that is not finite raises ToolkitError naming the particle and
     its position.  It gets a row view of the swarm's positions, once per
     particle per generation.  The search runs at one BLAS thread (see
-    ``interpolation._one_blas_thread``), and the first generation runs in
-    index order on the calling thread.  When its median trial takes at
-    least _POOL_MIN_TRIAL_S, each later generation runs on the calling
-    thread and W - 1 pool threads, W being the available CPUs capped at the
-    swarm size, so the objective must then be thread-safe and is no longer
-    called in index order; the pool is closed on return.  An exception
-    from a trial propagates unchanged, the lowest index's first.
+    ``interpolation._one_blas_thread``), and particles 0 and 1 run first,
+    on the calling thread.  When each of the two takes at least
+    _POOL_MIN_TRIAL_S, every later trial, from particle 2 of the first
+    generation on, runs on the calling thread and W - 1 pool threads, W
+    being the available CPUs capped at the swarm size, so the objective
+    must then be thread-safe and is no longer called in index order; the
+    pool is closed on return.  Otherwise every trial runs in index order on
+    the calling thread.  An exception from a trial propagates unchanged,
+    the lowest index's first.
 
     Deterministic: equal (objective, config) give bitwise-equal traces,
     whatever W, as long as each cost depends on its position alone.
@@ -226,15 +229,17 @@ def pso_minimize(objective, config: PsoConfig) -> PsoResult:
     pbest_val = np.empty(config.swarm_size)
     with ExitStack() as stack:
         stack.enter_context(_one_blas_thread())
+        timed = min(2, config.swarm_size)
         stamps = [perf_counter()]
-        for i, x in enumerate(positions):
-            pbest_val[i] = _cost(objective, i, x)
+        for i in range(timed):
+            pbest_val[i] = _cost(objective, i, positions[i])
             stamps.append(perf_counter())
         pool = None
-        if workers > 1 and np.median(np.diff(stamps)) >= _POOL_MIN_TRIAL_S:
+        if workers > 1 and min(np.diff(stamps)) >= _POOL_MIN_TRIAL_S:
             from concurrent.futures import ThreadPoolExecutor
 
             pool = stack.enter_context(ThreadPoolExecutor(workers - 1))
+        pbest_val[timed:] = _costs(objective, positions, pool, workers - 1, timed)
         g = int(np.argmin(pbest_val))
         gbest_pos, gbest_val = pbest_pos[g].copy(), float(pbest_val[g])
         hist_val, hist_pos = [gbest_val], [gbest_pos]
@@ -248,7 +253,9 @@ def pso_minimize(objective, config: PsoConfig) -> PsoResult:
             )
             positions = positions + velocities
             hit_wall = (positions < lo) | (positions > hi)
-            positions = np.clip(positions, lo, hi)
+            # Only a position that left the box moves: np.clip can turn +0.0
+            # into a -0.0 bound, or not, with the array's shape.
+            positions = np.where(hit_wall, np.clip(positions, lo, hi), positions)
             velocities[hit_wall] = 0.0
             values = _costs(objective, positions, pool, workers - 1)
             # strict improvement only; the global best is the first index of the

@@ -44,7 +44,8 @@ def pso_minimize(objective, config: PsoConfig) -> PsoResult:
             positions[i] = positions[i] + velocities[i]
             clamped_low = positions[i] < lo
             clamped_high = positions[i] > hi
-            positions[i] = np.clip(positions[i], lo, hi)
+            positions[i][clamped_low] = lo[clamped_low]
+            positions[i][clamped_high] = hi[clamped_high]
             velocities[i][clamped_low | clamped_high] = 0.0
         values = np.array([float(objective(positions[i])) for i in range(swarm)])
         # barrier update, strict improvement only, deterministic index order

@@ -1,0 +1,194 @@
+"""Every public constructor, and a tiny study, returns or raises a ToolkitError.
+
+The arguments mix valid values with values of the wrong type, shape or
+range.  Counts that a call would allocate by stay small, so a valid draw
+stays cheap.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hybridrbf import (
+    KERNEL_KINDS,
+    ConfigError,
+    ExperimentSpec,
+    KernelSpec,
+    ObjectiveSpec,
+    PointSet,
+    PsoConfig,
+    ToolkitError,
+    make_evaluation_grid,
+    make_halton_set,
+    make_tensor_grid,
+    run_study,
+)
+from hybridrbf.bench import _STUDY_TABLE, STUDIES, VARIANTS
+
+# Not an integer, so no count check lets it through to an allocation.
+_NOT_A_COUNT = st.one_of(
+    st.none(),
+    st.floats(),
+    st.text(max_size=3),
+    st.complex_numbers(),
+    st.lists(st.one_of(st.integers(-3, 3), st.floats(), st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.integers(-3, 3), st.integers(-3, 3), max_size=2),
+)
+_JUNK = st.one_of(_NOT_A_COUNT, st.just(10**400), st.integers(-(2**70), 2**70))
+_NUMBER = st.one_of(st.integers(-3, 25), st.floats())
+
+
+def _or(strategy, junk=_JUNK):
+    return st.one_of(strategy, junk)
+
+
+def _count(lo, hi):
+    return _or(st.integers(lo, hi), _NOT_A_COUNT)
+
+
+_POINTS = st.lists(st.lists(_NUMBER, min_size=1, max_size=3), max_size=4)
+_GRIDS = st.builds(make_tensor_grid, st.integers(2, 3), st.integers(1, 2))
+_PSO = st.builds(
+    PsoConfig,
+    st.integers(1, 3),
+    st.integers(1, 2),
+    bounds=st.tuples(
+        st.tuples(st.floats(0.0, 1.0), st.floats(1.0, 5.0)),
+        *[st.tuples(st.floats(0.0, 0.5), st.floats(0.5, 1.0))] * 2,
+    ),
+    seed=st.integers(0, 3),
+)
+
+_CALLS = st.one_of(
+    st.tuples(
+        st.just(KernelSpec),
+        st.tuples(_or(st.sampled_from(KERNEL_KINDS)), _or(_NUMBER), _or(_NUMBER), _or(_NUMBER)),
+    ),
+    st.tuples(st.just(PointSet), st.tuples(_or(_POINTS), _or(st.none() | st.lists(_NUMBER)))),
+    st.tuples(
+        st.just(PsoConfig),
+        st.tuples(
+            _or(st.integers(-1, 3)),
+            _or(st.integers(-1, 3)),
+            _or(_NUMBER),
+            _or(_NUMBER),
+            _or(_NUMBER),
+            _or(st.lists(st.tuples(_NUMBER, _NUMBER), max_size=4)),
+            _or(st.integers(-1, 3)),
+        ),
+    ),
+    st.tuples(
+        st.just(ObjectiveSpec),
+        st.tuples(
+            _or(st.sampled_from(("rms", "loocv"))),
+            _or(st.none() | _GRIDS),
+            _or(st.none() | st.lists(_NUMBER, max_size=9)),
+            st.booleans(),
+        ),
+    ),
+    st.tuples(
+        st.sampled_from((make_tensor_grid, make_evaluation_grid)),
+        st.tuples(_count(-1, 4), _count(-1, 3), _or(_NUMBER), _or(_NUMBER)),
+    ),
+    st.tuples(st.just(make_halton_set), st.tuples(_count(-1, 20), _count(-1, 30))),
+    st.tuples(
+        st.just(ExperimentSpec),
+        st.tuples(
+            _or(st.sampled_from(STUDIES)),
+            _or(st.none() | st.lists(_or(st.sampled_from((4, 9, 10))), max_size=3)),
+            _or(st.none() | st.lists(_or(st.sampled_from(VARIANTS)), max_size=3)),
+            _or(st.sampled_from(("rms", "loocv", None))),
+            _or(_PSO),
+            _or(st.none() | st.integers(-1, 4)),
+            _or(st.integers(-1, 3)),
+            _or(st.none() | st.integers(-1, 3)),
+            _or(
+                st.none()
+                | st.dictionaries(
+                    _or(st.sampled_from((4, 9))),
+                    _or(st.tuples(_NUMBER, _NUMBER, _NUMBER)),
+                    max_size=2,
+                )
+            ),
+            _or(st.none() | st.integers(0, 20)),
+            _or(st.none() | st.integers(0, 5)),
+            _NOT_A_COUNT.filter(lambda v: not isinstance(v, str)),
+        ),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CALLS)
+def test_every_public_constructor_returns_or_raises_a_toolkit_error(call):
+    function, args = call
+    try:
+        function(*args)
+    except ToolkitError:
+        pass
+
+
+@st.composite
+def _tiny_specs(draw):
+    """The fields of one study at sizes a study runs in milliseconds."""
+    study = draw(st.sampled_from(STUDIES))
+    values = {
+        "node_counts": st.lists(st.sampled_from((4, 9, 16)), min_size=1, max_size=2, unique=True),
+        "variants": st.lists(st.sampled_from(VARIANTS), min_size=1, max_size=2),
+        "objective": st.sampled_from(("rms", "loocv")),
+        "eval_grid_n": st.integers(2, 4),
+        "sweep_points": st.integers(0, 2),
+        "params_per_n": st.dictionaries(
+            st.sampled_from((4, 9)), st.tuples(_NUMBER, _NUMBER, _NUMBER), max_size=1
+        ),
+        "fault_points": st.integers(10, 14),
+        "fault_grid_n": st.integers(1, 4),
+    }
+    fields = {name: draw(values[name]) for name in _STUDY_TABLE[study][1]}
+    return dict(study=study, pso=draw(_PSO), seed=draw(st.integers(0, 3)), **fields)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tiny_specs())
+def test_a_tiny_study_returns_or_raises_a_toolkit_error(fields):
+    try:
+        report = run_study(ExperimentSpec(**fields))
+    except ToolkitError:
+        return
+    assert report.cells
+
+
+_GRID3 = make_evaluation_grid(3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    (
+        lambda: ExperimentSpec(study="franke", node_counts=1),
+        lambda: ExperimentSpec(study="franke", variants=1),
+        lambda: ExperimentSpec(study="spectra", node_counts=(4,), params_per_n=[(4, (1, 1, 0))]),
+        lambda: ObjectiveSpec("rms", _GRID3, "x"),
+        lambda: ObjectiveSpec("rms", _GRID3.coords, np.zeros(9)),
+        lambda: make_tensor_grid(3, 2, None, 1.0),
+        lambda: make_tensor_grid(3, 1, -1e308, 1e308),
+        lambda: KernelSpec("hybrid", 10**400),
+        lambda: PointSet([[10**400]]),
+        lambda: PsoConfig(c1=10**400),
+    ),
+    ids=(
+        "int-node-counts",
+        "int-variants",
+        "list-params-per-n",
+        "text-truth",
+        "array-grid",
+        "none-lower",
+        "infinite-width",
+        "huge-epsilon",
+        "huge-coordinate",
+        "huge-c1",
+    ),
+)
+def test_a_value_of_the_wrong_type_is_a_config_error(call):
+    with pytest.raises(ConfigError):
+        call()

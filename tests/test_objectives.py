@@ -30,7 +30,7 @@ from hybridrbf import (
 )
 from hybridrbf import interpolation, objectives
 from hybridrbf import pso as pso_module
-from hybridrbf.bench import franke
+from hybridrbf.bench import franke, synthetic_fault_surface
 from hybridrbf.objectives import _trial_cost, prepare_search
 
 E_INV = 0.36787944117144233
@@ -561,3 +561,22 @@ def test_searches_give_equal_traces_at_one_and_two_workers(monkeypatch, cpus):
         assert got.trace.gbest_val.tobytes() == want.trace.gbest_val.tobytes()
         assert got.trace.gbest_pos.tobytes() == want.trace.gbest_pos.tobytes()
     assert (threads != {threading.main_thread()}) == (cpus > 1)
+
+
+def test_the_78_point_fault_search_stays_serial(monkeypatch):
+    """Its trials take about 0.2 ms, under pso._POOL_MIN_TRIAL_S, so it opens
+    no pool on two CPUs; one search in three may time a busy host."""
+    import concurrent.futures
+
+    opened, real = [], concurrent.futures.ThreadPoolExecutor
+
+    def executor(*args, **kwargs):
+        opened.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", executor)
+    monkeypatch.setattr(pso_module, "_available_cpus", lambda: 2)
+    for seed in range(3):
+        objective = kernel_objective(ObjectiveSpec.loocv(), synthetic_fault_surface(78))
+        pso_minimize(objective, PsoConfig(swarm_size=20, generations=1, seed=seed))
+    assert len(opened) < 3

@@ -242,8 +242,8 @@ def _objective(kind, target):
 
 @contextmanager
 def pool_forced(cpus: int = 3):
-    """Searches pool every generation after the first, on min(cpus, swarm)
-    threads, however cheap their trials."""
+    """Searches pool every trial after particles 0 and 1, on min(cpus,
+    swarm) threads, however cheap their trials."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pso_module, "_POOL_MIN_TRIAL_S", 0.0)
         patch.setattr(pso_module, "_available_cpus", lambda: cpus)
@@ -258,8 +258,9 @@ def _generations(seen, swarm):
 def _same_run(config, objective, pooled=False, cpus=3):
     """The whole-swarm step and the per-particle oracle agree bit for bit on
     the trace, the result and every position passed to the objective: in
-    order, or, pooled on up to ``cpus`` threads, as each generation's
-    multiset."""
+    order when ``pooled`` is False, else as each generation's multiset.
+    True forces the pool on up to ``cpus`` threads; False and None leave
+    the schedule as the caller set it."""
     fast, seen_fast = recording(objective)
     slow, seen_slow = recording(objective)
     with pool_forced(cpus) if pooled else nullcontext():
@@ -270,11 +271,11 @@ def _same_run(config, objective, pooled=False, cpus=3):
     assert _bits(got.best_position) == _bits(want.best_position)
     assert _bits(np.float64(got.best_value)) == _bits(np.float64(want.best_value))
     assert type(got.best_value) is float
-    if pooled:
+    if pooled is False:
+        assert _bits(np.array(seen_fast)) == _bits(np.array(seen_slow))
+    else:
         swarm = config.swarm_size
         assert _generations(seen_fast, swarm) == _generations(seen_slow, swarm)
-    else:
-        assert _bits(np.array(seen_fast)) == _bits(np.array(seen_slow))
 
 
 @settings(max_examples=250, deadline=None)
@@ -282,6 +283,16 @@ def _same_run(config, objective, pooled=False, cpus=3):
 def test_whole_swarm_step_bit_equal_to_per_particle_oracle(run, kind):
     config, target = run
     _same_run(config, _objective(kind, target))
+
+
+def test_a_position_on_a_signed_zero_bound_keeps_its_bits():
+    # +0.0 lies in [-0.0, 5e-324]; np.clip returned it as -0.0 for one row
+    # and as +0.0 for the whole swarm
+    config = PsoConfig(
+        swarm_size=2, generations=1, c1=0.0, c2=1.0, inertia_w=0.25,
+        bounds=((-0.0, 5e-324),), seed=1,
+    )
+    _same_run(config, sphere)
 
 
 @pytest.mark.parametrize("kind", ["constant", "sentinel", "rounded"])
@@ -334,31 +345,100 @@ def test_a_cheap_objective_runs_in_index_order_on_the_calling_thread(monkeypatch
     assert threads == [threading.current_thread()] * len(seen)
 
 
-def _two_thread_sphere(counts):
-    """sphere, recording each call's thread and BLAS counts; a pooled call
-    on the calling thread waits (up to 10 s) until a pool thread has run a
-    trial, so a pooled search is seen to use its pool."""
-    caller, helped, threads = threading.current_thread(), threading.Event(), set()
+@contextmanager
+def scripted_clock(*stamps, cpus: int = 4):
+    """``pso.perf_counter`` returns ``stamps`` in turn and must read them
+    all; ``ThreadPoolExecutor`` records each pool a search opens; the host
+    has ``cpus`` CPUs."""
+    import concurrent.futures
 
-    def objective(x):
-        threads.add(threading.current_thread())
-        counts.append(blas_counts())
+    left, pools = list(stamps), []
+    real = concurrent.futures.ThreadPoolExecutor
+
+    def executor(*args, **kwargs):
+        pools.append(real(*args, **kwargs))
+        return pools[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pso_module, "perf_counter", lambda: left.pop(0))
+        patch.setattr(pso_module, "_available_cpus", lambda: cpus)
+        patch.setattr(concurrent.futures, "ThreadPoolExecutor", executor)
+        yield pools
+    assert left == []
+
+
+def _thread_log(objective):
+    """objective, and the list of (thread, position bytes) of every call.
+    After particles 0 and 1, timed on the calling thread, a call there waits
+    (up to 10 s) until a pool thread has run a trial, so a pooled search is
+    seen to use its pool."""
+    caller, helped, log = threading.current_thread(), threading.Event(), []
+
+    def logged(x):
+        log.append((threading.current_thread(), x.tobytes()))
         if threading.current_thread() is not caller:
             helped.set()
-        elif len(counts) > 4:  # after the serial first generation of 4
+        elif len(log) > 2:
             helped.wait(10.0)
+        return objective(x)
+
+    return logged, log
+
+
+def test_two_slow_trials_pool_the_rest_of_the_first_generation():
+    config = PsoConfig(swarm_size=6, generations=3, bounds=BOX3, seed=2)
+    first = [x.tobytes() for x in _oracle_positions(config)[:6]]
+    objective, log = _thread_log(sphere)
+    slow = pso_module._POOL_MIN_TRIAL_S
+    with scripted_clock(0.0, slow, 2 * slow, cpus=2) as pools:
+        _same_run(config, objective, pooled=None)
+    caller = threading.current_thread()
+    assert len(pools) == 1
+    assert log[:2] == [(caller, first[0]), (caller, first[1])]
+    gen0 = log[: config.swarm_size]
+    assert sorted(x for _, x in gen0[2:]) == sorted(first[2:])
+    assert any(thread is not caller for thread, _ in gen0[2:])
+
+
+@pytest.mark.parametrize(
+    "stamps", ((0.0, 1.0, 1.0 + 1e-6), (0.0, 1e-6, 1.0)), ids=("slow-first", "slow-second")
+)
+def test_one_cheap_timed_trial_keeps_the_search_serial(stamps):
+    config = PsoConfig(swarm_size=8, generations=4, bounds=BOX3, seed=3)
+    threads = []
+
+    def objective(x):
+        threads.append(threading.current_thread())
         return sphere(x)
 
-    return objective, threads
+    with scripted_clock(*stamps) as pools:
+        _same_run(config, objective)
+    assert pools == []
+    assert set(threads) == {threading.current_thread()}
+
+
+@pytest.mark.parametrize("swarm", (1, 2))
+def test_a_swarm_of_one_or_two_times_every_first_trial(swarm):
+    config = PsoConfig(swarm_size=swarm, generations=4, bounds=BOX3, seed=6)
+    threads = []
+
+    def objective(x):
+        threads.append(threading.current_thread())
+        return sphere(x)
+
+    with scripted_clock(*(0.0, 1.0, 2.0)[: swarm + 1], cpus=3) as pools:
+        _same_run(config, objective, pooled=None)
+    assert len(pools) == swarm - 1
+    assert threads[:swarm] == [threading.current_thread()] * swarm
 
 
 def test_a_pooled_search_runs_at_one_blas_thread_and_leaves_no_thread_behind():
     counts, before, active = [], blas_counts(), threading.active_count()
-    objective, threads = _two_thread_sphere(counts)
+    objective, log = _thread_log(lambda x: counts.append(blas_counts()) or sphere(x))
     config = PsoConfig(swarm_size=4, generations=3, bounds=BOX3, seed=8)
     with pool_forced(cpus=2):
         result = pso_minimize(objective, config)
-    assert len(threads) == 2
+    assert len({thread for thread, _ in log}) == 2
     assert counts == [[1, 1]] * 16
     assert blas_counts() == before
     assert threading.active_count() == active
@@ -410,6 +490,37 @@ def test_a_trial_error_propagates_unchanged_lowest_index_first(pooled):
         with pytest.raises(RuntimeError) as err:
             pso_minimize(objective, config)
     assert err.value is raised[generation[1].tobytes()]
+    assert threading.active_count() == active
+
+
+@pytest.mark.parametrize("failure", ("raise", "nan"))
+def test_a_pooled_first_generation_failure_names_its_particle_lowest_first(failure):
+    config = PsoConfig(swarm_size=6, generations=2, bounds=BOX3, seed=4)
+    generation = _oracle_positions(config)[:6]
+    raised, active = {}, threading.active_count()
+
+    def objective(x):
+        index = next((i for i in (3, 5) if x.tobytes() == generation[i].tobytes()), None)
+        if index is None:
+            return sphere(x)
+        if index == 3:
+            time.sleep(0.05)  # particle 5 fails first
+        if failure == "nan":
+            return math.nan
+        raised[index] = error = RuntimeError(f"trial {index} failed")
+        raise error
+
+    with pool_forced(cpus=2):
+        with pytest.raises(Exception) as err:
+            pso_minimize(objective, config)
+    if failure == "nan":
+        assert err.type is ToolkitError
+        assert str(err.value) == (
+            f"objective returned nan for particle 3 at position "
+            f"{generation[3].tolist()}; costs must be finite"
+        )
+    else:
+        assert err.value is raised[3]
     assert threading.active_count() == active
 
 
