@@ -119,11 +119,11 @@ def linear_truth(x, y):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One study request.  study, pso, seed and output_dir are common to all
-    studies; None in any other field takes the default of the study's
-    ``_STUDY_TABLE`` row, and a field the row does not name refuses a value.
-    seed is an int >= 0; each cell seeds its search from it (``_cell_seed``),
-    so pso is stored with seed 0, and a pso seed reaches no digest."""
+    """One study request, checked whole here, so a spec that builds runs
+    without a ConfigError.  study, pso, seed and output_dir are common to all
+    studies; None in any other field takes its ``_STUDY_TABLE`` row's default,
+    and a field the row does not name refuses a value.  Each cell seeds its
+    search from seed (``_cell_seed``), so pso is stored with seed 0."""
 
     study: str
     node_counts: tuple[int, ...] | None = None
@@ -150,9 +150,7 @@ class ExperimentSpec:
                 f"and beta; got {self.pso.bounds!r}"
             )
         object.__setattr__(self, "pso", replace(self.pso, seed=0))
-        object.__setattr__(self, "seed", _as_int("seed", self.seed))
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", _as_int("seed", self.seed, 0))
         if self.output_dir is not None and not isinstance(self.output_dir, (str, os.PathLike)):
             raise ConfigError(f"output_dir must be a path, got {self.output_dir!r}")
         reads = _STUDY_TABLE[self.study][1]
@@ -162,10 +160,10 @@ class ExperimentSpec:
                 object.__setattr__(self, name, reads.get(name))
             elif name not in reads:
                 raise ConfigError(f"the {self.study} study takes no {name}, got {value!r}")
-        for name in _COUNT_FIELDS:
+        for name, least in _COUNT_FIELDS.items():
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, _as_int(name, value))
+                object.__setattr__(self, name, _as_int(name, value, least))
         if self.node_counts is not None:
             counts = tuple(_as_int("node count", n) for n in _entries("node_counts", self.node_counts))
             object.__setattr__(self, "node_counts", counts)
@@ -173,6 +171,10 @@ class ExperimentSpec:
                 raise ConfigError("node_counts must not be empty")
             for n in self.node_counts:
                 _grid_side(n)
+            if self.study == "scaling" and max(counts) < 4 * min(counts):
+                raise ConfigError(
+                    f"node counts must span at least a 4x range, got {min(counts)}..{max(counts)}"
+                )
         if self.variants is not None:
             object.__setattr__(self, "variants", _entries("variants", self.variants))
             if not self.variants:
@@ -187,10 +189,6 @@ class ExperimentSpec:
                     raise ConfigError(f"{name} repeats {entry!r}; each entry may appear once")
         if self.objective not in ("rms", "loocv", None):
             raise ConfigError(f"objective must be rms or loocv, got {self.objective!r}")
-        if self.eval_grid_n is not None and self.eval_grid_n < 2:
-            raise ConfigError(f"eval_grid_n must be >= 2, got {self.eval_grid_n}")
-        if self.sweep_points is not None and self.sweep_points < 0:
-            raise ConfigError(f"sweep_points must be >= 0, got {self.sweep_points}")
         if self.params_per_n is not None:
             if not isinstance(self.params_per_n, Mapping):
                 raise ConfigError(f"params_per_n must be a mapping, got {self.params_per_n!r}")
@@ -227,8 +225,8 @@ def _entries(name: str, value) -> tuple:
 
 
 _STUDY_FIELDS = sorted({f.name for f in fields(ExperimentSpec)} - {"study", "pso", "seed", "output_dir"})
-# Counts are stored as Python ints, so an equal count gives an equal digest.
-_COUNT_FIELDS = ("eval_grid_n", "sweep_points", "fault_points", "fault_grid_n")
+# Each count field's least value; counts are stored as ints, so equal counts digest equally.
+_COUNT_FIELDS = {"eval_grid_n": 2, "sweep_points": 0, "fault_points": 10, "fault_grid_n": 2}
 
 
 @dataclass
@@ -568,16 +566,14 @@ def synthetic_fault_surface(n_points: int = 78, seed: int = 0) -> PointSet:
     Points are uniform over the [0, 50] km square; values follow
     :func:`fault_elevation`.  Deterministic per seed.
     """
-    if n_points < 10:
-        raise ConfigError(f"n_points must be >= 10, got {n_points}")
-    rng = np.random.default_rng(seed)
+    n_points = _as_int("n_points", n_points, 10)
+    rng = np.random.default_rng(_as_int("seed", seed, 0))
     coords = rng.uniform(FAULT_DOMAIN[0], FAULT_DOMAIN[1], size=(n_points, 2))
     return PointSet(coords, fault_elevation(coords))
 
 
 def fault_study(spec: ExperimentSpec) -> ExperimentReport:
     """LOOCV-tuned hybrid reconstruction of the synthetic fault surface."""
-    # Bad fault settings raise here, before any search or report.
     points = synthetic_fault_surface(spec.fault_points, seed=spec.seed)
     target = make_tensor_grid(spec.fault_grid_n, 2, *FAULT_DOMAIN)
     cell = CellRecord(study=spec.study, variant="hybrid", n=spec.fault_points, objective="loocv")
@@ -606,10 +602,6 @@ def scaling_study(spec: ExperimentSpec) -> ExperimentReport:
     the larger LUs.
     """
     counts = sorted(spec.node_counts)
-    if max(counts) < 4 * min(counts):
-        raise ConfigError(
-            f"node counts must span at least a 4x range, got {min(counts)}..{max(counts)}"
-        )
     kernel = KernelSpec.hybrid(5.5, 0.7, 1e-6)
     cells = []
     timed: list[tuple[int, float]] = []

@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _pso_config(args) -> PsoConfig:
-    # Every kernel with epsilon < 0 is invalid, so such a box has no valid trial.
+    # Refused because part of the box (epsilon < 0) is invalid, though its part above 0 is valid.
     if not args.eps_min >= 0:
         raise ConfigError(f"--eps-min must be >= 0, got {args.eps_min:g}")
     return PsoConfig(

@@ -31,12 +31,16 @@ FLOAT_FMT = "%.17g"
 _ROWS_PER_BLOCK = 2048
 
 
-def _as_int(name: str, value) -> int:
-    """``value`` as a Python int; ConfigError if ``operator.index`` refuses it (4.0 too)."""
+def _as_int(name: str, value, least: int | None = None) -> int:
+    """``value`` as a Python int, the one count rule: ConfigError if
+    ``operator.index`` refuses it (4.0 too) or it is below ``least``."""
     try:
-        return operator.index(value)
+        count = operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and count < least:
+        raise ConfigError(f"{name} must be >= {least}, got {count}")
+    return count
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -118,11 +122,7 @@ def make_tensor_grid(
 
     Row-major ordering: the last coordinate varies fastest.
     """
-    k, s = _as_int("points_per_side", points_per_side), _as_int("dim", dim)
-    if k < 2:
-        raise ConfigError(f"points_per_side must be >= 2, got {points_per_side}")
-    if s < 1:
-        raise ConfigError(f"dim must be >= 1, got {dim}")
+    k, s = _as_int("points_per_side", points_per_side, 2), _as_int("dim", dim, 1)
     try:
         lo, hi = float(lower), float(upper)
     except (TypeError, ValueError, OverflowError):
@@ -158,9 +158,7 @@ def make_halton_set(n: int, dim: int) -> PointSet:
 
     Deterministic: equal arguments produce bitwise-equal coordinates.
     """
-    n, dim = _as_int("n", n), _as_int("dim", dim)
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
+    n, dim = _as_int("n", n, 1), _as_int("dim", dim)
     if not 1 <= dim <= len(HALTON_BASES):
         raise ConfigError(f"dim must lie in [1, {len(HALTON_BASES)}], got {dim}")
     coords = np.empty((n, dim))

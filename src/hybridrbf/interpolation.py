@@ -515,7 +515,8 @@ def _inverse_diagonal(factors) -> np.ndarray:
 
         (A**-1)_kk = sum over j >= max(k, q_k) of (U**-1)_kj (L**-1)_j,q_k
 
-    which is summed _INVDIAG_BLOCK rows at a time.
+    which is summed _INVDIAG_BLOCK rows at a time.  A product outside the
+    sum may overflow unread; an overflowing entry raises NumericalBreakdownError.
     """
     lu, piv = factors
     n = lu.shape[0]
@@ -529,13 +530,16 @@ def _inverse_diagonal(factors) -> np.ndarray:
     # first; every later j has both factors stored in lu.
     diag = np.where(q >= k, lu[k, q], 0.0)
     first = np.maximum(k, q + 1)
-    for start in range(0, n, _INVDIAG_BLOCK):
-        stop = min(start + _INVDIAG_BLOCK, n)
-        terms = lu.T[q[start:stop], start:]
-        terms *= lu[start:stop, start:]
-        diag[start:stop] += np.add.reduce(
-            terms, axis=1, where=k[start:] >= first[start:stop, None]
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, _INVDIAG_BLOCK):
+            stop = min(start + _INVDIAG_BLOCK, n)
+            terms = lu.T[q[start:stop], start:]
+            terms *= lu[start:stop, start:]
+            diag[start:stop] += np.add.reduce(
+                terms, axis=1, where=k[start:] >= first[start:stop, None]
+            )
+    if not np.all(np.isfinite(diag)):
+        raise NumericalBreakdownError("the inverse diagonal overflows")
     return diag
 
 

@@ -12,6 +12,7 @@ the Gaussian part keeps the fast convergence on smooth data.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,9 +96,17 @@ class KernelSpec:
         return cls(kind, eps, alpha, beta)
 
 
+def _numbers(obj, message: str) -> np.ndarray:
+    """``obj`` as a float array; DomainError ``message`` if it holds anything but numbers."""
+    try:
+        return np.asarray(obj, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{message}, got {reprlib.repr(obj)}") from None
+
+
 def eval_kernel(spec: KernelSpec, r: float) -> float:
     """Evaluate phi(r) at a single nonnegative radius."""
-    rv = np.asarray(r, dtype=float)
+    rv = _numbers(r, "radius must be a number")
     if rv.ndim != 0:
         raise DomainError("eval_kernel expects a scalar radius; use eval_kernel_batch")
     if not np.isfinite(rv) or rv < 0.0:
@@ -113,7 +122,7 @@ def eval_kernel_batch(spec: KernelSpec, distances) -> np.ndarray:
     Runs the fill :func:`eval_kernel` runs, so batch entries match the scalar
     path bit for bit.
     """
-    d = np.asarray(distances, dtype=float)
+    d = _numbers(distances, "distances must be numbers")
     if not np.all(np.isfinite(d)):
         raise DomainError("all distances must be finite")
     if np.any(d < 0.0):

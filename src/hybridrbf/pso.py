@@ -92,13 +92,9 @@ class PsoConfig:
                 )
         for name, least in (("swarm_size", 1), ("generations", 1), ("seed", 0)):
             try:
-                value = _as_int(name, getattr(self, name))
+                object.__setattr__(self, name, _as_int(name, getattr(self, name), least))
             except ConfigError as exc:
                 violations.append(str(exc))
-                continue
-            object.__setattr__(self, name, value)
-            if value < least:
-                violations.append(f"{name} must be >= {least}, got {value}")
         try:
             bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
         except (TypeError, ValueError, OverflowError):

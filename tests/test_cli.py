@@ -320,8 +320,8 @@ def test_negative_eps_min_is_one_error_line_before_any_search(
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--fault-grid-n", "1"], "points_per_side must be >= 2, got 1"),
-        (["--fault-points", "5"], "n_points must be >= 10, got 5"),
+        (["--fault-grid-n", "1"], "fault_grid_n must be >= 2, got 1"),
+        (["--fault-points", "5"], "fault_points must be >= 10, got 5"),
     ],
     ids=["grid-n", "points"],
 )

@@ -19,12 +19,14 @@ from hybridrbf import (
     PointSet,
     PsoConfig,
     ToolkitError,
+    eval_kernel,
+    eval_kernel_batch,
     make_evaluation_grid,
     make_halton_set,
     make_tensor_grid,
     run_study,
 )
-from hybridrbf.bench import _STUDY_TABLE, STUDIES, VARIANTS
+from hybridrbf.bench import _STUDY_TABLE, STUDIES, VARIANTS, synthetic_fault_surface
 
 # Not an integer, so no count check lets it through to an allocation.
 _NOT_A_COUNT = st.one_of(
@@ -49,6 +51,7 @@ def _count(lo, hi):
 
 _POINTS = st.lists(st.lists(_NUMBER, min_size=1, max_size=3), max_size=4)
 _GRIDS = st.builds(make_tensor_grid, st.integers(2, 3), st.integers(1, 2))
+_KERNELS = st.builds(KernelSpec.hybrid, st.floats(0.0, 5.0), st.floats(0.0, 1.0), st.just(0.5))
 _PSO = st.builds(
     PsoConfig,
     st.integers(1, 3),
@@ -92,6 +95,11 @@ _CALLS = st.one_of(
         st.tuples(_count(-1, 4), _count(-1, 3), _or(_NUMBER), _or(_NUMBER)),
     ),
     st.tuples(st.just(make_halton_set), st.tuples(_count(-1, 20), _count(-1, 30))),
+    st.tuples(st.just(synthetic_fault_surface), st.tuples(_count(8, 12), _or(st.integers(-1, 3)))),
+    st.tuples(st.just(eval_kernel), st.tuples(_KERNELS, _or(_NUMBER))),
+    st.tuples(
+        st.just(eval_kernel_batch), st.tuples(_KERNELS, _or(st.lists(_or(_NUMBER), max_size=4)))
+    ),
     st.tuples(
         st.just(ExperimentSpec),
         st.tuples(
@@ -106,7 +114,8 @@ _CALLS = st.one_of(
             _or(
                 st.none()
                 | st.dictionaries(
-                    _or(st.sampled_from((4, 9))),
+                    # a dict key must hash, or Hypothesis itself raises TypeError
+                    _or(st.sampled_from((4, 9)), _JUNK.filter(lambda v: not isinstance(v, list | dict))),
                     _or(st.tuples(_NUMBER, _NUMBER, _NUMBER)),
                     max_size=2,
                 )
@@ -152,8 +161,16 @@ def _tiny_specs(draw):
 @settings(max_examples=60, deadline=None)
 @given(_tiny_specs())
 def test_a_tiny_study_returns_or_raises_a_toolkit_error(fields):
+    """Every setting is checked when the spec is built, so a spec that
+    builds runs without a ConfigError."""
     try:
-        report = run_study(ExperimentSpec(**fields))
+        spec = ExperimentSpec(**fields)
+    except ConfigError:
+        return
+    try:
+        report = run_study(spec)
+    except ConfigError as exc:
+        pytest.fail(f"a spec that built raised ConfigError at run time: {exc}")
     except ToolkitError:
         return
     assert report.cells
@@ -192,3 +209,33 @@ _GRID3 = make_evaluation_grid(3)
 def test_a_value_of_the_wrong_type_is_a_config_error(call):
     with pytest.raises(ConfigError):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    (
+        (lambda: ExperimentSpec(study="fault", fault_points=5), "fault_points must be >= 10, got 5"),
+        (lambda: ExperimentSpec(study="fault", fault_grid_n=1), "fault_grid_n must be >= 2, got 1"),
+        (
+            lambda: ExperimentSpec(study="scaling", node_counts=(4, 9)),
+            "node counts must span at least a 4x range, got 4..9",
+        ),
+        (lambda: synthetic_fault_surface("a"), "n_points must be an integer, got 'a'"),
+        (lambda: synthetic_fault_surface(10.5), "n_points must be an integer, got 10.5"),
+        (lambda: synthetic_fault_surface(12, seed=1.5), "seed must be an integer, got 1.5"),
+        (lambda: synthetic_fault_surface(12, seed=-1), "seed must be >= 0, got -1"),
+    ),
+    ids=(
+        "few-fault-points",
+        "one-fault-grid-side",
+        "narrow-scaling-span",
+        "text-fault-points",
+        "fractional-fault-points",
+        "fractional-fault-seed",
+        "negative-fault-seed",
+    ),
+)
+def test_a_bad_study_setting_is_refused_when_it_is_made(call, message):
+    with pytest.raises(ConfigError) as err:
+        call()
+    assert str(err.value) == message

@@ -5,8 +5,10 @@ private helper, behind that nothing reads; these tests catch that, and a
 public name that ``hybridrbf`` imports but does not list in ``__all__`` (or
 lists but does not bind).  They also keep scipy, whose ``scipy.linalg``
 costs more to import than the rest of the package, inside the one loader
-that imports it at the first factorization, and the kernel fill one formula
-that never asks which kind it fills.
+that imports it at the first factorization, the kernel fill one formula
+that never asks which kind it fills, the count rule (``operator.index``
+and a least value) in ``geometry._as_int``, and ``concurrent.futures`` out
+of every module's import, so importing the package starts no pool machinery.
 """
 
 import ast
@@ -118,13 +120,66 @@ def _imports_scipy(node: ast.AST) -> bool:
 
 
 def test_scipy_is_imported_only_inside_the_lapack_loader():
+    assert _top_level_places(_imports_scipy) == ["interpolation._lapack"]
+
+
+def _top_level_places(predicate) -> list[str]:
+    """Where a node matching ``predicate`` sits: ``module.function`` for a
+    top-level function, ``file:line`` for any other top-level statement."""
     places = []
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             function = isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
             place = f"{path.stem}.{top.name}" if function else f"{path.name}:{top.lineno}"
-            places += [place for node in ast.walk(top) if _imports_scipy(node)]
-    assert sorted(set(places)) == ["interpolation._lapack"]
+            places += [place for node in ast.walk(top) if predicate(node)]
+    return sorted(set(places))
+
+
+def _reads_operator_index(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom) and node.module == "operator":
+        return any(alias.name == "index" for alias in node.names)
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "index"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "operator"
+    )
+
+
+def test_operator_index_is_called_only_in_the_count_rule():
+    """Every count goes through ``geometry._as_int``, which converts it and
+    checks its least value, so no other code converts a count its own way."""
+    assert _top_level_places(_reads_operator_index) == ["geometry._as_int"]
+
+
+def _module_level(node: ast.AST):
+    """``node`` and every node under it that runs at import: function
+    bodies are skipped, class bodies are not."""
+    yield node
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        return
+    for child in ast.iter_child_nodes(node):
+        yield from _module_level(child)
+
+
+def _imports_concurrent_futures(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("concurrent") for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").startswith("concurrent")
+
+
+def test_no_module_imports_concurrent_futures_when_it_is_imported():
+    """A pool is built only by a search that times two slow trials, so the
+    module that builds it imports ``concurrent.futures`` in that function.
+    (A fresh interpreter cannot check this: ``scipy.linalg`` loads it.)"""
+    imports = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in _module_level(top)
+        if _imports_concurrent_futures(node)
+    ]
+    assert imports == []
 
 
 def test_the_kernel_fill_reads_no_kind():

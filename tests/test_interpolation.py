@@ -17,6 +17,7 @@ from hybridrbf import (
     DegenerateInputError,
     DomainError,
     KernelSpec,
+    NumericalBreakdownError,
     PointSet,
     SingularSystemError,
     assemble,
@@ -523,6 +524,12 @@ def test_pointer_triangular_inverse_matches_the_f2py_calls(n, lower):
     _f2py_invert_triangle(want, 0, n, lower)
     _invert_triangle(got, 0, n, lower)
     assert got.tobytes(order="F") == want.tobytes(order="F")
+
+
+def test_an_overflowing_inverse_diagonal_is_a_breakdown():
+    lu = np.array([[1e-200, 1.0], [0.5, 1e-200]], order="F")  # (U**-1)_01 overflows
+    with pytest.raises(NumericalBreakdownError, match="^the inverse diagonal overflows$"):
+        _inverse_diagonal((lu, np.array([0, 1], dtype=np.int32)))
 
 
 def test_zero_pivot_in_a_later_block_raises_the_global_index():

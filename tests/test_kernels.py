@@ -51,6 +51,24 @@ def test_negative_radius_rejected():
         eval_kernel_batch(KernelSpec.gaussian(1.0), [[0.0, -1.0]])
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda k: eval_kernel(k, "a"), "radius must be a number, got 'a'"),
+        (lambda k: eval_kernel(k, 1j), "radius must be a number, got 1j"),
+        (lambda k: eval_kernel(k, 10**400), "radius must be a number, got 1000"),
+        (lambda k: eval_kernel_batch(k, [1, "a"]), "distances must be numbers, got [1, 'a']"),
+        (lambda k: eval_kernel_batch(k, [[1], [1, 2]]), "distances must be numbers, got [[1], [1, 2]]"),
+        (lambda k: eval_kernel_batch(k, {"r": 1.0}), "distances must be numbers, got {'r': 1.0}"),
+    ],
+    ids=["text-radius", "complex-radius", "huge-radius", "text-distance", "ragged", "mapping"],
+)
+def test_a_radius_that_is_no_number_is_one_domain_error(call, message):
+    with pytest.raises(DomainError) as err:
+        call(KernelSpec.hybrid(1.0, 0.5, 0.5))
+    assert str(err.value).startswith(message)
+
+
 @pytest.mark.parametrize("r", [np.array([1.0]), [0.5, 1.0], np.zeros((1, 1))])
 def test_scalar_kernel_refuses_an_array_radius(r):
     message = "^eval_kernel expects a scalar radius; use eval_kernel_batch$"

@@ -168,6 +168,16 @@ def test_rippa_breaks_down_on_a_zero_inverse_diagonal():
     assert objective_value(ObjectiveSpec.loocv(), pts, KernelSpec.cubic()) == SENTINEL_COST
 
 
+def test_a_tiny_cubic_scale_costs_what_the_unit_cubic_costs_without_a_warning():
+    """Rippa's cost does not change with the kernel's scale.  At beta near
+    3e-206 some inverse-triangle products outside the diagonal sum overflow;
+    they are discarded, so the cost is the unit cubic's, with no warning."""
+    pts = synthetic_fault_surface(13)
+    tiny = KernelSpec("hybrid", 0.5, 0.0, 2.6685214877570287e-206)
+    want = loocv_cost_rippa(pts, KernelSpec.cubic()).value
+    assert loocv_cost_rippa(pts, tiny).value == pytest.approx(want, rel=1e-12)
+
+
 def huge_halton_data() -> PointSet:
     """Values whose leave-one-out errors are finite but whose norm overflows."""
     pts = make_halton_set(20, 2)
