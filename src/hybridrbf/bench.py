@@ -140,7 +140,7 @@ class ExperimentSpec:
     output_dir: str | Path | None = None
 
     def __post_init__(self):
-        if self.study not in STUDIES:
+        if not isinstance(self.study, str) or self.study not in STUDIES:
             raise ConfigError(f"unknown study {self.study!r}; expected one of {STUDIES}")
         if not isinstance(self.pso, PsoConfig):
             raise ConfigError(f"pso must be a PsoConfig, got {self.pso!r}")
@@ -180,28 +180,29 @@ class ExperimentSpec:
             if not self.variants:
                 raise ConfigError("at least one kernel variant is required")
             for v in self.variants:
-                if v not in VARIANTS:
+                if not isinstance(v, str) or v not in VARIANTS:
                     raise ConfigError(f"unknown variant {v!r}; expected one of {VARIANTS}")
         for name in ("node_counts", "variants"):
             entries = getattr(self, name) or ()
             for i, entry in enumerate(entries):
                 if entry in entries[:i]:
                     raise ConfigError(f"{name} repeats {entry!r}; each entry may appear once")
-        if self.objective not in ("rms", "loocv", None):
+        if not isinstance(self.objective, str | None) or self.objective not in ("rms", "loocv", None):
             raise ConfigError(f"objective must be rms or loocv, got {self.objective!r}")
         if self.params_per_n is not None:
             if not isinstance(self.params_per_n, Mapping):
                 raise ConfigError(f"params_per_n must be a mapping, got {self.params_per_n!r}")
             pinned = {}
-            for n, triple in self.params_per_n.items():
+            for key, triple in self.params_per_n.items():
+                n = _as_int("node count", key)
                 if n not in self.node_counts:
                     raise ConfigError(f"params_per_n key {n!r} not in node_counts {self.node_counts}")
                 try:
-                    epsilon, alpha, beta = (float(t) for t in triple)
-                    KernelSpec.hybrid(epsilon, alpha, beta)  # raises on a bad triple
-                    pinned[int(n)] = (epsilon, alpha, beta)
-                except (TypeError, ValueError, OverflowError, ConfigError) as exc:
+                    epsilon, alpha, beta = triple
+                    kernel = KernelSpec.hybrid(epsilon, alpha, beta)  # raises on a bad triple
+                except (TypeError, ValueError, ConfigError) as exc:
                     raise ConfigError(f"params_per_n[{n!r}] = {triple!r}: {exc}") from None
+                pinned[n] = (kernel.epsilon, kernel.alpha, kernel.beta)
             object.__setattr__(self, "params_per_n", pinned)
             if set(self.node_counts) <= set(pinned):
                 # No cell searches, so the search fields must keep their
@@ -269,13 +270,8 @@ class ExperimentReport:
 
     def cell(self, variant: str, n: int | None = None, objective: str | None = None):
         for c in self.cells:
-            if c.variant != variant:
-                continue
-            if n is not None and c.n != n:
-                continue
-            if objective is not None and c.objective != objective:
-                continue
-            return c
+            if c.variant == variant and n in (None, c.n) and objective in (None, c.objective):
+                return c
         raise KeyError(f"no cell variant={variant!r} n={n} objective={objective!r}")
 
 

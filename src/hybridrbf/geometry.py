@@ -1,7 +1,8 @@
 """Point-set containers, node generators, and dense pairwise distances.
 
 Everything here is O(N^2) dense on purpose: the interpolation scheme this
-feeds is global, so spatial indexing would buy nothing.
+feeds is global, so spatial indexing would buy nothing.  Coordinates, values
+and bounds are read by the number rule of ``kernels``, counts by :func:`_as_int`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import io
 import itertools
 import math
 import operator
-import reprlib
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .kernels import _FILL_BLOCK
+from .kernels import _FILL_BLOCK, _number, _numbers
 
 HALTON_BASES = (2, 3, 5, 7, 11, 13)
 
@@ -48,14 +48,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _float_array(name: str, obj, **kwargs) -> np.ndarray:
-    """A float copy of ``obj``; ConfigError if it holds anything but numbers."""
-    try:
-        return np.array(obj, dtype=float, **kwargs)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be numbers, got {reprlib.repr(obj)}") from None
-
-
 @dataclass(frozen=True)
 class PointSet:
     """N points in s-dimensional space, optionally with one value per point."""
@@ -64,14 +56,14 @@ class PointSet:
     values: np.ndarray | None = None
 
     def __post_init__(self):
-        coords = _float_array("coords", self.coords, ndmin=2)
+        coords = _numbers(self.coords, ConfigError, "coords must be numbers, got %s", ndmin=2)
         if coords.ndim != 2 or coords.shape[0] < 1 or coords.shape[1] < 1:
             raise ConfigError("coords must be a nonempty N x s matrix")
         if not np.all(np.isfinite(coords)):
             raise ConfigError("coords must be finite")
         object.__setattr__(self, "coords", _freeze(coords))
         if self.values is not None:
-            values = _float_array("values", self.values).ravel()
+            values = _numbers(self.values, ConfigError, "values must be numbers, got %s").ravel()
             if values.shape[0] != coords.shape[0]:
                 raise ConfigError(
                     f"got {values.shape[0]} values for {coords.shape[0]} points"
@@ -106,10 +98,7 @@ def _as_coords(obj) -> np.ndarray:
     if isinstance(obj, PointSet):
         return obj.coords
     # A view of float64 input, not a copy: callers only read coordinates.
-    try:
-        coords = np.atleast_2d(np.asarray(obj, dtype=float))
-    except (TypeError, ValueError):
-        raise DomainError(f"coordinates must be numbers, got {reprlib.repr(obj)}") from None
+    coords = _numbers(obj, DomainError, "coordinates must be numbers, got %s", copy=None, ndmin=2)
     if coords.ndim != 2:
         raise DomainError(f"coordinates must be an N x s matrix, got shape {coords.shape}")
     return coords
@@ -123,10 +112,8 @@ def make_tensor_grid(
     Row-major ordering: the last coordinate varies fastest.
     """
     k, s = _as_int("points_per_side", points_per_side, 2), _as_int("dim", dim, 1)
-    try:
-        lo, hi = float(lower), float(upper)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"lower and upper must be numbers, got {lower!r} and {upper!r}") from None
+    message, shown = "lower and upper must be numbers, got %r and %r", (lower, upper)
+    lo, hi = _number(lower, ConfigError, message, shown), _number(upper, ConfigError, message, shown)
     if not hi > lo:
         raise ConfigError(f"need upper > lower, got [{lower}, {upper}]")
     if not math.isfinite(hi - lo):

@@ -48,7 +48,7 @@ from .geometry import (
     points_to_csv_text,
     read_points_table,
 )
-from .kernels import _FILL_BLOCK, KernelSpec, _fill
+from .kernels import _FILL_BLOCK, KernelSpec, _fill, _number
 
 # A factorization whose smallest |U_kk| falls below this fraction of the
 # largest is treated as numerically singular.
@@ -582,10 +582,7 @@ def model_to_text(model: InterpolationModel) -> str:
 
 
 def _parse_float(text: str, section: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"bad numeric line in model {section} section: {text!r}") from None
+    return _number(text, ConfigError, "bad numeric line in model %s section: %r", (section, text))
 
 
 def model_from_text(text: str) -> InterpolationModel:

@@ -8,10 +8,15 @@ distance r >= 0 between an evaluation point and a center.  The hybrid kernel
 blends the infinitely smooth Gaussian with the shape-parameter-free cubic:
 a small cubic admixture tames the ill-conditioning of flat Gaussians while
 the Gaussian part keeps the fast convergence on smooth data.
+
+The kernel is defined for real numbers only, so every real-number input is
+read by one rule, :func:`_number` (scalars) or :func:`_numbers` (arrays): what
+``float`` converts, less a complex value, which numpy would cast to its real part.
 """
 
 from __future__ import annotations
 
+import math
 import reprlib
 from dataclasses import dataclass
 
@@ -40,12 +45,12 @@ class KernelSpec:
     beta: float = 0.0
 
     def __post_init__(self):
-        try:
-            eps, alpha, beta = float(self.epsilon), float(self.alpha), float(self.beta)
-        except (TypeError, ValueError, OverflowError):
-            triple = f"{self.epsilon!r}, {self.alpha!r}, {self.beta!r}"
-            raise ConfigError(f"epsilon, alpha and beta must be numbers, got {triple}") from None
-        if not np.isfinite(eps) or eps < 0.0:
+        shown = self.epsilon, self.alpha, self.beta
+        message = "epsilon, alpha and beta must be numbers, got %r, %r, %r"
+        eps = _number(self.epsilon, ConfigError, message, shown)
+        alpha = _number(self.alpha, ConfigError, message, shown)
+        beta = _number(self.beta, ConfigError, message, shown)
+        if not math.isfinite(eps) or eps < 0.0:
             raise ConfigError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if not 0.0 <= alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
@@ -53,7 +58,7 @@ class KernelSpec:
             raise ConfigError(f"beta must lie in [0, 1], got {self.beta}")
         if alpha == 0.0 and beta == 0.0:
             raise ConfigError("alpha and beta cannot both be zero (zero kernel)")
-        if self.kind not in KERNEL_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in KERNEL_KINDS:
             raise ConfigError(
                 f"unknown kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}"
             )
@@ -88,25 +93,42 @@ class KernelSpec:
             raise ConfigError(
                 f"kernel record must have 4 comma-separated fields, got {record!r}"
             )
-        kind = parts[0].lower()
+        return cls(parts[0].lower(), *parts[1:])  # the number rule reads numeric text
+
+
+def _is_complex(obj) -> bool:
+    """Whether ``obj`` is a complex, or a list, tuple or array holding one."""
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.kind == "c" or obj.dtype.kind == "O" and any(map(_is_complex, obj.flat))
+    if isinstance(obj, (list, tuple)):
+        return any(map(_is_complex, obj))
+    return isinstance(obj, (complex, np.complexfloating))
+
+
+def _number(value, error: type[Exception], message: str, shown=None) -> float:
+    """``float(value)`` unless that fails or ``value`` is complex: then
+    ``error(message % shown)``, ``shown`` defaulting to ``value``'s repr."""
+    if isinstance(value, float) or not _is_complex(value):
         try:
-            eps, alpha, beta = (float(s) for s in parts[1:])
-        except ValueError as exc:
-            raise ConfigError(f"bad numeric field in kernel record {record!r}") from exc
-        return cls(kind, eps, alpha, beta)
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise error(message % (reprlib.repr(value) if shown is None else shown)) from None
 
 
-def _numbers(obj, message: str) -> np.ndarray:
-    """``obj`` as a float array; DomainError ``message`` if it holds anything but numbers."""
-    try:
-        return np.asarray(obj, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{message}, got {reprlib.repr(obj)}") from None
+def _numbers(obj, error: type[Exception], message: str, **kwargs) -> np.ndarray:
+    """``np.array(obj, dtype=float, **kwargs)`` under the rule of :func:`_number`."""
+    if not _is_complex(obj):
+        try:
+            return np.array(obj, dtype=float, **kwargs)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise error(message % reprlib.repr(obj)) from None
 
 
 def eval_kernel(spec: KernelSpec, r: float) -> float:
     """Evaluate phi(r) at a single nonnegative radius."""
-    rv = _numbers(r, "radius must be a number")
+    rv = _numbers(r, DomainError, "radius must be a number, got %s", copy=None)
     if rv.ndim != 0:
         raise DomainError("eval_kernel expects a scalar radius; use eval_kernel_batch")
     if not np.isfinite(rv) or rv < 0.0:
@@ -122,7 +144,7 @@ def eval_kernel_batch(spec: KernelSpec, distances) -> np.ndarray:
     Runs the fill :func:`eval_kernel` runs, so batch entries match the scalar
     path bit for bit.
     """
-    d = _numbers(distances, "distances must be numbers")
+    d = _numbers(distances, DomainError, "distances must be numbers, got %s", copy=None)
     if not np.all(np.isfinite(d)):
         raise DomainError("all distances must be finite")
     if np.any(d < 0.0):

@@ -20,12 +20,6 @@ compares a search's cost with it bit for bit; an augmented shortcut needs
 that check to accept a tolerance first.  It also serves as the independent
 oracle for the plain shortcut.
 
-A search may run its trials on several threads (see ``pso_minimize``).
-They share the read-only search data, and each thread but the main one
-fills its trials into one N x N matrix it maps for the search and returns
-to the operating system when the thread ends, so a pooled search holds one
-trial matrix per thread and no heap keeps a worker's matrices.
-
 ``_trial_cost`` alone picks Rippa's shortcut or brute force: a search's
 trials and the bench report's LOOCV cost both call it, and the public
 ``loocv_cost_*`` each run one path.  A cost is the 2-norm of the
@@ -53,7 +47,7 @@ from .errors import (
     NumericalBreakdownError,
     SingularSystemError,
 )
-from .geometry import PointSet, _float_array, pairwise_distances
+from .geometry import PointSet, _as_coords, pairwise_distances
 from .interpolation import (
     AssembledSystem,
     InterpolationModel,
@@ -68,7 +62,7 @@ from .interpolation import (
     evaluate,
     fit,  # noqa: F401  (perfbench/tests/test_perfbench.py rebinds objectives.fit)
 )
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _numbers
 
 # Cost assigned to parameter trials whose linear algebra fails; finite so a
 # swarm can keep moving through bad regions of the search box, and the
@@ -103,19 +97,17 @@ class ObjectiveSpec:
     augmented: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("rms", "loocv"):
+        if not isinstance(self.kind, str) or self.kind not in ("rms", "loocv"):
             raise ConfigError(f"objective kind must be rms or loocv, got {self.kind!r}")
         if self.kind == "rms":
             if self.grid is None or self.truth_values is None:
                 raise ConfigError("rms objective requires grid and truth_values")
             if not isinstance(self.grid, PointSet):
                 raise ConfigError(f"grid must be a PointSet, got {self.grid!r}")
-            truth = _float_array("truth_values", self.truth_values).ravel()
-            if truth.shape[0] != self.grid.n:
-                raise ConfigError(
-                    f"got {truth.shape[0]} truth values for {self.grid.n} grid points"
-                )
-            object.__setattr__(self, "truth_values", truth)
+            truth = _numbers(self.truth_values, ConfigError, "truth_values must be numbers, got %s")
+            if truth.size != self.grid.n:
+                raise ConfigError(f"got {truth.size} truth values for {self.grid.n} grid points")
+            object.__setattr__(self, "truth_values", truth.ravel())
         else:
             object.__setattr__(self, "grid", None)
             object.__setattr__(self, "truth_values", None)
@@ -129,19 +121,20 @@ class ObjectiveSpec:
         return cls("loocv", augmented=augmented)
 
 
+@np.errstate(over="ignore")  # an overflowing square is inf; a trial costs the sentinel
 def _rms(values: np.ndarray, truth: np.ndarray) -> float:
     residual = values - truth
     return float(np.sqrt(np.mean(residual**2)))
 
 
-def rms_error(model: InterpolationModel, grid: PointSet, truth_values) -> float:
-    """Root mean square error of the interpolant over the grid."""
-    truth = np.asarray(truth_values, dtype=float).ravel()
-    if truth.shape[0] != grid.n:
-        raise DomainError(
-            f"got {truth.shape[0]} truth values for {grid.n} evaluation points"
-        )
-    return _rms(evaluate(model, grid), truth)
+def rms_error(model: InterpolationModel, grid, truth_values) -> float:
+    """Root mean square error of the interpolant over the grid (a PointSet
+    or coordinates, read as :func:`evaluate` reads them)."""
+    targets = _as_coords(grid)
+    truth = _numbers(truth_values, DomainError, "truth values must be numbers, got %s", copy=None)
+    if truth.size != targets.shape[0]:
+        raise DomainError(f"got {truth.size} truth values for {targets.shape[0]} evaluation points")
+    return _rms(evaluate(model, targets), truth.ravel())
 
 
 def _loocv_rippa(
@@ -355,8 +348,9 @@ def kernel_objective(
     local = threading.local()
 
     def objective(position) -> float:
+        position = _numbers(position, DomainError, "position must be numbers, got %s", copy=None)
         try:
-            kernel = to_kernel(np.asarray(position, dtype=float))
+            kernel = to_kernel(position)
         except ConfigError:
             return SENTINEL_COST
         return objective_value(spec, points, kernel, data, _trial_matrix(local, points.n))

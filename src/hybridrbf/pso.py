@@ -37,6 +37,7 @@ import numpy as np
 from .errors import ConfigError, ToolkitError
 from .geometry import _as_int, _float_table, _header_row, _opened, _write_table
 from .interpolation import _one_blas_thread
+from .kernels import _number
 
 DEFAULT_C1 = 1.49445
 DEFAULT_C2 = 1.49445
@@ -74,10 +75,11 @@ class PsoConfig:
         configs hold equal values."""
         violations = []
         for name in ("c1", "c2", "inertia_w"):
+            message = f"{name} must be a number, got %s"
             try:
-                object.__setattr__(self, name, float(getattr(self, name)))
-            except (TypeError, ValueError, OverflowError):
-                violations.append(f"{name} must be a number, got {getattr(self, name)!r}")
+                object.__setattr__(self, name, _number(getattr(self, name), ConfigError, message))
+            except ConfigError as exc:
+                violations.append(str(exc))
         if not violations:  # the stability region needs all three factors
             csum = self.c1 + self.c2
             if not 0.0 < csum < 4.0:
@@ -95,12 +97,12 @@ class PsoConfig:
                 object.__setattr__(self, name, _as_int(name, getattr(self, name), least))
             except ConfigError as exc:
                 violations.append(str(exc))
+        message, shown = "bounds must be (lower, upper) pairs of numbers, got %r", (self.bounds,)
+        real = lambda value: _number(value, ConfigError, message, shown)
         try:
-            bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-        except (TypeError, ValueError, OverflowError):
-            violations.append(
-                f"bounds must be (lower, upper) pairs of numbers, got {self.bounds!r}"
-            )
+            bounds = tuple((real(lo), real(hi)) for lo, hi in self.bounds)
+        except (TypeError, ValueError, ConfigError):  # no pairs, or no numbers
+            violations.append(message % shown)
             bounds = ()
         object.__setattr__(self, "bounds", bounds)
         for i, (lo, hi) in enumerate(bounds):
@@ -136,14 +138,15 @@ def _available_cpus() -> int:
 
 
 def _cost(objective, index: int, position: np.ndarray) -> float:
-    """objective(position) as a float; ToolkitError if it is not finite."""
-    value = float(objective(position))
-    if not math.isfinite(value):
-        raise ToolkitError(
-            f"objective returned {value} for particle {index} at position "
-            f"{position.tolist()}; costs must be finite"
-        )
-    return value
+    """objective(position) as a float; ToolkitError, naming the particle
+    and its position, if it is no finite real number."""
+    value = objective(position)
+    message = "objective returned %s for particle %d at position %s; costs must be finite"
+    shown = value, index, position.tolist()
+    cost = _number(value, ToolkitError, message, shown)
+    if not math.isfinite(cost):
+        raise ToolkitError(message % shown)
+    return cost
 
 
 def _costs(objective, positions: np.ndarray, pool, helpers: int, first: int = 0) -> np.ndarray:

@@ -128,7 +128,7 @@ def test_spec_validation():
         ({25: (1.0, 0.5)}, r"params_per_n\[25\] = \(1.0, 0.5\): not enough values"),
         ({25: (-1.0, 0.5, 0.1)}, r"params_per_n\[25\] = .*: epsilon must be finite and >= 0"),
         ({25: (1.0, 0.5, 0.1, 0.0)}, r"params_per_n\[25\] = .*: too many values"),
-        ({25: ("x", 0.5, 0.1)}, r"params_per_n\[25\] = .*: could not convert"),
+        ({25: ("x", 0.5, 0.1)}, r"params_per_n\[25\] = .*: epsilon, alpha and beta must be numbers, got 'x', 0.5, 0.1$"),
         ({36: (1.0, 0.5, 0.1)}, r"params_per_n key 36 not in node_counts \(25,\)"),
     ):
         with pytest.raises(ConfigError, match=message) as err:
@@ -223,7 +223,7 @@ def test_spec_refuses_a_repeated_node_count_or_variant(study, entries, message):
 def test_spec_stores_pinned_triples_as_int_to_floats():
     spec = ExperimentSpec(
         study="spectra", node_counts=(25, 49),
-        params_per_n={np.int64(25): (3, np.float32(0.5), 0), 49.0: [1, 1, 1]},
+        params_per_n={np.int64(25): (3, np.float32(0.5), 0), np.uint8(49): [1, 1, 1]},
     )
     assert spec.params_per_n == {25: (3.0, 0.5, 0.0), 49: (1.0, 1.0, 1.0)}
     for n, triple in spec.params_per_n.items():

@@ -1,9 +1,11 @@
 """Every public constructor, and a tiny study, returns or raises a ToolkitError.
 
 The arguments mix valid values with values of the wrong type, shape or
-range.  Counts that a call would allocate by stay small, so a valid draw
-stays cheap.
+range, complex values among them.  Counts that a call would allocate by
+stay small, so a valid draw stays cheap.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from hybridrbf import (
     KERNEL_KINDS,
     ConfigError,
+    DomainError,
     ExperimentSpec,
     KernelSpec,
     ObjectiveSpec,
@@ -21,20 +24,35 @@ from hybridrbf import (
     ToolkitError,
     eval_kernel,
     eval_kernel_batch,
+    evaluate,
+    fit,
+    kernel_objective,
     make_evaluation_grid,
     make_halton_set,
     make_tensor_grid,
+    pairwise_distances,
+    pso_minimize,
+    rms_error,
     run_study,
 )
 from hybridrbf.bench import _STUDY_TABLE, STUDIES, VARIANTS, synthetic_fault_surface
 
+# numpy's float() and float arrays would keep only the real part of these.
+_NP_COMPLEX = st.builds(np.complex128, st.complex_numbers())
+_COMPLEX_ARRAYS = st.lists(st.complex_numbers(), min_size=1, max_size=3).map(
+    lambda values: np.array(values, dtype=complex)
+)
 # Not an integer, so no count check lets it through to an allocation.
 _NOT_A_COUNT = st.one_of(
     st.none(),
     st.floats(),
     st.text(max_size=3),
     st.complex_numbers(),
-    st.lists(st.one_of(st.integers(-3, 3), st.floats(), st.text(max_size=2)), max_size=3),
+    _NP_COMPLEX,
+    _COMPLEX_ARRAYS,
+    st.lists(
+        st.one_of(st.integers(-3, 3), st.floats(), st.text(max_size=2), _NP_COMPLEX), max_size=3
+    ),
     st.dictionaries(st.integers(-3, 3), st.integers(-3, 3), max_size=2),
 )
 _JUNK = st.one_of(_NOT_A_COUNT, st.just(10**400), st.integers(-(2**70), 2**70))
@@ -49,6 +67,8 @@ def _count(lo, hi):
     return _or(st.integers(lo, hi), _NOT_A_COUNT)
 
 
+_GRID3 = make_evaluation_grid(3)
+_MODEL = fit(_GRID3.with_values(np.arange(9.0)), KernelSpec.hybrid(1.0, 0.5, 0.5))
 _POINTS = st.lists(st.lists(_NUMBER, min_size=1, max_size=3), max_size=4)
 _GRIDS = st.builds(make_tensor_grid, st.integers(2, 3), st.integers(1, 2))
 _KERNELS = st.builds(KernelSpec.hybrid, st.floats(0.0, 5.0), st.floats(0.0, 1.0), st.just(0.5))
@@ -101,6 +121,12 @@ _CALLS = st.one_of(
         st.just(eval_kernel_batch), st.tuples(_KERNELS, _or(st.lists(_or(_NUMBER), max_size=4)))
     ),
     st.tuples(
+        st.just(rms_error),
+        st.tuples(st.just(_MODEL), _or(st.just(_GRID3) | _POINTS), _or(st.lists(_NUMBER, max_size=9))),
+    ),
+    # the objective returns the drawn cost, a number or not, for every particle
+    st.tuples(st.just(pso_minimize), st.tuples(_or(_NUMBER).map(lambda cost: lambda x: cost), _PSO)),
+    st.tuples(
         st.just(ExperimentSpec),
         st.tuples(
             _or(st.sampled_from(STUDIES)),
@@ -115,7 +141,10 @@ _CALLS = st.one_of(
                 st.none()
                 | st.dictionaries(
                     # a dict key must hash, or Hypothesis itself raises TypeError
-                    _or(st.sampled_from((4, 9)), _JUNK.filter(lambda v: not isinstance(v, list | dict))),
+                    _or(
+                        st.sampled_from((4, 9)),
+                        _JUNK.filter(lambda v: not isinstance(v, list | dict | np.ndarray)),
+                    ),
                     _or(st.tuples(_NUMBER, _NUMBER, _NUMBER)),
                     max_size=2,
                 )
@@ -176,9 +205,6 @@ def test_a_tiny_study_returns_or_raises_a_toolkit_error(fields):
     assert report.cells
 
 
-_GRID3 = make_evaluation_grid(3)
-
-
 @pytest.mark.parametrize(
     "call",
     (
@@ -192,6 +218,11 @@ _GRID3 = make_evaluation_grid(3)
         lambda: KernelSpec("hybrid", 10**400),
         lambda: PointSet([[10**400]]),
         lambda: PsoConfig(c1=10**400),
+        lambda: KernelSpec(np.zeros(2), 1.0),
+        lambda: ObjectiveSpec(np.zeros(2)),
+        lambda: ExperimentSpec(study=np.zeros(2)),
+        lambda: ExperimentSpec(study="franke", variants=[np.zeros(2)]),
+        lambda: ExperimentSpec(study="franke", objective=np.zeros(2)),
     ),
     ids=(
         "int-node-counts",
@@ -204,6 +235,11 @@ _GRID3 = make_evaluation_grid(3)
         "huge-epsilon",
         "huge-coordinate",
         "huge-c1",
+        "array-kernel-kind",
+        "array-objective-kind",
+        "array-study",
+        "array-variant",
+        "array-objective",
     ),
 )
 def test_a_value_of_the_wrong_type_is_a_config_error(call):
@@ -224,6 +260,10 @@ def test_a_value_of_the_wrong_type_is_a_config_error(call):
         (lambda: synthetic_fault_surface(10.5), "n_points must be an integer, got 10.5"),
         (lambda: synthetic_fault_surface(12, seed=1.5), "seed must be an integer, got 1.5"),
         (lambda: synthetic_fault_surface(12, seed=-1), "seed must be >= 0, got -1"),
+        (
+            lambda: ExperimentSpec(study="spectra", node_counts=(4,), params_per_n={4.0: (1, 1, 0)}),
+            "node count must be an integer, got 4.0",
+        ),
     ),
     ids=(
         "few-fault-points",
@@ -233,9 +273,97 @@ def test_a_value_of_the_wrong_type_is_a_config_error(call):
         "fractional-fault-points",
         "fractional-fault-seed",
         "negative-fault-seed",
+        "fractional-pinned-node-count",
     ),
 )
 def test_a_bad_study_setting_is_refused_when_it_is_made(call, message):
     with pytest.raises(ConfigError) as err:
         call()
     assert str(err.value) == message
+
+
+_ONE = PointSet([[0.5]])
+_ONE_MODEL = fit(_ONE.with_values([1.0]), KernelSpec.hybrid(1.0, 0.5, 0.5))
+_LOOCV_OBJECTIVE = kernel_objective(ObjectiveSpec.loocv(), _MODEL.centers)
+
+# Each entry point that reads a real number: a call taking a value v in
+# that place, the error it raises for a v that is no real number, and its
+# message with v's repr in place of {}.
+_COMPLEX_SITES = {
+    "kernel-parameter": (
+        lambda v: KernelSpec("hybrid", v, 0.5, 0.5),
+        ConfigError,
+        "epsilon, alpha and beta must be numbers, got {}, 0.5, 0.5",
+    ),
+    "radius": (
+        lambda v: eval_kernel(KernelSpec.gaussian(1.0), v),
+        DomainError,
+        "radius must be a number, got {}",
+    ),
+    "distances": (
+        lambda v: eval_kernel_batch(KernelSpec.gaussian(1.0), v),
+        DomainError,
+        "distances must be numbers, got {}",
+    ),
+    "coords": (lambda v: PointSet(v), ConfigError, "coords must be numbers, got {}"),
+    "values": (lambda v: PointSet([[0.5]], v), ConfigError, "values must be numbers, got {}"),
+    "objective-truth": (
+        lambda v: ObjectiveSpec("rms", _ONE, v),
+        ConfigError,
+        "truth_values must be numbers, got {}",
+    ),
+    "grid-bound": (
+        lambda v: make_tensor_grid(2, 1, v, 1.0),
+        ConfigError,
+        "lower and upper must be numbers, got {} and 1.0",
+    ),
+    "pso-factor": (lambda v: PsoConfig(c1=v), ConfigError, "c1 must be a number, got {}"),
+    "pso-bound": (
+        lambda v: PsoConfig(bounds=((0.0, v),)),
+        ConfigError,
+        "bounds must be (lower, upper) pairs of numbers, got ((0.0, {}),)",
+    ),
+    "pinned-triple": (
+        lambda v: ExperimentSpec(study="spectra", node_counts=(4,), params_per_n={4: (v, 0.5, 0.5)}),
+        ConfigError,
+        "params_per_n[4] = ({0}, 0.5, 0.5): epsilon, alpha and beta must be numbers, got {0}, 0.5, 0.5",
+    ),
+    "distance-points": (
+        lambda v: pairwise_distances(v, [[0.5]]),
+        DomainError,
+        "coordinates must be numbers, got {}",
+    ),
+    "evaluation-points": (
+        lambda v: evaluate(_ONE_MODEL, v),
+        DomainError,
+        "coordinates must be numbers, got {}",
+    ),
+    "rms-truth": (
+        lambda v: rms_error(_ONE_MODEL, _ONE, v),
+        DomainError,
+        "truth values must be numbers, got {}",
+    ),
+    "search-position": (lambda v: _LOOCV_OBJECTIVE(v), DomainError, "position must be numbers, got {}"),
+}
+
+
+@pytest.mark.parametrize("site", _COMPLEX_SITES)
+def test_a_complex_value_is_refused_where_a_real_number_is_read(site):
+    """numpy would cast each value to its real part, 0.5, with only a
+    warning; each is refused with the error the site raises for text."""
+    call, error, message = _COMPLEX_SITES[site]
+    for value in (0.5 + 1j, np.complex128(0.5 + 1j), np.array([0.5 + 1j])):
+        with pytest.raises(error) as err:
+            call(value)
+        assert err.type is error
+        assert str(err.value) == message.format(repr(value))
+
+
+def test_a_complex_cost_is_refused_naming_the_particle():
+    config = PsoConfig(swarm_size=1, generations=1, bounds=((0.0, 1.0),))
+    for value in (0.5 + 1j, np.complex128(0.5 + 1j), np.array([0.5 + 1j])):
+        with pytest.raises(ToolkitError) as err:
+            pso_minimize(lambda x: value, config)
+        assert err.type is ToolkitError
+        shown = re.escape(f"objective returned {value} for particle 0 at position ")
+        assert re.fullmatch(shown + r"\[[^]]+\]; costs must be finite", str(err.value))

@@ -7,8 +7,9 @@ lists but does not bind).  They also keep scipy, whose ``scipy.linalg``
 costs more to import than the rest of the package, inside the one loader
 that imports it at the first factorization, the kernel fill one formula
 that never asks which kind it fills, the count rule (``operator.index``
-and a least value) in ``geometry._as_int``, and ``concurrent.futures`` out
-of every module's import, so importing the package starts no pool machinery.
+and a least value) in ``geometry._as_int``, the complex test of the number
+rule in ``kernels._is_complex``, and ``concurrent.futures`` out of every
+module's import, so importing the package starts no pool machinery.
 """
 
 import ast
@@ -150,6 +151,21 @@ def test_operator_index_is_called_only_in_the_count_rule():
     """Every count goes through ``geometry._as_int``, which converts it and
     checks its least value, so no other code converts a count its own way."""
     assert _top_level_places(_reads_operator_index) == ["geometry._as_int"]
+
+
+def _names_complex(node: ast.AST) -> bool:
+    """``complex`` itself, or a numpy name such as ``complexfloating``,
+    ``complex128``, ``iscomplexobj`` or ``ComplexWarning``."""
+    if isinstance(node, ast.Name):
+        return node.id == "complex"
+    return isinstance(node, ast.Attribute) and "complex" in node.attr.lower()
+
+
+def test_only_the_number_rule_tells_complex_from_real():
+    """Every real-number input goes through ``kernels._number`` or
+    ``kernels._numbers``, which refuse a complex through one test, so no
+    other code refuses (or lets through) a complex its own way."""
+    assert _top_level_places(_names_complex) == ["kernels._is_complex"]
 
 
 def _module_level(node: ast.AST):

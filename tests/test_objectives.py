@@ -71,6 +71,29 @@ def test_rms_length_mismatch():
         rms_error(model, grid, [1.0])
 
 
+def test_rms_reads_its_grid_as_evaluate_does():
+    model = fit(PointSet([[0.5]], [0.0]), KernelSpec.gaussian(1.0))
+    grid = PointSet([[0.0], [1.0]])
+    # a coordinate array, or a vector as one point, scores as its PointSet
+    assert rms_error(model, grid.coords, [-3.0, -4.0]) == rms_error(model, grid, [-3.0, -4.0])
+    assert rms_error(model, [0.0], [2.0]) == rms_error(model, PointSet([[0.0]]), [2.0])
+    for junk, message in (
+        ([["a"]], r"^coordinates must be numbers, got \[\['a'\]\]$"),
+        (np.zeros((2, 1, 1)), r"^coordinates must be an N x s matrix, got shape \(2, 1, 1\)$"),
+        ([[0.0, 1.0]], r"^dimension mismatch: model has 1 coordinates, grid has 2$"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            rms_error(model, junk, [1.0])
+    with pytest.raises(DomainError, match=r"^truth values must be numbers, got \['x'\]$"):
+        rms_error(model, grid, ["x"])
+
+
+def test_an_overflowing_rms_is_inf_without_a_warning(recwarn):
+    model = fit(PointSet([[0.5]], [0.0]), KernelSpec.gaussian(1.0))
+    assert rms_error(model, PointSet([[0.0], [1.0]]), [1e300, -1e300]) == np.inf
+    assert not recwarn.list
+
+
 def test_rms_invariant_under_grid_permutation():
     pts = franke_data(4)
     model = fit(pts, KernelSpec.hybrid(2.0, 0.7, 0.1))
