@@ -89,6 +89,7 @@ def write_outputs() -> None:
         studies = [
             ("linear-reproduction", "--nodes", "9,16"),
             ("franke", "--nodes", "16,25", "--sweep-points", "3"),
+            ("franke", "--nodes", "16,25", "--objective", "loocv", "--sweep-points", "3"),
             ("spectra", "--nodes", "16,25", "--variants", ",".join(bench.VARIANTS)),
             ("spectra", "--nodes", "16", "--variants", "hybrid,hybrid+poly", "--objective", "loocv"),
             ("objective-comparison", "--nodes", "16"),
