@@ -12,17 +12,20 @@ experiment cell plus a human-readable table:
 * objective-comparison: RMS-optimized versus LOOCV-optimized parameters
   from identical starting swarms.
 * fault: LOOCV-tuned reconstruction of a synthetic normal-fault surface.
-* scaling: wall-time of single fits across N, at one BLAS thread where
-  scipy's OpenBLAS allows it, with a log-log slope row.
+* scaling: wall-time of single fits across N, with a log-log slope row.
 
 ``_STUDY_TABLE`` names the fields each study reads, with their defaults.
+``run_study`` runs every study at one BLAS thread, as every search runs, so
+a report follows its spec, not the BLAS library's thread count.
 
 linear-reproduction, franke, spectra and objective-comparison run one loop
 of cells, with the truth, notes and cell step of their table rows.  Each
-cell's search builds and checks the data distances once; after it, the cell
-fits, takes the spectrum and, for rms cells, the LOOCV cost on those same
-distances.  A spectra cell takes the spectrum alone: a searched cell on its
-search's distances, a pinned cell on one distance build of its own.
+cell's search builds and checks the data distances once.  A cell reports its
+search's best cost and scores its other cost as a search trial does
+(``objectives._trial_cost``), on those distances and, for rms, the grid's;
+then it takes the spectrum.  A spectra cell takes the spectrum alone: a
+searched cell on its search's distances, a pinned cell on one distance build
+of its own.  The epsilon sweep scores rms so too, on matrices built once.
 
 The Franke surface here uses the standard Franke (1979) signs: every
 exponential argument is negative.
@@ -45,18 +48,19 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, ToolkitError
+from .errors import ConfigError, DomainError, ToolkitError
 from .geometry import (
     FLOAT_FMT,
     PointSet,
+    _as_coords,
     _as_int,
     _opened,
     _write_table,
     make_tensor_grid,
+    pairwise_distances,
     write_points_csv,
 )
 from .interpolation import (
-    InterpolationModel,
     SpectralReport,
     _fit,
     _fit_distances,
@@ -66,7 +70,7 @@ from .interpolation import (
     fit,
     spectral_report,
 )
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _numbers
 from .objectives import (
     ObjectiveSpec,
     SearchData,
@@ -75,7 +79,6 @@ from .objectives import (
     kernel_objective,
     objective_value,
     prepare_search,
-    rms_error,
 )
 from .pso import PsoConfig, pso_minimize
 
@@ -101,10 +104,14 @@ _TIMING_RESOLUTION = 1e-5  # seconds; cells faster than this are flagged
 _BRUTE_LOOCV_MAX_N = 256
 
 
+def _xy(x, y) -> list[np.ndarray]:
+    """A truth surface's x and y as float arrays, under the number rule."""
+    return [_numbers(v, DomainError, "x and y must be numbers, got %s", copy=None) for v in (x, y)]
+
+
 def franke(x, y):
     """Standard two-dimensional Franke test surface (vectorized)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _xy(x, y)
     f1 = 0.75 * np.exp(-((9 * x - 2) ** 2 + (9 * y - 2) ** 2) / 4)
     f2 = 0.75 * np.exp(-((9 * x + 1) ** 2) / 49 - (9 * y + 1) / 10)
     f3 = 0.50 * np.exp(-((9 * x - 7) ** 2 + (9 * y - 3) ** 2) / 4)
@@ -114,7 +121,8 @@ def franke(x, y):
 
 def linear_truth(x, y):
     """The linear patch-test surface f(x, y) = (x + y)/2."""
-    return (np.asarray(x, dtype=float) + np.asarray(y, dtype=float)) / 2.0
+    x, y = _xy(x, y)
+    return (x + y) / 2.0
 
 
 @dataclass(frozen=True)
@@ -357,20 +365,6 @@ def _spectrum_step(
     return spectrum
 
 
-def _fit_step(
-    cell: CellRecord, points: PointSet, distances: np.ndarray, kernel: KernelSpec, augmented: bool
-) -> InterpolationModel:
-    """Fit on checked data distances; record the kernel and spectrum in ``cell``.
-
-    The private ``_fit`` gives the same coefficients, bit for bit, as ``fit``.
-    The report takes its condition number from the spectrum, so the model
-    skips the LU's condition estimate (its condition_estimate is nan).
-    """
-    model = _fit(points, distances, kernel, augmented, estimate=False)
-    _spectrum_step(cell, points, distances, kernel, augmented)
-    return model
-
-
 def _loocv_garnish(
     points: PointSet, distances: np.ndarray, kernel: KernelSpec, augmented: bool
 ) -> float | None:
@@ -397,13 +391,14 @@ def _optimized_cell(
         kind, augmented = _variant(variant)
         ospec = ObjectiveSpec(objective, grid, grid.values, augmented)
         kernel, best_cost, data = _optimize_variant(points, ospec, spec.pso, kind, seed)
-        model = _fit_step(cell, points, data.distances, kernel, augmented)
-        cell.rms = rms_error(model, grid, grid.values)
-        cell.loocv_cost = (
-            best_cost
-            if objective == "loocv"
-            else _loocv_garnish(points, data.distances, kernel, augmented)
-        )
+        if objective == "rms":
+            costs = best_cost, _loocv_garnish(points, data.distances, kernel, augmented)
+        else:
+            rms_spec = ObjectiveSpec("rms", grid, grid.values, augmented)
+            data = replace(data, grid_distances=pairwise_distances(grid, points))
+            costs = _trial_cost(rms_spec, points, kernel, data), best_cost
+        _spectrum_step(cell, points, data.distances, kernel, augmented)
+        cell.rms, cell.loocv_cost = costs
     return cell
 
 
@@ -511,7 +506,8 @@ def _epsilon_sweep(
         alpha, beta = 0.7, 1e-6  # no optimized hybrid cell to anchor on
     points = _truth_grid(_grid_side(n_max), franke)
     # One matrix serves plain and augmented cells: a square >= 4 passes both checks.
-    distances = _fit_distances(points, augmented=True)
+    data = SearchData(_fit_distances(points, augmented=True), pairwise_distances(grid, points))
+    rms_specs = {a: ObjectiveSpec("rms", grid, grid.values, a) for a in (False, True)}
     out = []
     for eps in np.geomspace(0.05, 20.0, spec.sweep_points):
         for base in ("gaussian", "hybrid", "hybrid+poly"):
@@ -528,15 +524,16 @@ def _epsilon_sweep(
             # sweeping into the flat regime is expected to hit singular
             # systems; that is the curve's story, not a failed cell
             with _timed(cell, failure="flagged: unsolvable at this epsilon"):
-                model = _fit_step(cell, points, distances, kernel, augmented)
-                cell.rms = rms_error(model, grid, grid.values)
+                rms = _trial_cost(rms_specs[augmented], points, kernel, data)
+                _spectrum_step(cell, points, data.distances, kernel, augmented)
+                cell.rms = rms
             out.append(cell)
     return out
 
 
 def fault_side(coords) -> np.ndarray:
     """Signed distance direction across the synthetic fault trace (< 0: footwall)."""
-    c = np.asarray(coords, dtype=float)
+    c = _as_coords(coords)
     return c[:, 0] - (25.0 + 0.15 * (c[:, 1] - 25.0))
 
 
@@ -547,7 +544,7 @@ def fault_elevation(coords) -> np.ndarray:
     [20, 45], so any two points on opposite sides of the trace differ by
     more than FAULT_STEP.
     """
-    c = np.asarray(coords, dtype=float)
+    c = _as_coords(coords)
     x, y = c[:, 0], c[:, 1]
     foot = 100.0 + 1.5 * np.sin(2 * np.pi * x / 50.0) * np.cos(2 * np.pi * y / 50.0)
     basin1 = 14.0 * np.exp(-(((x - 32.0) ** 2) + (y - 15.0) ** 2) / 60.0)
@@ -578,7 +575,8 @@ def fault_study(spec: ExperimentSpec) -> ExperimentReport:
         ospec = ObjectiveSpec.loocv()
         seed = _cell_seed(spec, spec.study, spec.fault_points)
         kernel, best_cost, data = _optimize_variant(points, ospec, spec.pso, "hybrid", seed)
-        model = _fit_step(cell, points, data.distances, kernel, False)
+        model = _fit(points, data.distances, kernel, False, estimate=False)
+        _spectrum_step(cell, points, data.distances, kernel, False)
         values = evaluate(model, target)
         cell.loocv_cost = best_cost
         cell.detail = f"reconstructed {target.n} locations"
@@ -593,9 +591,9 @@ def fault_study(spec: ExperimentSpec) -> ExperimentReport:
 def scaling_study(spec: ExperimentSpec) -> ExperimentReport:
     """Wall-time of single fits across N, with a log-log slope row.
 
-    The fits run at one BLAS thread (see ``_one_blas_thread``), so the
-    slope follows the fit's own cost, not how well the host's cores share
-    the larger LUs.
+    The fits run at one BLAS thread, so the slope follows the fit's own
+    cost, not how well the host's cores share the larger LUs; the study's own
+    ``_one_blas_thread`` (nested in run_study's) names the count.
     """
     counts = sorted(spec.node_counts)
     kernel = KernelSpec.hybrid(5.5, 0.7, 1e-6)
@@ -664,8 +662,9 @@ STUDIES = tuple(_STUDY_TABLE)
 
 
 def run_study(spec: ExperimentSpec) -> ExperimentReport:
-    """Dispatch a study by its spec.study name."""
-    return _STUDY_TABLE[spec.study][0](spec)
+    """Run the study its spec names, at one BLAS thread (``_one_blas_thread``)."""
+    with _one_blas_thread():
+        return _STUDY_TABLE[spec.study][0](spec)
 
 
 # --- report I/O -----------------------------------------------------------

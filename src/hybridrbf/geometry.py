@@ -43,6 +43,13 @@ def _as_int(name: str, value, least: int | None = None) -> int:
     return count
 
 
+def _as_bool(name: str, value) -> bool:
+    """``value`` as a Python bool, the one flag rule: ConfigError unless a bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a

@@ -42,6 +42,7 @@ from .errors import (
 )
 from .geometry import (
     PointSet,
+    _as_bool,
     _as_coords,
     _opened,
     pairwise_distances,
@@ -232,6 +233,7 @@ def _fit_distances(points: PointSet, augmented: bool) -> np.ndarray:
     ``pairwise_distances`` has checked them finite, so kernel fills on them
     need no check of their own.
     """
+    _as_bool("augmented", augmented)
     if points.values is None:
         raise ConfigError("assemble needs points with values")
     n, s = points.n, points.dim

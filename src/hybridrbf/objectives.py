@@ -21,7 +21,7 @@ that check to accept a tolerance first.  It also serves as the independent
 oracle for the plain shortcut.
 
 ``_trial_cost`` alone picks Rippa's shortcut or brute force: a search's
-trials and the bench report's LOOCV cost both call it, and the public
+trials and every cost a bench report gives call it, and the public
 ``loocv_cost_*`` each run one path.  A cost is the 2-norm of the
 leave-one-out errors; a norm that overflows is inf, without a warning, so
 the trial costs SENTINEL_COST.  A search whose best cost is the sentinel
@@ -47,7 +47,7 @@ from .errors import (
     NumericalBreakdownError,
     SingularSystemError,
 )
-from .geometry import PointSet, _as_coords, pairwise_distances
+from .geometry import PointSet, _as_bool, _as_coords, pairwise_distances
 from .interpolation import (
     AssembledSystem,
     InterpolationModel,
@@ -87,8 +87,9 @@ class ObjectiveSpec:
 
     kind "rms" requires an evaluation grid with truth values; kind "loocv"
     uses only the data's own values, so a loocv spec stores no grid and no
-    truth, whatever it is given.  augmented selects the polynomial-tail fit
-    for rms and the brute-force path for loocv.
+    truth, whatever it is given.  augmented, a Python or numpy bool stored
+    as a Python one, selects the polynomial-tail fit for rms and the
+    brute-force path for loocv.
     """
 
     kind: str
@@ -99,6 +100,7 @@ class ObjectiveSpec:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in ("rms", "loocv"):
             raise ConfigError(f"objective kind must be rms or loocv, got {self.kind!r}")
+        object.__setattr__(self, "augmented", _as_bool("augmented", self.augmented))
         if self.kind == "rms":
             if self.grid is None or self.truth_values is None:
                 raise ConfigError("rms objective requires grid and truth_values")

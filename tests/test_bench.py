@@ -768,6 +768,25 @@ def test_a_search_that_finds_no_finite_cost_raises(variant):
         bench._optimize_variant(points, ObjectiveSpec.loocv(), SMALL_PSO, variant, seed=0)
 
 
+def test_an_rms_cell_reports_its_search_best_cost_bit_for_bit(monkeypatch):
+    bests, search = [], bench.pso_minimize
+
+    def recorded(objective, config):
+        result = search(objective, config)
+        bests.append(result.best_value)
+        return result
+
+    monkeypatch.setattr(bench, "pso_minimize", recorded)
+    spec = ExperimentSpec(
+        study="franke", node_counts=(25,), variants=("gaussian", "hybrid", "hybrid+poly"),
+        eval_grid_n=10, pso=SMALL_PSO,
+    )
+    cells = run_study(spec).cells
+    assert len(bests) == 3 and all(cell.ok for cell in cells)
+    for cell, best in zip(cells, bests):
+        assert _same(cell.rms, best), cell.variant
+
+
 def test_loocv_garnish_of_a_kernel_that_breaks_down_is_none():
     points = bench._truth_grid(4, franke)
     flat = KernelSpec.hybrid(1e-4, 1.0, 0.0)  # a flat Gaussian: singular

@@ -1019,6 +1019,35 @@ def test_optimize_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+# Runs the command line with the bench clock a counter, so every cell's
+# wall_time_s compares too.
+_BENCH_COUNTER_CLOCK = (
+    "import itertools, sys\n"
+    "from hybridrbf import bench, cli\n"
+    "ticks = itertools.count()\n"
+    "bench.perf_counter = lambda: next(ticks) / 1024.0\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+def test_bench_writes_the_same_report_at_one_and_two_blas_threads(tmp_path):
+    """Every study runs at one BLAS thread, so a report does not follow
+    OPENBLAS_NUM_THREADS; at 144 nodes a 2-thread fit and spectrum differ
+    from 1-thread ones in the last bits."""
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        result = run_fresh_python(
+            "-c", _BENCH_COUNTER_CLOCK, "bench", "--study", "franke", "--nodes", "144",
+            "--sweep-points", "3", "--swarm", "4", "--generations", "1", "--out", str(out),
+            OPENBLAS_NUM_THREADS=threads,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert sorted(Path(name).suffix for name in outputs[0]) == [".csv", ".txt"]
+    assert outputs[0] == outputs[1]
+
+
 def test_overflowing_kernel_values_are_one_error_line(tmp_path):
     data = tmp_path / "far.csv"
     write_points_csv(data, PointSet([[0.0, 0.0], [1e103, 0.0], [0.0, 1e103]], [1.0, 2.0, 3.0]))

@@ -22,6 +22,7 @@ from hybridrbf import (
     PointSet,
     PsoConfig,
     ToolkitError,
+    assemble,
     eval_kernel,
     eval_kernel_batch,
     evaluate,
@@ -35,7 +36,16 @@ from hybridrbf import (
     rms_error,
     run_study,
 )
-from hybridrbf.bench import _STUDY_TABLE, STUDIES, VARIANTS, synthetic_fault_surface
+from hybridrbf.bench import (
+    _STUDY_TABLE,
+    STUDIES,
+    VARIANTS,
+    fault_elevation,
+    fault_side,
+    franke,
+    linear_truth,
+    synthetic_fault_surface,
+)
 
 # numpy's float() and float arrays would keep only the real part of these.
 _NP_COMPLEX = st.builds(np.complex128, st.complex_numbers())
@@ -72,6 +82,8 @@ _MODEL = fit(_GRID3.with_values(np.arange(9.0)), KernelSpec.hybrid(1.0, 0.5, 0.5
 _POINTS = st.lists(st.lists(_NUMBER, min_size=1, max_size=3), max_size=4)
 _GRIDS = st.builds(make_tensor_grid, st.integers(2, 3), st.integers(1, 2))
 _KERNELS = st.builds(KernelSpec.hybrid, st.floats(0.0, 5.0), st.floats(0.0, 1.0), st.just(0.5))
+# Python and numpy bools pass the flag rule; anything else is junk to it.
+_FLAGS = _or(st.booleans() | st.booleans().map(np.bool_))
 _PSO = st.builds(
     PsoConfig,
     st.integers(1, 3),
@@ -107,9 +119,10 @@ _CALLS = st.one_of(
             _or(st.sampled_from(("rms", "loocv"))),
             _or(st.none() | _GRIDS),
             _or(st.none() | st.lists(_NUMBER, max_size=9)),
-            st.booleans(),
+            _FLAGS,
         ),
     ),
+    st.tuples(st.sampled_from((fit, assemble)), st.tuples(st.just(_MODEL.centers), _KERNELS, _FLAGS)),
     st.tuples(
         st.sampled_from((make_tensor_grid, make_evaluation_grid)),
         st.tuples(_count(-1, 4), _count(-1, 3), _or(_NUMBER), _or(_NUMBER)),
@@ -223,6 +236,9 @@ def test_a_tiny_study_returns_or_raises_a_toolkit_error(fields):
         lambda: ExperimentSpec(study=np.zeros(2)),
         lambda: ExperimentSpec(study="franke", variants=[np.zeros(2)]),
         lambda: ExperimentSpec(study="franke", objective=np.zeros(2)),
+        lambda: ObjectiveSpec("loocv", augmented=np.zeros(2)),
+        lambda: fit(_MODEL.centers, _MODEL.kernel, augmented=np.zeros(2)),
+        lambda: assemble(_MODEL.centers, _MODEL.kernel, augmented="no"),
     ),
     ids=(
         "int-node-counts",
@@ -240,6 +256,9 @@ def test_a_tiny_study_returns_or_raises_a_toolkit_error(fields):
         "array-study",
         "array-variant",
         "array-objective",
+        "array-objective-flag",
+        "array-fit-flag",
+        "text-assemble-flag",
     ),
 )
 def test_a_value_of_the_wrong_type_is_a_config_error(call):
@@ -344,6 +363,14 @@ _COMPLEX_SITES = {
         "truth values must be numbers, got {}",
     ),
     "search-position": (lambda v: _LOOCV_OBJECTIVE(v), DomainError, "position must be numbers, got {}"),
+    "franke": (lambda v: franke(v, 0.5), DomainError, "x and y must be numbers, got {}"),
+    "linear-truth": (lambda v: linear_truth(0.5, v), DomainError, "x and y must be numbers, got {}"),
+    "fault-side": (lambda v: fault_side(v), DomainError, "coordinates must be numbers, got {}"),
+    "fault-elevation": (
+        lambda v: fault_elevation([[10.0, v]]),
+        DomainError,
+        "coordinates must be numbers, got [[10.0, {}]]",
+    ),
 }
 
 

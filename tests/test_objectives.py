@@ -307,6 +307,14 @@ def test_objective_spec_stores_only_what_its_kind_reads():
         ObjectiveSpec("mse", grid, truth)
 
 
+def test_objective_spec_stores_its_flag_as_a_python_bool():
+    for flag in (np.True_, np.False_):
+        assert ObjectiveSpec.loocv(flag).augmented is bool(flag)
+    for flag in (1, "no", None, np.zeros(2)):
+        with pytest.raises(ConfigError, match="^augmented must be a bool, got "):
+            ObjectiveSpec.loocv(flag)
+
+
 def test_kernel_objective_zero_weights_sentinel():
     pts = franke_data(4)
     objective = kernel_objective(ObjectiveSpec.loocv(), pts)
