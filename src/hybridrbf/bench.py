@@ -19,13 +19,13 @@ experiment cell plus a human-readable table:
 a report follows its spec, not the BLAS library's thread count.
 
 linear-reproduction, franke, spectra and objective-comparison run one loop
-of cells, with the truth, notes and cell step of their table rows.  Each
-cell's search builds and checks the data distances once.  A cell reports its
-search's best cost and scores its other cost as a search trial does
-(``objectives._trial_cost``), on those distances and, for rms, the grid's;
-then it takes the spectrum.  A spectra cell takes the spectrum alone: a
-searched cell on its search's distances, a pinned cell on one distance build
-of its own.  The epsilon sweep scores rms so too, on matrices built once.
+of cells, with the truth, notes and cell step of their table rows.  The loop
+builds and checks each node count's data distances, and the grid distances
+if a cell reads them, once before that count's first cell; the cells and the
+epsilon sweep only read them.  A cell reports its search's best cost and
+scores its other cost as a search trial does (``objectives._trial_cost``),
+then takes the spectrum; a spectra cell takes the spectrum alone.  The
+epsilon sweep scores rms so too, at the largest node count.
 
 The Franke surface here uses the standard Franke (1979) signs: every
 exponential argument is negative.
@@ -57,13 +57,11 @@ from .geometry import (
     _opened,
     _write_table,
     make_tensor_grid,
-    pairwise_distances,
     write_points_csv,
 )
 from .interpolation import (
     SpectralReport,
     _fit,
-    _fit_distances,
     _one_blas_thread,
     _system,
     evaluate,
@@ -105,8 +103,15 @@ _BRUTE_LOOCV_MAX_N = 256
 
 
 def _xy(x, y) -> list[np.ndarray]:
-    """A truth surface's x and y as float arrays, under the number rule."""
-    return [_numbers(v, DomainError, "x and y must be numbers, got %s", copy=None) for v in (x, y)]
+    """A truth surface's x and y as float arrays, under the number rule;
+    DomainError unless their shapes broadcast."""
+    xy = [_numbers(v, DomainError, "x and y must be numbers, got %s", copy=None) for v in (x, y)]
+    try:
+        np.broadcast_shapes(*(v.shape for v in xy))
+    except ValueError:
+        shapes = " and ".join(str(v.shape) for v in xy)
+        raise DomainError(f"x and y must broadcast, got shapes {shapes}") from None
+    return xy
 
 
 def franke(x, y):
@@ -321,23 +326,22 @@ def _variant(name: str) -> tuple[str, bool]:
 
 
 def _optimize_variant(
-    points: PointSet, ospec: ObjectiveSpec, pso: PsoConfig, kind: str, seed: int
-) -> tuple[KernelSpec, float, SearchData]:
-    """Best kernel of one kind, its cost and the search's checked data.
+    points: PointSet, data: SearchData, ospec: ObjectiveSpec, pso: PsoConfig, kind: str, seed: int
+) -> tuple[KernelSpec, float]:
+    """Best kernel of one kind and its cost, searched on ``data``.
 
     cubic has nothing to search; gaussian searches epsilon alone, on the
     first bound.  NumericalBreakdownError if no trial found a finite cost.
     """
-    data = prepare_search(ospec, points)
     if kind == "cubic":
         kernel = KernelSpec.cubic()
-        return kernel, _require_found(objective_value(ospec, points, kernel, data)), data
+        return kernel, _require_found(objective_value(ospec, points, kernel, data))
     bounds = pso.bounds[:1] if kind == "gaussian" else pso.bounds
     to_kernel = lambda position: KernelSpec(kind, *position)
     result = pso_minimize(
         kernel_objective(ospec, points, to_kernel, data), replace(pso, bounds=bounds, seed=seed)
     )
-    return to_kernel(result.best_position), _require_found(result.best_value), data
+    return to_kernel(result.best_position), _require_found(result.best_value)
 
 
 @contextmanager
@@ -366,13 +370,13 @@ def _spectrum_step(
 
 
 def _loocv_garnish(
-    points: PointSet, distances: np.ndarray, kernel: KernelSpec, augmented: bool
+    points: PointSet, data: SearchData, kernel: KernelSpec, augmented: bool
 ) -> float | None:
     """LOOCV cost of an rms-tuned kernel, as a loocv search trial scores it."""
     if augmented and points.n > _BRUTE_LOOCV_MAX_N:
         return None
     try:
-        return _trial_cost(ObjectiveSpec.loocv(augmented), points, kernel, SearchData(distances))
+        return _trial_cost(ObjectiveSpec.loocv(augmented), points, kernel, data)
     except ToolkitError:
         return None
 
@@ -380,6 +384,7 @@ def _loocv_garnish(
 def _optimized_cell(
     spec: ExperimentSpec,
     points: PointSet,
+    data: SearchData,
     grid: PointSet,
     variant: str,
     objective: str,
@@ -390,12 +395,11 @@ def _optimized_cell(
     with _timed(cell):
         kind, augmented = _variant(variant)
         ospec = ObjectiveSpec(objective, grid, grid.values, augmented)
-        kernel, best_cost, data = _optimize_variant(points, ospec, spec.pso, kind, seed)
+        kernel, best_cost = _optimize_variant(points, data, ospec, spec.pso, kind, seed)
         if objective == "rms":
-            costs = best_cost, _loocv_garnish(points, data.distances, kernel, augmented)
+            costs = best_cost, _loocv_garnish(points, data, kernel, augmented)
         else:
             rms_spec = ObjectiveSpec("rms", grid, grid.values, augmented)
-            data = replace(data, grid_distances=pairwise_distances(grid, points))
             costs = _trial_cost(rms_spec, points, kernel, data), best_cost
         _spectrum_step(cell, points, data.distances, kernel, augmented)
         cell.rms, cell.loocv_cost = costs
@@ -405,6 +409,7 @@ def _optimized_cell(
 def _spectra_cell(
     spec: ExperimentSpec,
     points: PointSet,
+    data: SearchData,
     grid: PointSet,
     variant: str,
     objective: str,
@@ -419,12 +424,10 @@ def _spectra_cell(
     with _timed(cell):
         if points.n in spec.params_per_n:
             kernel = KernelSpec(kind, *spec.params_per_n[points.n])
-            distances = _fit_distances(points, augmented)
         else:
             ospec = ObjectiveSpec(objective, grid, grid.values, augmented)
-            kernel, _, data = _optimize_variant(points, ospec, spec.pso, kind, seed)
-            distances = data.distances
-        spectrum = _spectrum_step(cell, points, distances, kernel, augmented)
+            kernel, _ = _optimize_variant(points, data, ospec, spec.pso, kind, seed)
+        spectrum = _spectrum_step(cell, points, data.distances, kernel, augmented)
         if spec.output_dir is not None:
             tag = "augmented" if augmented else "plain"
             if kind != "hybrid":
@@ -469,44 +472,47 @@ def _optimized_study(
 ) -> ExperimentReport:
     """One ``cell_step`` per node count and kernel variant on data sampled
     from ``truth`` and scored on an evaluation grid valued by it; the steps
-    add the files they write to this run's list.
+    add the files they write to this run's list.  Each count's search data is
+    built once, before its first cell: a square of >= 4 nodes passes the plain
+    and augmented checks.
 
     objective-comparison runs both objectives from one seed per cell; franke
-    adds the epsilon sweep.
+    adds the epsilon sweep, run right after the largest count's cells.
     """
     grid = _truth_grid(spec.eval_grid_n, truth)
     compare = spec.study == "objective-comparison"
-    cells = []
+    cells, sweep = [], []
     files: list[Path] = []
     for n in spec.node_counts:
         points = _truth_grid(_grid_side(n), truth)
+        # Every cell reads the grid distances but a spectra cell pinned or searched for loocv.
+        gridless = spec.study == "spectra" and (spec.objective == "loocv" or n in spec.params_per_n)
+        ospec = ObjectiveSpec("loocv" if gridless else "rms", grid, grid.values, augmented=True)
+        data = prepare_search(ospec, points)
         for variant in spec.variants:
             for objective in ("rms", "loocv") if compare else (spec.objective,):
                 key = (n, variant) if compare else (n, variant, objective)
                 seed = _cell_seed(spec, spec.study, *key)
                 cells.append(
-                    cell_step(spec, points, grid, variant, objective, seed, files)
+                    cell_step(spec, points, data, grid, variant, objective, seed, files)
                 )
-    if spec.sweep_points:  # only franke reads sweep_points
-        cells.extend(_epsilon_sweep(spec, grid, cells))
-    return _finish(spec, cells, notes, files)
+        if spec.sweep_points and n == max(spec.node_counts):  # only franke reads sweep_points
+            sweep = _epsilon_sweep(spec, grid, points, data, cells)
+        del data  # freed before the next count's build, so one count's matrices live at a time
+    return _finish(spec, cells + sweep, notes, files)
 
 
 def _epsilon_sweep(
-    spec: ExperimentSpec, grid: PointSet, cells: list[CellRecord]
+    spec: ExperimentSpec, grid: PointSet, points: PointSet, data: SearchData, cells: list[CellRecord]
 ) -> list[CellRecord]:
     """Error-versus-epsilon curves at the largest N, weights held fixed."""
-    n_max = max(spec.node_counts)
     try:
         anchor = next(
-            c for c in cells if c.variant == "hybrid" and c.n == n_max and c.ok
+            c for c in cells if c.variant == "hybrid" and c.n == points.n and c.ok
         )
         alpha, beta = anchor.alpha, anchor.beta
     except StopIteration:
         alpha, beta = 0.7, 1e-6  # no optimized hybrid cell to anchor on
-    points = _truth_grid(_grid_side(n_max), franke)
-    # One matrix serves plain and augmented cells: a square >= 4 passes both checks.
-    data = SearchData(_fit_distances(points, augmented=True), pairwise_distances(grid, points))
     rms_specs = {a: ObjectiveSpec("rms", grid, grid.values, a) for a in (False, True)}
     out = []
     for eps in np.geomspace(0.05, 20.0, spec.sweep_points):
@@ -516,7 +522,7 @@ def _epsilon_sweep(
             cell = CellRecord(
                 study=spec.study,
                 variant=f"sweep:{base}",
-                n=n_max,
+                n=points.n,
                 epsilon=float(eps),
                 alpha=kernel.alpha,
                 beta=kernel.beta,
@@ -534,6 +540,8 @@ def _epsilon_sweep(
 def fault_side(coords) -> np.ndarray:
     """Signed distance direction across the synthetic fault trace (< 0: footwall)."""
     c = _as_coords(coords)
+    if c.shape[1] != 2:
+        raise DomainError(f"fault coordinates must be an N x 2 matrix, got shape {c.shape}")
     return c[:, 0] - (25.0 + 0.15 * (c[:, 1] - 25.0))
 
 
@@ -544,13 +552,14 @@ def fault_elevation(coords) -> np.ndarray:
     [20, 45], so any two points on opposite sides of the trace differ by
     more than FAULT_STEP.
     """
+    side = fault_side(coords)  # checks the coordinates
     c = _as_coords(coords)
     x, y = c[:, 0], c[:, 1]
     foot = 100.0 + 1.5 * np.sin(2 * np.pi * x / 50.0) * np.cos(2 * np.pi * y / 50.0)
     basin1 = 14.0 * np.exp(-(((x - 32.0) ** 2) + (y - 15.0) ** 2) / 60.0)
     basin2 = 11.0 * np.exp(-(((x - 40.0) ** 2) + (y - 38.0) ** 2) / 80.0)
     hang = 45.0 - basin1 - basin2
-    return np.where(fault_side(c) < 0.0, foot, hang)
+    return np.where(side < 0.0, foot, hang)
 
 
 def synthetic_fault_surface(n_points: int = 78, seed: int = 0) -> PointSet:
@@ -573,8 +582,9 @@ def fault_study(spec: ExperimentSpec) -> ExperimentReport:
     files: list[Path] = []
     with _timed(cell):
         ospec = ObjectiveSpec.loocv()
+        data = prepare_search(ospec, points)
         seed = _cell_seed(spec, spec.study, spec.fault_points)
-        kernel, best_cost, data = _optimize_variant(points, ospec, spec.pso, "hybrid", seed)
+        kernel, best_cost = _optimize_variant(points, data, ospec, spec.pso, "hybrid", seed)
         model = _fit(points, data.distances, kernel, False, estimate=False)
         _spectrum_step(cell, points, data.distances, kernel, False)
         values = evaluate(model, target)

@@ -133,6 +133,8 @@ def rms_error(model: InterpolationModel, grid, truth_values) -> float:
     """Root mean square error of the interpolant over the grid (a PointSet
     or coordinates, read as :func:`evaluate` reads them)."""
     targets = _as_coords(grid)
+    if targets.shape[0] == 0:
+        raise DomainError("rms_error needs at least one evaluation point")
     truth = _numbers(truth_values, DomainError, "truth values must be numbers, got %s", copy=None)
     if truth.size != targets.shape[0]:
         raise DomainError(f"got {truth.size} truth values for {targets.shape[0]} evaluation points")
@@ -326,15 +328,24 @@ def _trial_matrix(local: threading.local, n: int) -> np.ndarray | None:
     return matrix
 
 
+def _hybrid_kernel(position: np.ndarray) -> KernelSpec:
+    """The default position -> KernelSpec mapping of :func:`kernel_objective`."""
+    if position.shape != (3,):
+        raise DomainError(f"a position must be (epsilon, alpha, beta), got shape {position.shape}")
+    return KernelSpec.hybrid(*position)
+
+
 def kernel_objective(
     spec: ObjectiveSpec, points: PointSet, to_kernel=None, data: SearchData | None = None
 ):
     """Bind an objective to a position -> KernelSpec mapping for an optimizer.
 
     The default mapping reads a position as the hybrid triple
-    (epsilon, alpha, beta).  Positions that fail kernel construction (for
-    example both weights clamped to zero) cost SENTINEL_COST rather than
-    raising, since they are optimizer trials, not user configuration.
+    (epsilon, alpha, beta), and a position of any other shape raises
+    DomainError: the search box is wrong, not the trial.  Positions that fail
+    kernel construction (for example both weights clamped to zero) cost
+    SENTINEL_COST rather than raising, since they are optimizer trials, not
+    user configuration.
     ``data`` is ``prepare_search(spec, points)``; without it the search data
     is prepared here, once, so input errors raise here too.
 
@@ -344,7 +355,7 @@ def kernel_objective(
     holds W - 1 such matrices besides the main thread's own.
     """
     if to_kernel is None:
-        to_kernel = lambda pos: KernelSpec.hybrid(pos[0], pos[1], pos[2])
+        to_kernel = _hybrid_kernel
     if data is None:
         data = prepare_search(spec, points)
     local = threading.local()

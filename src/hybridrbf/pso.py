@@ -104,6 +104,9 @@ class PsoConfig:
         except (TypeError, ValueError, ConfigError):  # no pairs, or no numbers
             violations.append(message % shown)
             bounds = ()
+        else:
+            if not bounds:
+                violations.append(f"bounds must hold at least one pair, got {self.bounds!r}")
         object.__setattr__(self, "bounds", bounds)
         for i, (lo, hi) in enumerate(bounds):
             if not lo <= hi:

@@ -48,7 +48,7 @@ from hybridrbf.bench import (
     write_report_csv,
 )
 from hybridrbf.geometry import FLOAT_FMT, make_tensor_grid
-from hybridrbf.interpolation import _fit_distances
+from hybridrbf.objectives import prepare_search
 
 QUICK_PSO = PsoConfig(swarm_size=8, generations=3)
 SMALL_PSO = PsoConfig(swarm_size=4, generations=2)
@@ -77,6 +77,8 @@ def test_franke_finite_positive_sweep():
 
 def test_linear_truth_value():
     assert linear_truth(0.2, 0.4) == pytest.approx(0.3, rel=1e-15)
+    # a scalar broadcasts against a vector
+    assert linear_truth(0.2, [0.4, 0.6]) == pytest.approx([0.3, 0.4], rel=1e-15)
 
 
 def test_node_count_tables():
@@ -151,7 +153,8 @@ def test_spec_checks_its_seed_when_built():
     assert spec_digest(numpy_seeded) == spec_digest(ExperimentSpec(study="franke", seed=3))
 
 
-@pytest.mark.parametrize("bounds", [(), ((0.01, 20.0),), ((0.0, 1.0),) * 4])
+# An empty box is refused by PsoConfig itself (tests/test_pso.py).
+@pytest.mark.parametrize("bounds", [((0.01, 20.0), (0.0, 1.0)), ((0.01, 20.0),), ((0.0, 1.0),) * 4])
 def test_spec_refuses_a_pso_box_that_is_not_three_pairs(bounds):
     message = "pso.bounds must be three (lower, upper) pairs, for epsilon, alpha and beta; got "
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
@@ -764,8 +767,10 @@ def test_a_search_that_finds_no_finite_cost_raises(variant):
     # every leave-one-out error is finite, but their norm overflows
     points = make_halton_set(20, 2)
     points = points.with_values(1e200 * np.sin(7 * points.coords[:, 0]))
+    spec = ObjectiveSpec.loocv()
+    data = prepare_search(spec, points)
     with pytest.raises(NumericalBreakdownError, match="^the search found no finite cost: its best"):
-        bench._optimize_variant(points, ObjectiveSpec.loocv(), SMALL_PSO, variant, seed=0)
+        bench._optimize_variant(points, data, spec, SMALL_PSO, variant, seed=0)
 
 
 def test_an_rms_cell_reports_its_search_best_cost_bit_for_bit(monkeypatch):
@@ -790,7 +795,8 @@ def test_an_rms_cell_reports_its_search_best_cost_bit_for_bit(monkeypatch):
 def test_loocv_garnish_of_a_kernel_that_breaks_down_is_none():
     points = bench._truth_grid(4, franke)
     flat = KernelSpec.hybrid(1e-4, 1.0, 0.0)  # a flat Gaussian: singular
-    assert bench._loocv_garnish(points, _fit_distances(points, False), flat, False) is None
+    data = prepare_search(ObjectiveSpec.loocv(), points)
+    assert bench._loocv_garnish(points, data, flat, False) is None
 
 
 def test_sweep_without_a_hybrid_cell_anchors_on_default_weights():

@@ -802,12 +802,35 @@ def test_fit_builds_one_distance_matrix_and_prints_the_same(tmp_path, capsys, mo
     assert np.array_equal(load_model(model_path).coeffs, model.coeffs)
 
 
-def test_searched_spectra_builds_one_data_distance_matrix_per_cell(tmp_path, monkeypatch):
+_TINY_SEARCH = ["--swarm", "2", "--generations", "1"]
+
+
+@pytest.mark.parametrize(
+    "study, run, gridless",
+    (
+        # the largest node count first: the sweep runs right after its cells
+        ("franke", ["--nodes", "25,16", "--sweep-points", "3"], ()),
+        ("objective-comparison", ["--nodes", "16,25"], ()),
+        ("spectra", {16: (1.0, 0.5, 0.5)}, (16,)),
+        ("spectra", ["--nodes", "16,25", "--objective", "loocv"], (16, 25)),
+    ),
+    ids=("franke-sweep", "objective-comparison", "spectra-pinned", "spectra-loocv"),
+)
+def test_a_report_builds_each_node_counts_distances_once(tmp_path, monkeypatch, study, run, gridless):
     calls = count_distance_calls(monkeypatch)
-    argv = ["bench", "--study", "spectra", "--nodes", "81", "--swarm", "4", "--generations", "1"]
-    assert main(argv + ["--out", str(tmp_path)]) == 0
-    # each cell's search builds the 81 x 81 data distances; its spectrum reuses them
-    assert calls.count((81, 81)) == 2
+    if isinstance(run, list):
+        assert main(["bench", "--study", study, *run, *_TINY_SEARCH, "--out", str(tmp_path)]) == 0
+    else:
+        spec = bench.ExperimentSpec(
+            study=study, node_counts=(16, 25), params_per_n=run,
+            pso=PsoConfig(swarm_size=2, generations=1),
+        )
+        assert bench.run_study(spec).all_ok
+    # every cell, and the sweep, reads its node count's N x N data distances
+    # and 1600 x N grid distances, but a spectra cell pinned or searched for
+    # loocv reads no grid distances
+    expected = [(n, n) for n in (16, 25)] + [(1600, n) for n in (16, 25) if n not in gridless]
+    assert sorted(calls) == sorted(expected)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

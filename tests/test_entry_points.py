@@ -386,6 +386,34 @@ def test_a_complex_value_is_refused_where_a_real_number_is_read(site):
         assert str(err.value) == message.format(repr(value))
 
 
+_NOT_N_BY_2 = "fault coordinates must be an N x 2 matrix, got shape "
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    (
+        (lambda: fault_side(np.zeros((3, 1))), _NOT_N_BY_2 + "(3, 1)"),
+        (lambda: fault_side(np.zeros((3, 3))), _NOT_N_BY_2 + "(3, 3)"),
+        (lambda: fault_elevation([[1.0]]), _NOT_N_BY_2 + "(1, 1)"),
+        (
+            lambda: franke([0.1, 0.2], [0.1, 0.2, 0.3]),
+            "x and y must broadcast, got shapes (2,) and (3,)",
+        ),
+        (
+            lambda: linear_truth(np.zeros(2), np.zeros((3, 1, 3))),
+            "x and y must broadcast, got shapes (2,) and (3, 1, 3)",
+        ),
+    ),
+    ids=("fault-side-one-column", "fault-side-three-columns", "fault-elevation-one-column",
+         "franke-lengths", "linear-truth-shapes"),
+)
+def test_a_truth_surface_refuses_a_shape_it_cannot_read(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert err.type is DomainError
+    assert str(err.value) == message
+
+
 def test_a_complex_cost_is_refused_naming_the_particle():
     config = PsoConfig(swarm_size=1, generations=1, bounds=((0.0, 1.0),))
     for value in (0.5 + 1j, np.complex128(0.5 + 1j), np.array([0.5 + 1j])):

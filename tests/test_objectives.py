@@ -86,6 +86,8 @@ def test_rms_reads_its_grid_as_evaluate_does():
             rms_error(model, junk, [1.0])
     with pytest.raises(DomainError, match=r"^truth values must be numbers, got \['x'\]$"):
         rms_error(model, grid, ["x"])
+    with pytest.raises(DomainError, match="^rms_error needs at least one evaluation point$"):
+        rms_error(model, np.empty((0, 1)), [])
 
 
 def test_an_overflowing_rms_is_inf_without_a_warning(recwarn):
@@ -320,6 +322,17 @@ def test_kernel_objective_zero_weights_sentinel():
     objective = kernel_objective(ObjectiveSpec.loocv(), pts)
     assert objective(np.array([1.0, 0.0, 0.0])) == SENTINEL_COST
     assert objective(np.array([3.0, 0.8, 0.01])) < SENTINEL_COST
+
+
+@pytest.mark.parametrize("dims", [1, 2, 4])
+def test_the_default_mapping_refuses_a_box_that_is_not_three_numbers(dims):
+    # an error on the first trial, not a search that costs the sentinel
+    objective, calls = kernel_objective(ObjectiveSpec.loocv(), franke_data(4)), []
+    config = PsoConfig(swarm_size=2, generations=1, bounds=((0.5, 5.0),) * dims)
+    message = rf"^a position must be \(epsilon, alpha, beta\), got shape \({dims},\)$"
+    with pytest.raises(DomainError, match=message):
+        pso_minimize(lambda x: calls.append(x) or objective(x), config)
+    assert len(calls) == 1
 
 
 # --- the per-trial path against the compositions it replaced ---------------

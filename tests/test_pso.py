@@ -65,6 +65,7 @@ def test_validate_flags_inertia_bounds():
 
 def test_validate_flags_bad_bounds_and_sizes():
     assert len(violations(swarm_size=0, generations=0, bounds=((1.0, 0.0),))) == 3
+    assert violations(bounds=()) == ["bounds must hold at least one pair, got ()"]
     assert violations(swarm_size=4.5, generations=2.0, seed=1.5) == [
         "swarm_size must be an integer, got 4.5",
         "generations must be an integer, got 2.0",
