@@ -104,30 +104,43 @@ _BRUTE_LOOCV_MAX_N = 256
 
 def _xy(x, y) -> list[np.ndarray]:
     """A truth surface's x and y as float arrays, under the number rule;
-    DomainError unless their shapes broadcast."""
+    DomainError unless they are finite and their shapes broadcast."""
     xy = [_numbers(v, DomainError, "x and y must be numbers, got %s", copy=None) for v in (x, y)]
     try:
         np.broadcast_shapes(*(v.shape for v in xy))
     except ValueError:
         shapes = " and ".join(str(v.shape) for v in xy)
         raise DomainError(f"x and y must broadcast, got shapes {shapes}") from None
+    if not all(np.isfinite(v).all() for v in xy):
+        raise DomainError("x and y must be finite")
     return xy
 
 
 def franke(x, y):
-    """Standard two-dimensional Franke test surface (vectorized)."""
+    """Standard two-dimensional Franke test surface (vectorized).
+
+    A far point gets the surface's limit without a warning: an exponent
+    that overflows gives 0 or inf.
+    """
     x, y = _xy(x, y)
-    f1 = 0.75 * np.exp(-((9 * x - 2) ** 2 + (9 * y - 2) ** 2) / 4)
-    f2 = 0.75 * np.exp(-((9 * x + 1) ** 2) / 49 - (9 * y + 1) / 10)
-    f3 = 0.50 * np.exp(-((9 * x - 7) ** 2 + (9 * y - 3) ** 2) / 4)
-    f4 = 0.20 * np.exp(-((9 * x - 4) ** 2) - (9 * y - 7) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f1 = 0.75 * np.exp(-((9 * x - 2) ** 2 + (9 * y - 2) ** 2) / 4)
+        e2 = -((9 * x + 1) ** 2) / 49 - (9 * y + 1) / 10
+        # inf - inf, when both terms overflow: the same exponent, arranged
+        # so that only a square that outweighs the linear term overflows
+        e2 = np.where(np.isnan(e2), -((9 / 7 * x + 1 / 7) ** 2) - (0.9 * y + 0.1), e2)
+        f2 = 0.75 * np.exp(e2)
+        f3 = 0.50 * np.exp(-((9 * x - 7) ** 2 + (9 * y - 3) ** 2) / 4)
+        f4 = 0.20 * np.exp(-((9 * x - 4) ** 2) - (9 * y - 7) ** 2)
     return f1 + f2 + f3 - f4
 
 
 def linear_truth(x, y):
-    """The linear patch-test surface f(x, y) = (x + y)/2."""
+    """The linear patch-test surface f(x, y) = (x + y)/2; a sum past the
+    float range gives inf of its sign, without a warning."""
     x, y = _xy(x, y)
-    return (x + y) / 2.0
+    with np.errstate(over="ignore"):
+        return (x + y) / 2.0
 
 
 @dataclass(frozen=True)

@@ -241,19 +241,52 @@ def _opened(target, mode: str):
 def _write_table(target, names, *columns) -> None:
     """Write a float table as CSV: the header row, then one row per entry.
 
-    Each column is 1-D or 2-D with one entry per row.  The header is quoted
-    and CRLF-terminated as ``csv.writer`` writes it.  Rows are formatted
-    ``_ROWS_PER_BLOCK`` at a time with one ``%`` and one write, so only a
-    block is ever stacked.  ``%.17g`` of a float never contains a delimiter,
-    quote or line break, and writes a whole number as ``%d`` does, so the
-    rows equal what ``csv.writer`` writes for the same 17-digit fields.
+    Each column is 1-D or 2-D with one entry per row; a 2-D one is split
+    into its 1-D columns.  The header is quoted and CRLF-terminated as
+    ``csv.writer`` writes it.  Rows are formatted ``_ROWS_PER_BLOCK`` at a
+    time with one ``%`` and one write, so only a block of text is held.
+    ``%.17g`` of a float never contains a delimiter, quote or line break,
+    and writes a whole number as ``%d`` does, so the rows equal what
+    ``csv.writer`` writes for the same 17-digit fields.  A repeating column
+    (see :func:`_distinct_text`) is formatted once per distinct value, and
+    each block looks its fields up and writes them through ``%s``.
     """
+    fields = []
+    for column in columns:
+        column = np.asarray(column, dtype=np.float64)
+        fields.extend(column.T if column.ndim == 2 else [column])
+    tables = [_distinct_text(field) for field in fields]
+    template = ",".join(FLOAT_FMT if table is None else "%s" for table in tables) + "\r\n"
+    n = len(columns[0])
     with _opened(target, "w") as (fh, _):
         csv.writer(fh).writerow(names)
-        for start in range(0, len(columns[0]), _ROWS_PER_BLOCK):
-            block = np.column_stack([c[start : start + _ROWS_PER_BLOCK] for c in columns])
-            template = ",".join([FLOAT_FMT] * block.shape[1]) + "\r\n"
+        for start in range(0, n, _ROWS_PER_BLOCK):
+            rows = slice(start, start + _ROWS_PER_BLOCK)
+            block = np.empty((min(_ROWS_PER_BLOCK, n - start), len(fields)), dtype=object)
+            for j, (field, table) in enumerate(zip(fields, tables)):
+                if table is None:
+                    block[:, j] = field[rows]
+                else:
+                    keys, text = table
+                    block[:, j] = text[np.searchsorted(keys, field[rows].view(np.int64))]
             fh.write((template * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
+def _distinct_text(field: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(keys, text)`` for a repeating column: its sorted distinct float64
+    bit patterns and their ``%.17g`` strings; None for another column.
+
+    A column repeats when its first block holds at most half as many
+    distinct bit patterns as rows (a grid's coordinates, say).  Patterns,
+    not values, are compared, so -0.0 and 0.0 and NaNs of two payloads stay
+    apart.  Building the table holds one sorted copy of the column.
+    """
+    bits = field.view(np.int64)
+    head = bits[:_ROWS_PER_BLOCK]
+    if head.size == 0 or 2 * np.unique(head).size > head.size:
+        return None
+    keys = np.unique(bits)
+    return keys, np.array([FLOAT_FMT % v for v in keys.view(np.float64).tolist()], dtype=object)
 
 
 def _header_row(fh) -> tuple[list[str] | None, int]:

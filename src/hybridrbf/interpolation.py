@@ -17,14 +17,18 @@ never need it.  The condition estimate and the triangular inverses call
 their routines by pointer, so they release the GIL and copy no block, and
 :func:`_one_blas_thread` runs scipy's and numpy's OpenBLAS at one thread
 for a search or a timed fit.  ``fit`` and ``assemble`` fill the kernel
-matrix over the distance matrix they build.
+matrix over the distance matrix they build.  :func:`_lowest_first` is the
+one thread-pool map: search trials and ``evaluate``'s row blocks run on it.
 """
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import io
 import math
+import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
@@ -129,6 +133,62 @@ def _one_blas_thread():
     finally:
         for (_, set_), count in zip(threads, before):
             set_(count)
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _lowest_first(task, indices: range, pool=None, helpers: int = 0) -> None:
+    """Call ``task(i)`` for each i of ``indices``: in order on the calling
+    thread without a pool, else on the calling thread and ``helpers`` pool
+    threads, each taking the lowest index left.  The one pool mechanism of
+    the package: search trials and evaluation blocks both run through it.
+
+    Each helper runs in a copy of the caller's context, so numpy's error
+    state holds there too.  After a task raises, no thread takes another
+    index; every lower index has already been taken, so the exception of
+    the lowest failing index is raised, unchanged, once all have stopped.
+    """
+    if pool is None:
+        for i in indices:
+            task(i)
+        return
+    from concurrent.futures import wait
+
+    left = list(reversed(indices))  # popped lowest first
+    failed: dict[int, Exception] = {}
+    lock = threading.Lock()
+
+    def drain() -> None:
+        while True:
+            with lock:
+                if not left:
+                    return
+                i = left.pop()
+            try:
+                task(i)
+            except Exception as exc:
+                with lock:
+                    failed[i] = exc
+                    left.clear()
+                return
+
+    running = [pool.submit(contextvars.copy_context().run, drain) for _ in range(helpers)]
+    try:
+        drain()
+    finally:
+        with lock:
+            left.clear()  # an interrupt here stops the helpers too
+        wait(running)
+    for future in running:
+        future.result()  # what drain does not catch
+    if failed:
+        raise failed[min(failed)]
 
 
 def _dgecon(lu: np.ndarray, anorm: float) -> tuple[float, int]:
@@ -379,53 +439,83 @@ def fit(points: PointSet, kernel: KernelSpec, augmented: bool = False) -> Interp
     return _fit(points, distances, kernel, augmented, out=distances)
 
 
+def _block_rows(n: int) -> int:
+    """Rows of one evaluation block against n centers: _FILL_BLOCK // n, at
+    least one."""
+    return max(1, _FILL_BLOCK // max(1, n))
+
+
 def _predict(
-    model: InterpolationModel, targets: np.ndarray, distances: np.ndarray | None = None
+    model: InterpolationModel,
+    targets: np.ndarray,
+    distances: np.ndarray | None = None,
+    pool=None,
+    helpers: int = 0,
 ) -> np.ndarray:
     """Interpolant values at target coordinates, one row block at a time.
 
-    A block is _FILL_BLOCK // n rows (at least one) for n centers; its kernel
-    values fill one reused buffer, whose product with the coefficients goes
-    straight into the output, and an augmented model adds the block's
-    polynomial tail there too.  distances, when given, is the full
-    target-to-center matrix from ``pairwise_distances``; otherwise each
-    block's distances are computed as it is reached.  Both give the same
-    blocks, so the values agree bit for bit.  Kernel values that overflow
-    give non-finite results without a warning; callers that need finite
-    values check them.
+    A block is :func:`_block_rows` rows; its kernel values fill a buffer
+    the thread reuses, whose product with the coefficients goes straight
+    into the output, and an augmented model adds the block's polynomial
+    tail there too.  distances, when given, is the full target-to-center
+    matrix from ``pairwise_distances``; otherwise each block's distances
+    are computed as it is reached.  Both give the same blocks, so the
+    values agree bit for bit.  With a pool the blocks run on the calling
+    thread and ``helpers`` pool threads (:func:`_lowest_first`), one buffer
+    per thread, each block computed as on one thread.  Kernel values that
+    overflow give non-finite results without a warning; callers that need
+    finite values check them.
     """
     m, n = targets.shape[0], model.centers.n
     out = np.empty(m)
-    step = max(1, _FILL_BLOCK // max(1, n))
-    kernel_values = np.empty((min(step, m), n))
+    step = _block_rows(n)
+    scratch = threading.local()
+
+    def block(start: int) -> None:
+        stop = min(start + step, m)
+        if not hasattr(scratch, "kernel_values"):
+            scratch.kernel_values = np.empty((min(step, m), n))
+        if distances is None:
+            rows = pairwise_distances(targets[start:stop], model.centers)
+        else:
+            rows = distances[start:stop]
+        values = _fill(model.kernel, rows, out=scratch.kernel_values[: stop - start])
+        np.matmul(values, model.coeffs, out=out[start:stop])
+        if model.augmented:
+            # A one-row product rounds differently from a taller one, so
+            # a one-row block takes its tail from two rows when m allows.
+            lo = min(start, max(0, stop - 2))
+            hi = max(stop, min(m, lo + 2))
+            tail = _poly_block(targets[lo:hi]) @ model.poly_coeffs
+            out[start:stop] += tail[start - lo : stop - lo]
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, m, step):
-            stop = min(start + step, m)
-            if distances is None:
-                block = pairwise_distances(targets[start:stop], model.centers)
-            else:
-                block = distances[start:stop]
-            values = _fill(model.kernel, block, out=kernel_values[: stop - start])
-            np.matmul(values, model.coeffs, out=out[start:stop])
-            if model.augmented:
-                # A one-row product rounds differently from a taller one, so
-                # a one-row block takes its tail from two rows when m allows.
-                lo = min(start, max(0, stop - 2))
-                hi = max(stop, min(m, lo + 2))
-                tail = _poly_block(targets[lo:hi]) @ model.poly_coeffs
-                out[start:stop] += tail[start - lo : stop - lo]
+        _lowest_first(block, range(0, m, step), pool, helpers)
     return out
 
 
 def evaluate(model: InterpolationModel, grid) -> np.ndarray:
-    """Evaluate the interpolant at each grid point (in row blocks, order preserved)."""
+    """Evaluate the interpolant at each grid point (in row blocks, order preserved).
+
+    Called on the main thread with targets of two blocks or more, the
+    blocks run on the calling thread and W - 1 pool threads, W being the
+    available CPUs capped at the block count; the values do not depend on
+    W.  Elsewhere, a search trial's worker say, they run on the caller.
+    """
     targets = _as_coords(grid)
     if targets.shape[1] != model.centers.dim:
         raise DomainError(
             f"dimension mismatch: model has {model.centers.dim} coordinates, "
             f"grid has {targets.shape[1]}"
         )
-    return _predict(model, targets)
+    blocks = -(-targets.shape[0] // _block_rows(model.centers.n))
+    workers = min(_available_cpus(), blocks)
+    if workers < 2 or threading.current_thread() is not threading.main_thread():
+        return _predict(model, targets)
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        return _predict(model, targets, pool=pool, helpers=workers - 1)
 
 
 def spectral_report(system: AssembledSystem) -> SpectralReport:

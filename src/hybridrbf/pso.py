@@ -24,10 +24,7 @@ Eng. 61, 2004) with the same iterates.
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import threading
 from contextlib import ExitStack
 from dataclasses import dataclass
 from time import perf_counter
@@ -36,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, ToolkitError
 from .geometry import _as_int, _float_table, _header_row, _opened, _write_table
-from .interpolation import _one_blas_thread
+from .interpolation import _available_cpus, _lowest_first, _one_blas_thread
 from .kernels import _number
 
 DEFAULT_C1 = 1.49445
@@ -132,14 +129,6 @@ class PsoResult:
     trace: OptimizationTrace
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _cost(objective, index: int, position: np.ndarray) -> float:
     """objective(position) as a float; ToolkitError, naming the particle
     and its position, if it is no finite real number."""
@@ -153,49 +142,15 @@ def _cost(objective, index: int, position: np.ndarray) -> float:
 
 
 def _costs(objective, positions: np.ndarray, pool, helpers: int, first: int = 0) -> np.ndarray:
-    """The costs of particles ``first`` onward of one generation: in index
-    order on the calling thread without a pool, else on the calling thread
-    and ``helpers`` pool threads, each taking the lowest index left.
-
-    Each helper runs in a copy of the caller's context, so numpy's error
-    state holds there too.  After a trial raises, no thread takes another
-    index; every lower index has already been taken, so the exception of
-    the lowest failing index is raised, unchanged, once all have stopped.
-    """
-    if pool is None:
-        return np.array([_cost(objective, i, positions[i]) for i in range(first, len(positions))])
-    from concurrent.futures import wait
-
+    """The costs of particles ``first`` onward of one generation, mapped by
+    ``interpolation._lowest_first`` over the calling thread and, with a
+    pool, ``helpers`` pool threads."""
     values = np.empty(len(positions) - first)
-    left = list(range(len(positions) - 1, first - 1, -1))  # popped lowest first
-    failed: dict[int, Exception] = {}
-    lock = threading.Lock()
 
-    def drain() -> None:
-        while True:
-            with lock:
-                if not left:
-                    return
-                i = left.pop()
-            try:
-                values[i - first] = _cost(objective, i, positions[i])
-            except Exception as exc:
-                with lock:
-                    failed[i] = exc
-                    left.clear()
-                return
+    def cost(i: int) -> None:
+        values[i - first] = _cost(objective, i, positions[i])
 
-    running = [pool.submit(contextvars.copy_context().run, drain) for _ in range(helpers)]
-    try:
-        drain()
-    finally:
-        with lock:
-            left.clear()  # an interrupt here stops the helpers too
-        wait(running)
-    for future in running:
-        future.result()  # what drain does not catch
-    if failed:
-        raise failed[min(failed)]
+    _lowest_first(cost, range(first, len(positions)), pool, helpers)
     return values
 
 

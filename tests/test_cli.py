@@ -22,7 +22,7 @@ from hybridrbf.geometry import (
     read_points_csv,
     write_points_csv,
 )
-from hybridrbf.interpolation import evaluate, fit, load_model
+from hybridrbf.interpolation import _predict, evaluate, fit, load_model
 from hybridrbf.bench import synthetic_fault_surface
 
 TWO_POINT_C = (1.1565176427496657, -0.4254590641196608)
@@ -971,6 +971,41 @@ print(codes)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["[0, 0, 2]", "[]"]
     assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+def test_a_pooled_eval_writes_one_threads_bytes_at_one_and_two_blas_threads(tmp_path):
+    """eval maps its 25 blocks over every CPU: its bytes equal the serial
+    blocks written row by row with csv.writer, at 1 and 2 BLAS threads,
+    and it still loads no scipy."""
+    data, model = tmp_path / "data.csv", tmp_path / "model.txt"
+    write_points_csv(data, synthetic_fault_surface(78))
+    assert main(["fit", "--input", str(data), "--output", str(model),
+                 "--kernel", "hybrid", "--epsilon", "0.3", "--alpha", "0.6", "--beta", "0.4"]) == 0
+    targets = tmp_path / "targets.csv"
+    write_points_csv(targets, make_tensor_grid(101, 2, *bench.FAULT_DOMAIN))
+    script = f"""
+import contextlib, io, sys
+from hybridrbf.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["eval", "--model", sys.argv[1], "--input", sys.argv[2], "--output", sys.argv[3]]) == 0
+{_PRINT_SCIPY}
+"""
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"values-{threads}.csv"
+        result = run_fresh_python(
+            "-c", script, str(model), str(targets), str(out), OPENBLAS_NUM_THREADS=threads
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["[]"]
+        outputs.append(out.read_bytes())
+    coords = read_points_csv(targets).coords
+    values = _predict(load_model(model), coords)
+    oracle = io.StringIO(newline="")
+    writer = csv.writer(oracle)
+    writer.writerow(["x1", "x2", "value"])
+    writer.writerows(["%.17g" % v for v in row] for row in np.column_stack([coords, values]).tolist())
+    assert outputs[0] == outputs[1] == oracle.getvalue().encode("utf-8")
 
 
 def test_fit_in_a_fresh_interpreter_loads_scipy_and_writes_the_same_model(tmp_path):

@@ -129,6 +129,11 @@ _CALLS = st.one_of(
     ),
     st.tuples(st.just(make_halton_set), st.tuples(_count(-1, 20), _count(-1, 30))),
     st.tuples(st.just(synthetic_fault_surface), st.tuples(_count(8, 12), _or(st.integers(-1, 3)))),
+    # huge, infinite and nan coordinates among them
+    st.tuples(
+        st.sampled_from((franke, linear_truth)),
+        st.tuples(_or(_NUMBER | st.lists(_NUMBER, max_size=3)), _or(_NUMBER)),
+    ),
     st.tuples(st.just(eval_kernel), st.tuples(_KERNELS, _or(_NUMBER))),
     st.tuples(
         st.just(eval_kernel_batch), st.tuples(_KERNELS, _or(st.lists(_or(_NUMBER), max_size=4)))
@@ -412,6 +417,40 @@ def test_a_truth_surface_refuses_a_shape_it_cannot_read(call, message):
         call()
     assert err.type is DomainError
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, want",
+    (
+        (lambda: franke(1e200, 0.5), 0.0),
+        (lambda: franke(0.5, 1e200), 0.0),
+        (lambda: franke(0.5, -1e3), np.inf),  # exp(900) overflows
+        (lambda: franke(1e154, -1e308), 0.0),  # the square outweighs the linear term
+        (lambda: franke(1.5e153, -1e308), np.inf),  # and here the linear term wins
+        (lambda: linear_truth(1e308, 1e308), np.inf),
+        (lambda: linear_truth(-1e308, -1e308), -np.inf),
+    ),
+    ids=("franke-far-x", "franke-far-y", "franke-exp-overflows", "franke-square-wins",
+         "franke-linear-wins", "linear-truth-above", "linear-truth-below"),
+)
+def test_a_truth_surface_gives_its_limit_at_a_far_point_without_a_warning(call, want):
+    assert call() == want
+
+
+@pytest.mark.parametrize(
+    "call",
+    (
+        lambda: franke(np.inf, -np.inf),
+        lambda: franke([0.5, np.nan], 0.5),
+        lambda: linear_truth(np.inf, -np.inf),
+        lambda: linear_truth(0.5, np.inf),
+    ),
+    ids=("franke-infinities", "franke-nan", "linear-truth-infinities", "linear-truth-inf"),
+)
+def test_a_truth_surface_refuses_a_point_that_is_not_finite(call):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == "x and y must be finite"
 
 
 def test_a_complex_cost_is_refused_naming_the_particle():

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -437,6 +437,78 @@ def test_csv_property_bytes_and_bit_exact_round_trip(pts):
     again = read_points_csv(io.StringIO(text, newline=""))
     _assert_bit_equal(again.coords, pts.coords)
     _assert_bit_equal(again.values, pts.values)
+
+
+def _table_oracle(names, columns) -> str:
+    """``csv.writer`` rows of ``%.17g`` fields, one row at a time."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(names)
+    flat = np.column_stack([np.asarray(c, dtype=np.float64) for c in columns])
+    writer.writerows([FLOAT_FMT % v for v in row] for row in flat.tolist())
+    return buf.getvalue()
+
+
+# Values a drawn column takes its repeats from: both zeros, NaNs of three
+# bit patterns, both infinities, subnormals and 17-digit edge cases.
+_NAN_PAYLOAD = float(np.array(0x7FF8000000000001).view(np.float64))
+_SPECIAL = (0.0, -0.0, np.nan, -np.nan, _NAN_PAYLOAD, np.inf, -np.inf, 5e-324, -2.5e-310,
+            1e16, 1e17, 1.0 / 3.0)
+
+
+_TABLE_ROWS = st.sampled_from(
+    (0, 1, _ROWS_PER_BLOCK - 1, _ROWS_PER_BLOCK, _ROWS_PER_BLOCK + 1, 2 * _ROWS_PER_BLOCK + 1)
+)
+# (kind, width): width 0 is a 1-D column; "repeating-head" repeats for one
+# block, then takes new values.
+_TABLE_COLUMNS = st.lists(
+    st.tuples(st.sampled_from(("repeating", "distinct", "repeating-head")), st.integers(0, 2)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@st.composite
+def _tables(draw):
+    """Tables that mix repeating and distinct 1-D and 2-D columns, at row
+    counts about the writer's block."""
+    n = draw(_TABLE_ROWS)
+    palette = np.array(draw(st.lists(st.sampled_from(_SPECIAL) | st.floats(), min_size=1, max_size=5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind, width in draw(_TABLE_COLUMNS):
+        shape = (n, width) if width else (n,)
+        column = rng.normal(scale=1e3, size=shape) ** 3
+        column.reshape(n, width or 1)[: palette.size, 0] = palette[:n]
+        repeats = rng.choice(palette, size=shape)
+        if kind == "repeating":
+            column = repeats
+        elif kind == "repeating-head":
+            column[:_ROWS_PER_BLOCK] = repeats[:_ROWS_PER_BLOCK]
+        columns.append(column)
+    return columns
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tables())
+@example([np.tile([0.0, -0.0, np.nan, np.inf], _ROWS_PER_BLOCK // 2)])
+def test_table_writer_bytes_equal_the_row_writer_oracle(columns):
+    names = [f"c{j}" for j in range(sum(c.shape[1] if c.ndim == 2 else 1 for c in columns))]
+    buf = io.StringIO(newline="")
+    geometry._write_table(buf, names, *columns)
+    # rows, not the whole text: pytest's diff of two long strings takes minutes
+    assert buf.getvalue().split("\r\n") == _table_oracle(names, columns).split("\r\n")
+
+
+def test_a_column_repeats_when_its_first_block_holds_at_most_half_as_many_values():
+    grid = make_tensor_grid(60, 2).coords
+    assert all(geometry._distinct_text(column) is not None for column in grid.T)
+    assert geometry._distinct_text(np.random.default_rng(3).uniform(size=3000)) is None
+    half = np.repeat(np.arange(1024.0), 2)
+    assert geometry._distinct_text(half) is not None
+    assert geometry._distinct_text(np.concatenate([half[:-2], [5000.0, 5001.0]])) is None
+    keys, text = geometry._distinct_text(np.tile([0.0, -0.0, np.nan, _NAN_PAYLOAD], 4))
+    assert keys.size == 4 and sorted(text) == ["-0", "0", "nan", "nan"]
 
 
 _READER_INPUTS = {

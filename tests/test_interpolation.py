@@ -1,7 +1,9 @@
 import io
 import re
+import threading
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -292,6 +294,84 @@ def test_augmented_tail_bit_equal_to_the_whole_tail(monkeypatch, step):
         targets = rng.uniform(0.0, 1.0, size=(m, 2))
         whole = _predict(plain, targets) + _poly_block(targets) @ model.poly_coeffs
         assert np.array_equal(_predict(model, targets), whole)
+
+
+@contextmanager
+def pools_recorded(cpus: int):
+    """The host has ``cpus`` CPUs; yields the worker count of each
+    ``ThreadPoolExecutor`` opened meanwhile."""
+    import concurrent.futures
+
+    sizes, real = [], concurrent.futures.ThreadPoolExecutor
+
+    def executor(workers, *args, **kwargs):
+        sizes.append(workers)
+        return real(workers, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(interpolation, "_available_cpus", lambda: cpus)
+        patch.setattr(concurrent.futures, "ThreadPoolExecutor", executor)
+        yield sizes
+
+
+@pytest.mark.parametrize("cpus", (1, 2, 3))
+def test_pooled_evaluation_is_bit_equal_to_one_thread(monkeypatch, cpus):
+    """evaluate maps its blocks over the calling thread and W - 1 pool
+    threads, W = min(CPUs, blocks); the values are the serial _predict's
+    bit for bit, at block boundaries and for an augmented model whose last
+    block holds one row."""
+    pts = franke_data(6)
+    models = [fit(pts, KernelSpec.hybrid(4.0, 0.6, 0.4), augmented) for augmented in (False, True)]
+    monkeypatch.setattr(interpolation, "_FILL_BLOCK", 5 * pts.n)  # 5 rows a block
+    rng = np.random.default_rng(29)
+    sizes = (1, 4, 5, 6, 10, 11, 15, 16, 61)
+    targets = [rng.uniform(0.0, 1.0, size=(m, 2)) for m in sizes]
+    serial = [[_predict(model, t).tobytes() for model in models] for t in targets]
+    with pools_recorded(cpus) as pools:
+        pooled = [[evaluate(model, t).tobytes() for model in models] for t in targets]
+    assert pooled == serial
+    blocks = [-(-m // 5) for m in sizes]
+    assert pools == [min(cpus, b) - 1 for b in blocks for _ in models if min(cpus, b) > 1]
+
+
+def test_pooled_threads_fill_their_own_block_buffers():
+    """Full-size blocks release the GIL while they fill, so threads that
+    shared one buffer would mix each other's kernel values."""
+    model = fit(franke_data(9), KernelSpec.hybrid(4.0, 0.6, 0.4))
+    targets = np.random.default_rng(43).uniform(0.0, 1.0, size=(40_000, 2))
+    serial = _predict(model, targets).tobytes()
+    with pools_recorded(3) as pools:
+        for _ in range(3):
+            assert evaluate(model, targets).tobytes() == serial
+    assert pools == [2, 2, 2]
+
+
+def test_evaluation_off_the_main_thread_opens_no_pool():
+    """A worker thread, a search trial's say, evaluates on itself alone."""
+    model = fit(franke_data(6), KernelSpec.hybrid(4.0, 0.6, 0.4))
+    targets = np.random.default_rng(31).uniform(0.0, 1.0, size=(3000, 2))
+    got = []
+    with pools_recorded(3) as pools:
+        worker = threading.Thread(target=lambda: got.append(evaluate(model, targets)))
+        worker.start()
+        worker.join()
+        assert pools == []
+        assert got[0].tobytes() == _predict(model, targets).tobytes()
+        evaluate(model, targets)
+        assert pools == [2]
+
+
+def test_a_pooled_evaluation_raises_the_first_failing_block(monkeypatch):
+    """A far target overflows its distances in a pooled block: the one
+    DomainError propagates after the pool has stopped."""
+    model = fit(franke_data(6), KernelSpec.hybrid(4.0, 0.6, 0.4))
+    monkeypatch.setattr(interpolation, "_FILL_BLOCK", 5 * model.centers.n)
+    targets = np.random.default_rng(37).uniform(0.0, 1.0, size=(40, 2))
+    targets[[23, 37]] = 1e200
+    with pools_recorded(3) as pools:
+        with pytest.raises(DomainError, match="all distances must be finite"):
+            evaluate(model, targets)
+    assert pools == [2]
 
 
 def test_spectral_report_identity():

@@ -618,8 +618,9 @@ def test_searches_give_equal_traces_at_one_and_two_workers(monkeypatch, cpus):
 
 
 def test_the_78_point_fault_search_stays_serial(monkeypatch):
-    """Its trials take about 0.2 ms, under pso._POOL_MIN_TRIAL_S, so it opens
-    no pool on two CPUs; one search in three may time a busy host."""
+    """Its first two trials take 0.37-0.45 ms on a 2-vCPU VM, under
+    pso._POOL_MIN_TRIAL_S = 0.5 ms, so it opens no pool on two CPUs; one
+    search in three may time a busy host."""
     import concurrent.futures
 
     opened, real = [], concurrent.futures.ThreadPoolExecutor
