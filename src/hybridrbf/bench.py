@@ -551,11 +551,18 @@ def _epsilon_sweep(
 
 
 def fault_side(coords) -> np.ndarray:
-    """Signed distance direction across the synthetic fault trace (< 0: footwall)."""
+    """Signed distance direction across the synthetic fault trace (< 0: footwall).
+
+    DomainError unless ``coords`` is an N x 2 matrix of finite numbers; a
+    far point gets inf of its side's sign without a warning.
+    """
     c = _as_coords(coords)
     if c.shape[1] != 2:
         raise DomainError(f"fault coordinates must be an N x 2 matrix, got shape {c.shape}")
-    return c[:, 0] - (25.0 + 0.15 * (c[:, 1] - 25.0))
+    if not np.isfinite(c).all():
+        raise DomainError("fault coordinates must be finite")
+    with np.errstate(over="ignore"):
+        return c[:, 0] - (25.0 + 0.15 * (c[:, 1] - 25.0))
 
 
 def fault_elevation(coords) -> np.ndarray:
@@ -563,14 +570,22 @@ def fault_elevation(coords) -> np.ndarray:
 
     Footwall values stay in [98.5, 101.5] and hanging-wall values in
     [20, 45], so any two points on opposite sides of the trace differ by
-    more than FAULT_STEP.
+    more than FAULT_STEP.  The footwall repeats every 50 km, and a
+    coordinate too large for its phase 2 pi c / 50 to be formed is first
+    reduced by whole periods; far from the basins the hanging wall gives
+    its limit, 45, without a warning.
     """
     side = fault_side(coords)  # checks the coordinates
-    c = _as_coords(coords)
-    x, y = c[:, 0], c[:, 1]
-    foot = 100.0 + 1.5 * np.sin(2 * np.pi * x / 50.0) * np.cos(2 * np.pi * y / 50.0)
-    basin1 = 14.0 * np.exp(-(((x - 32.0) ** 2) + (y - 15.0) ** 2) / 60.0)
-    basin2 = 11.0 * np.exp(-(((x - 40.0) ** 2) + (y - 38.0) ** 2) / 80.0)
+    x, y = _as_coords(coords).T
+
+    def phase(c):  # 2 pi c / 50, from whole periods off c where 2 pi c overflows
+        turn = 2 * np.pi * c
+        return np.where(np.isfinite(turn), turn, 2 * np.pi * np.fmod(c, 50.0)) / 50.0
+
+    with np.errstate(over="ignore"):
+        foot = 100.0 + 1.5 * np.sin(phase(x)) * np.cos(phase(y))
+        basin1 = 14.0 * np.exp(-(((x - 32.0) ** 2) + (y - 15.0) ** 2) / 60.0)
+        basin2 = 11.0 * np.exp(-(((x - 40.0) ** 2) + (y - 38.0) ** 2) / 80.0)
     hang = 45.0 - basin1 - basin2
     return np.where(side < 0.0, foot, hang)
 

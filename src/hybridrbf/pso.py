@@ -17,7 +17,7 @@ trace bits rest on one substream per particle, spawned from the single seed,
 that gives its start and then r1 then r2 each generation: so results never
 depend on evaluation scheduling, and equal a per-particle loop's bit for bit.
 A generation's trials are independent of one another, so a search whose
-first two trials are slow enough runs every trial after them on a thread
+first two trials ran in parallel runs every trial after them on a thread
 pool (Schutte, Reinbolt, Fregly, Haftka and George, Int. J. Numer. Meth.
 Eng. 61, 2004) with the same iterates.
 """
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from contextlib import ExitStack
 from dataclasses import dataclass
-from time import perf_counter
+from time import perf_counter, thread_time
 
 import numpy as np
 
@@ -45,14 +45,18 @@ DEFAULT_INERTIA = 0.729
 # the cap at 20 comfortably covers the optima seen on unit-square problems.
 DEFAULT_BOUNDS = ((0.01, 20.0), (0.0, 1.0), (0.0, 1.0))
 
-# A search whose first two trials each take at least this long runs every
-# later trial on a thread pool.  Two, so that a one-off cost of a first call
-# (a lazily built objective, an import) cannot pool a cheap search.  A
-# trial holds the GIL for its Python steps, and handing it to a thread
-# costs some microseconds, so short trials gain nothing: on a 2-vCPU x86-64
-# VM, 20 x 5 LOOCV searches on Halton points ran 7-13 % slower pooled at
-# 90 points (0.34-0.42 ms a trial) and 6-9 % faster at 120 (0.64-0.68 ms).
-_POOL_MIN_TRIAL_S = 5e-4
+# On two or more CPUs a search runs particles 0 and 1 at once, on the
+# calling thread and one pool thread, and keeps the pool for every later
+# trial only when the two trials' summed thread CPU time is at least this
+# multiple of their wall time: when they really ran in parallel.  A trial
+# holds the GIL for its Python steps, so two cheap trials run together each
+# take longer instead: 78-point fault trials took 0.7-2.6 ms of wall time
+# each in a pair, against about 0.4 ms alone, and that search ran 2x slower
+# pooled.  On a 2-vCPU x86-64 VM the ratio read at most 1.18 on the fault
+# search and at most 1.21 on plain LOOCV searches up to 120 points, and
+# 1.28-1.93 on the LOOCV and RMS searches that gain from the pool.  Being a
+# ratio, it does not move with the host's speed.
+_POOL_MIN_OVERLAP = 1.3
 
 
 @dataclass(frozen=True)
@@ -162,15 +166,17 @@ def pso_minimize(objective, config: PsoConfig) -> PsoResult:
     value that is not finite raises ToolkitError naming the particle and
     its position.  It gets a row view of the swarm's positions, once per
     particle per generation.  The search runs at one BLAS thread (see
-    ``interpolation._one_blas_thread``), and particles 0 and 1 run first,
-    on the calling thread.  When each of the two takes at least
-    _POOL_MIN_TRIAL_S, every later trial, from particle 2 of the first
-    generation on, runs on the calling thread and W - 1 pool threads, W
-    being the available CPUs capped at the swarm size, so the objective
-    must then be thread-safe and is no longer called in index order; the
-    pool is closed on return.  Otherwise every trial runs in index order on
-    the calling thread.  An exception from a trial propagates unchanged,
-    the lowest index's first.
+    ``interpolation._one_blas_thread``).  With W, the available CPUs capped
+    at the swarm size, above one, particles 0 and 1 run at once on the
+    calling thread and one thread of a pool of W - 1, so the objective must
+    be thread-safe.  When the two trials' summed thread CPU time is at least
+    _POOL_MIN_OVERLAP times their wall time, every later trial, from
+    particle 2 of the first generation on, runs on the calling thread and
+    the W - 1 pool threads, no longer in index order, and the pool is closed
+    on return; otherwise the pool is closed at once and every later trial
+    runs in index order on the calling thread.  With W = 1 every trial runs
+    in index order on the calling thread and no thread starts.  An
+    exception from a trial propagates unchanged, the lowest index's first.
 
     Deterministic: equal (objective, config) give bitwise-equal traces,
     whatever W, as long as each cost depends on its position alone.
@@ -186,17 +192,24 @@ def pso_minimize(objective, config: PsoConfig) -> PsoResult:
     pbest_val = np.empty(config.swarm_size)
     with ExitStack() as stack:
         stack.enter_context(_one_blas_thread())
-        timed = min(2, config.swarm_size)
-        stamps = [perf_counter()]
-        for i in range(timed):
-            pbest_val[i] = _cost(objective, i, positions[i])
-            stamps.append(perf_counter())
-        pool = None
-        if workers > 1 and min(np.diff(stamps)) >= _POOL_MIN_TRIAL_S:
+        pool, first = None, 0
+        if workers > 1:
             from concurrent.futures import ThreadPoolExecutor
 
             pool = stack.enter_context(ThreadPoolExecutor(workers - 1))
-        pbest_val[timed:] = _costs(objective, positions, pool, workers - 1, timed)
+            first, cpu = 2, [0.0, 0.0]
+
+            def probe(i: int) -> None:
+                start = thread_time()
+                pbest_val[i] = _cost(objective, i, positions[i])
+                cpu[i] = thread_time() - start
+
+            began = perf_counter()
+            _lowest_first(probe, range(first), pool, 1)
+            if sum(cpu) < _POOL_MIN_OVERLAP * (perf_counter() - began):
+                pool.shutdown()  # its thread, and what that thread maps, go now
+                pool = None
+        pbest_val[first:] = _costs(objective, positions, pool, workers - 1, first)
         g = int(np.argmin(pbest_val))
         gbest_pos, gbest_val = pbest_pos[g].copy(), float(pbest_val[g])
         hist_val, hist_pos = [gbest_val], [gbest_pos]

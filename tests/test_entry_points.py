@@ -5,6 +5,7 @@ range, complex values among them.  Counts that a call would allocate by
 stay small, so a valid draw stays cheap.
 """
 
+import math
 import re
 
 import numpy as np
@@ -80,6 +81,8 @@ def _count(lo, hi):
 _GRID3 = make_evaluation_grid(3)
 _MODEL = fit(_GRID3.with_values(np.arange(9.0)), KernelSpec.hybrid(1.0, 0.5, 0.5))
 _POINTS = st.lists(st.lists(_NUMBER, min_size=1, max_size=3), max_size=4)
+# N x 2 coordinates, huge, infinite and nan ones among them
+_FAULT_COORDS = st.lists(st.tuples(_NUMBER, _NUMBER), min_size=1, max_size=3)
 _GRIDS = st.builds(make_tensor_grid, st.integers(2, 3), st.integers(1, 2))
 _KERNELS = st.builds(KernelSpec.hybrid, st.floats(0.0, 5.0), st.floats(0.0, 1.0), st.just(0.5))
 # Python and numpy bools pass the flag rule; anything else is junk to it.
@@ -134,6 +137,7 @@ _CALLS = st.one_of(
         st.sampled_from((franke, linear_truth)),
         st.tuples(_or(_NUMBER | st.lists(_NUMBER, max_size=3)), _or(_NUMBER)),
     ),
+    st.tuples(st.sampled_from((fault_side, fault_elevation)), st.tuples(_or(_FAULT_COORDS))),
     st.tuples(st.just(eval_kernel), st.tuples(_KERNELS, _or(_NUMBER))),
     st.tuples(
         st.just(eval_kernel_batch), st.tuples(_KERNELS, _or(st.lists(_or(_NUMBER), max_size=4)))
@@ -183,6 +187,19 @@ def test_every_public_constructor_returns_or_raises_a_toolkit_error(call):
         function(*args)
     except ToolkitError:
         pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((fault_side, fault_elevation)), _FAULT_COORDS)
+def test_a_fault_surface_returns_or_raises_a_domain_error(function, coords):
+    """A far point gets the surface's limit, a point that is not finite one
+    DomainError, and neither warns."""
+    try:
+        values = function(coords)
+    except DomainError as exc:
+        assert str(exc) == "fault coordinates must be finite"
+        return
+    assert not np.isnan(values).any()
 
 
 @st.composite
@@ -429,12 +446,37 @@ def test_a_truth_surface_refuses_a_shape_it_cannot_read(call, message):
         (lambda: franke(1.5e153, -1e308), np.inf),  # and here the linear term wins
         (lambda: linear_truth(1e308, 1e308), np.inf),
         (lambda: linear_truth(-1e308, -1e308), -np.inf),
+        (lambda: fault_side([[1.7e308, -1.7e308]])[0], np.inf),
+        (lambda: fault_side([[-1.7e308, 1.7e308]])[0], -np.inf),
+        (lambda: fault_elevation([[1e200, 5.0]])[0], 45.0),  # past both basins
+        (lambda: fault_elevation([[1.7e308, -1.7e308]])[0], 45.0),
     ),
     ids=("franke-far-x", "franke-far-y", "franke-exp-overflows", "franke-square-wins",
-         "franke-linear-wins", "linear-truth-above", "linear-truth-below"),
+         "franke-linear-wins", "linear-truth-above", "linear-truth-below",
+         "fault-side-above", "fault-side-below", "fault-elevation-far-x",
+         "fault-elevation-far-corner"),
 )
 def test_a_truth_surface_gives_its_limit_at_a_far_point_without_a_warning(call, want):
     assert call() == want
+
+
+@pytest.mark.parametrize(
+    "coords, want",
+    (
+        ([[-1.7e308, 5.0]], [[math.fmod(-1.7e308, 50.0), 5.0]]),
+        ([[10.0, 1.7e308]], [[10.0, math.fmod(1.7e308, 50.0)]]),
+        ([[-1e300, -1e300]], None),  # 2 pi c is formed here
+    ),
+    ids=("far-x", "far-y", "far-but-formed"),
+)
+def test_a_far_footwall_point_repeats_the_50_km_period_without_a_warning(coords, want):
+    """The footwall's phase 2 pi c / 50 overflows past about 2.9e307 km, so
+    such a coordinate is reduced by whole periods first."""
+    (got,) = fault_elevation(coords)
+    assert fault_side(coords)[0] < 0.0 and 98.5 <= got <= 101.5
+    if want is not None:
+        x, y = want[0]
+        assert got == 100.0 + 1.5 * np.sin(2 * np.pi * x / 50.0) * np.cos(2 * np.pi * y / 50.0)
 
 
 @pytest.mark.parametrize(
@@ -451,6 +493,18 @@ def test_a_truth_surface_refuses_a_point_that_is_not_finite(call):
     with pytest.raises(DomainError) as err:
         call()
     assert str(err.value) == "x and y must be finite"
+
+
+@pytest.mark.parametrize("function", (fault_side, fault_elevation))
+@pytest.mark.parametrize(
+    "coords", ([[np.inf, np.inf]], [[0.5, np.nan]], [[1.0, 2.0], [-np.inf, 2.0]]),
+    ids=("infinities", "nan", "second-row-inf"),
+)
+def test_a_fault_surface_refuses_a_point_that_is_not_finite(function, coords):
+    with pytest.raises(DomainError) as err:
+        function(coords)
+    assert err.type is DomainError
+    assert str(err.value) == "fault coordinates must be finite"
 
 
 def test_a_complex_cost_is_refused_naming_the_particle():

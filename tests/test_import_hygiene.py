@@ -185,9 +185,10 @@ def _imports_concurrent_futures(node: ast.AST) -> bool:
 
 
 def test_no_module_imports_concurrent_futures_when_it_is_imported():
-    """A pool is built only by a search that times two slow trials, so the
-    module that builds it imports ``concurrent.futures`` in that function.
-    (A fresh interpreter cannot check this: ``scipy.linalg`` loads it.)"""
+    """A pool is built only by a search or an evaluation on two or more
+    CPUs, so each module that builds one imports ``concurrent.futures`` in
+    that function.  (A fresh interpreter cannot check this:
+    ``scipy.linalg`` loads it.)"""
     imports = [
         f"{path.name}:{node.lineno}"
         for path in sorted(PACKAGE.glob("*.py"))

@@ -600,8 +600,9 @@ def test_searches_give_equal_traces_at_one_and_two_workers(monkeypatch, cpus):
         (ObjectiveSpec.loocv(), halton_franke(300)),
         (ObjectiveSpec.loocv(augmented=True), halton_franke(20)),
     )
+    monkeypatch.setattr(pso_module, "_available_cpus", lambda: 1)
     serial = [pso_minimize(kernel_objective(spec, pts), config) for spec, pts in cases]
-    monkeypatch.setattr(pso_module, "_POOL_MIN_TRIAL_S", 0.0)
+    monkeypatch.setattr(pso_module, "_POOL_MIN_OVERLAP", 0.0)
     monkeypatch.setattr(pso_module, "_available_cpus", lambda: cpus)
     threads = set()
     for (spec, pts), want in zip(cases, serial):
@@ -618,20 +619,20 @@ def test_searches_give_equal_traces_at_one_and_two_workers(monkeypatch, cpus):
 
 
 def test_the_78_point_fault_search_stays_serial(monkeypatch):
-    """Its first two trials take 0.37-0.45 ms on a 2-vCPU VM, under
-    pso._POOL_MIN_TRIAL_S = 0.5 ms, so it opens no pool on two CPUs; one
-    search in three may time a busy host."""
-    import concurrent.futures
-
-    opened, real = [], concurrent.futures.ThreadPoolExecutor
-
-    def executor(*args, **kwargs):
-        opened.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", executor)
+    """On two CPUs its particles 0 and 1 run together, but their trials hold
+    the GIL too much of the time to overlap: their summed thread CPU time
+    read at most 1.18 times their wall time on a 2-vCPU VM, under
+    pso._POOL_MIN_OVERLAP = 1.3, and a busy host only lowers it.  So every
+    later trial of each seed's search runs on the calling thread."""
     monkeypatch.setattr(pso_module, "_available_cpus", lambda: 2)
+    caller = threading.current_thread()
     for seed in range(3):
-        objective = kernel_objective(ObjectiveSpec.loocv(), synthetic_fault_surface(78))
+        trial, threads = kernel_objective(ObjectiveSpec.loocv(), synthetic_fault_surface(78)), []
+
+        def objective(x, trial=trial, threads=threads):
+            threads.append(threading.current_thread())
+            return trial(x)
+
         pso_minimize(objective, PsoConfig(swarm_size=20, generations=1, seed=seed))
-    assert len(opened) < 3
+        assert len(threads) == 40
+        assert threads[2:] == [caller] * 38, f"seed {seed}"

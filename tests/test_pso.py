@@ -244,9 +244,9 @@ def _objective(kind, target):
 @contextmanager
 def pool_forced(cpus: int = 3):
     """Searches pool every trial after particles 0 and 1, on min(cpus,
-    swarm) threads, however cheap their trials."""
+    swarm) threads, however little those two overlapped."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pso_module, "_POOL_MIN_TRIAL_S", 0.0)
+        patch.setattr(pso_module, "_POOL_MIN_OVERLAP", 0.0)
         patch.setattr(pso_module, "_available_cpus", lambda: cpus)
         yield
 
@@ -260,11 +260,14 @@ def _same_run(config, objective, pooled=False, cpus=3):
     """The whole-swarm step and the per-particle oracle agree bit for bit on
     the trace, the result and every position passed to the objective: in
     order when ``pooled`` is False, else as each generation's multiset.
-    True forces the pool on up to ``cpus`` threads; False and None leave
-    the schedule as the caller set it."""
+    False runs the search on one CPU, so every trial runs in index order on
+    the calling thread; True forces the pool on up to ``cpus`` threads; None
+    leaves the schedule as the caller set it.  Returns the positions the
+    search and the oracle passed, in call order."""
     fast, seen_fast = recording(objective)
     slow, seen_slow = recording(objective)
-    with pool_forced(cpus) if pooled else nullcontext():
+    schedule = nullcontext() if pooled is None else pool_forced(cpus if pooled else 1)
+    with schedule:
         got = pso_minimize(fast, config)
     want = pso_oracle.pso_minimize(slow, config)
     assert _bits(got.trace.gbest_val) == _bits(want.trace.gbest_val)
@@ -277,6 +280,7 @@ def _same_run(config, objective, pooled=False, cpus=3):
     else:
         swarm = config.swarm_size
         assert _generations(seen_fast, swarm) == _generations(seen_slow, swarm)
+    return seen_fast, seen_slow
 
 
 @settings(max_examples=250, deadline=None)
@@ -331,95 +335,137 @@ def _oracle_positions(config):
     return seen
 
 
-def test_a_cheap_objective_runs_in_index_order_on_the_calling_thread(monkeypatch):
-    monkeypatch.setattr(pso_module, "_available_cpus", lambda: 4)
-    config = PsoConfig(swarm_size=8, generations=4, bounds=BOX3, seed=3)
-    threads = []
-
-    def objective(x):
-        threads.append(threading.current_thread())
-        return sphere(x)
-
-    recorded, seen = recording(objective)
-    pso_minimize(recorded, config)
-    assert _bits(np.array(seen)) == _bits(np.array(_oracle_positions(config)))
-    assert threads == [threading.current_thread()] * len(seen)
-
-
 @contextmanager
-def scripted_clock(*stamps, cpus: int = 4):
-    """``pso.perf_counter`` returns ``stamps`` in turn and must read them
-    all; ``ThreadPoolExecutor`` records each pool a search opens; the host
-    has ``cpus`` CPUs."""
+def scripted_clocks(wall: float | None, cpus: int = 4):
+    """``pso.perf_counter`` reads 0.0, then ``wall``, and must read both;
+    ``pso.thread_time`` reads a clock of each thread that only ``spend``
+    moves; with ``wall`` None neither may be read.  ``ThreadPoolExecutor``
+    records each pool a search opens; the host has ``cpus`` CPUs.  Yields
+    (pools, spend)."""
     import concurrent.futures
 
-    left, pools = list(stamps), []
+    left, pools, clock = [] if wall is None else [0.0, wall], [], threading.local()
     real = concurrent.futures.ThreadPoolExecutor
 
     def executor(*args, **kwargs):
         pools.append(real(*args, **kwargs))
         return pools[-1]
 
+    def thread_time():
+        assert wall is not None, "a search without a first pair read a clock"
+        return getattr(clock, "now", 0.0)
+
+    def spend(seconds):
+        clock.now = getattr(clock, "now", 0.0) + seconds
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pso_module, "perf_counter", lambda: left.pop(0))
+        patch.setattr(pso_module, "thread_time", thread_time)
         patch.setattr(pso_module, "_available_cpus", lambda: cpus)
         patch.setattr(concurrent.futures, "ThreadPoolExecutor", executor)
-        yield pools
+        yield pools, spend
     assert left == []
+
+
+def _spending(objective, spend, cpu: dict[bytes, float]):
+    """objective, spending ``cpu[position bytes]`` seconds of its thread's
+    clock (none for a position not in ``cpu``), and the list of the threads
+    of its calls."""
+    threads = []
+
+    def spent(x):
+        threads.append(threading.current_thread())
+        spend(cpu.get(x.tobytes(), 0.0))
+        return objective(x)
+
+    return spent, threads
+
+
+def _probe_cpu(config, cpu0: float, cpu1: float) -> dict[bytes, float]:
+    """Thread CPU seconds for particles 0 and 1 of ``config``'s search."""
+    first = _oracle_positions(config)
+    return {first[0].tobytes(): cpu0, first[1].tobytes(): cpu1}
+
+
+def test_a_cheap_objective_runs_in_index_order_on_the_calling_thread():
+    """Two trials that summed less CPU time than 1.3 times their pair's
+    wall time did not overlap: the pool closes before particle 2, and every
+    later trial runs in index order on the calling thread."""
+    config = PsoConfig(swarm_size=8, generations=4, bounds=BOX3, seed=3)
+    cpu = _probe_cpu(config, 0.65, 0.65 - 1e-9)
+    closed = []
+    with scripted_clocks(1.0) as (pools, spend):
+        objective, threads = _spending(sphere, spend, cpu)
+
+        def later(x):  # the pool is already closed when particle 2 runs
+            closed.append(pools[0]._shutdown)
+            return objective(x)
+
+        seen, want = _same_run(config, later, pooled=None)
+    assert len(pools) == 1 and pools[0]._max_workers == 3
+    assert closed[2 : len(seen)] == [True] * (len(seen) - 2)
+    assert _bits(np.array(seen[2:])) == _bits(np.array(want[2:]))
+    assert threads[2 : len(seen)] == [threading.current_thread()] * (len(seen) - 2)
 
 
 def _thread_log(objective):
     """objective, and the list of (thread, position bytes) of every call.
-    After particles 0 and 1, timed on the calling thread, a call there waits
-    (up to 10 s) until a pool thread has run a trial, so a pooled search is
-    seen to use its pool."""
-    caller, helped, log = threading.current_thread(), threading.Event(), []
+    After particles 0 and 1, which run together, a call on the calling
+    thread waits (up to 10 s) until a pool thread has run a later trial, so
+    a pooled search is seen to use its pool."""
+    caller, helped, log, lock = threading.current_thread(), threading.Event(), [], threading.Lock()
 
     def logged(x):
-        log.append((threading.current_thread(), x.tobytes()))
-        if threading.current_thread() is not caller:
+        with lock:
+            log.append((threading.current_thread(), x.tobytes()))
+            later = len(log) > 2
+        if later and threading.current_thread() is not caller:
             helped.set()
-        elif len(log) > 2:
+        elif later:
             helped.wait(10.0)
         return objective(x)
 
     return logged, log
 
 
-def test_two_slow_trials_pool_the_rest_of_the_first_generation():
+def test_two_overlapping_trials_pool_the_rest_of_the_first_generation():
+    """Particles 0 and 1 that summed exactly 1.3 times their pair's wall
+    time in CPU time ran in parallel: every later trial runs on the pool."""
     config = PsoConfig(swarm_size=6, generations=3, bounds=BOX3, seed=2)
     first = [x.tobytes() for x in _oracle_positions(config)[:6]]
-    objective, log = _thread_log(sphere)
-    slow = pso_module._POOL_MIN_TRIAL_S
-    with scripted_clock(0.0, slow, 2 * slow, cpus=2) as pools:
+    wall = 0.5
+    cpu = _probe_cpu(config, 0.325, 0.325)
+    with scripted_clocks(wall, cpus=2) as (pools, spend):
+        objective, log = _thread_log(_spending(sphere, spend, cpu)[0])
         _same_run(config, objective, pooled=None)
+        assert [pool._shutdown for pool in pools] == [True]
     caller = threading.current_thread()
-    assert len(pools) == 1
-    assert log[:2] == [(caller, first[0]), (caller, first[1])]
+    assert len(pools) == 1 and pools[0]._max_workers == 1
+    assert sorted(x for _, x in log[:2]) == sorted(first[:2])
     gen0 = log[: config.swarm_size]
     assert sorted(x for _, x in gen0[2:]) == sorted(first[2:])
     assert any(thread is not caller for thread, _ in gen0[2:])
 
 
 @pytest.mark.parametrize(
-    "stamps", ((0.0, 1.0, 1.0 + 1e-6), (0.0, 1e-6, 1.0)), ids=("slow-first", "slow-second")
+    "cpu", ((1.0, 1e-6), (1e-6, 1.0)), ids=("slow-first", "slow-second")
 )
-def test_one_cheap_timed_trial_keeps_the_search_serial(stamps):
+def test_one_cheap_timed_trial_keeps_the_search_serial(cpu):
+    """A cheap trial beside a slow one adds too little CPU time for the pair
+    to overlap, whichever of the two it is."""
     config = PsoConfig(swarm_size=8, generations=4, bounds=BOX3, seed=3)
-    threads = []
-
-    def objective(x):
-        threads.append(threading.current_thread())
-        return sphere(x)
-
-    with scripted_clock(*stamps) as pools:
-        _same_run(config, objective)
-    assert pools == []
-    assert set(threads) == {threading.current_thread()}
+    with scripted_clocks(1.0) as (pools, spend):
+        objective, threads = _spending(sphere, spend, _probe_cpu(config, *cpu))
+        seen, want = _same_run(config, objective, pooled=None)
+    assert len(pools) == 1
+    assert _bits(np.array(seen[2:])) == _bits(np.array(want[2:]))
+    assert threads[2 : len(seen)] == [threading.current_thread()] * (len(seen) - 2)
 
 
 @pytest.mark.parametrize("swarm", (1, 2))
-def test_a_swarm_of_one_or_two_times_every_first_trial(swarm):
+def test_a_swarm_of_one_or_two_opens_a_pool_only_for_two(swarm):
+    """A swarm of one opens no pool and reads no clock; a swarm of two runs
+    both its first trials at once on a pool of one thread."""
     config = PsoConfig(swarm_size=swarm, generations=4, bounds=BOX3, seed=6)
     threads = []
 
@@ -427,10 +473,71 @@ def test_a_swarm_of_one_or_two_times_every_first_trial(swarm):
         threads.append(threading.current_thread())
         return sphere(x)
 
-    with scripted_clock(*(0.0, 1.0, 2.0)[: swarm + 1], cpus=3) as pools:
-        _same_run(config, objective, pooled=None)
-    assert len(pools) == swarm - 1
-    assert threads[:swarm] == [threading.current_thread()] * swarm
+    cpu = _probe_cpu(config, 1.0, 1.0)
+    with scripted_clocks(1.0 if swarm == 2 else None, cpus=3) as (pools, spend):
+        _same_run(config, _spending(objective, spend, cpu)[0], pooled=None)
+    assert [pool._max_workers for pool in pools] == [1] * (swarm == 2)
+    if swarm == 1:
+        assert threads == [threading.current_thread()] * 10  # search and oracle
+
+
+def test_particles_0_and_1_run_at_once():
+    """Each of the first two trials waits for the other to start: a search
+    that ran them one after the other would break the barrier."""
+    config = PsoConfig(swarm_size=5, generations=2, bounds=BOX3, seed=12)
+    first = sorted(x.tobytes() for x in _oracle_positions(config)[:2])
+    barrier, calls, lock = threading.Barrier(2, timeout=10.0), [], threading.Lock()
+
+    def objective(x):
+        with lock:
+            calls.append((threading.current_thread(), x.tobytes()))
+            paired = len(calls) <= 2
+        if paired:
+            barrier.wait()
+        return sphere(x)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pso_module, "_available_cpus", lambda: 2)
+        got = pso_minimize(objective, config)
+    assert sorted(x for _, x in calls[:2]) == first
+    assert len({thread for thread, _ in calls[:2]}) == 2
+    want = pso_oracle.pso_minimize(sphere, config)
+    assert _bits(got.trace.gbest_val) == _bits(want.trace.gbest_val)
+    assert _bits(got.trace.gbest_pos) == _bits(want.trace.gbest_pos)
+
+
+@pytest.mark.parametrize("overlap", ("low", "high"))
+@pytest.mark.parametrize("cpus", (1, 2, 3))
+def test_traces_are_bit_identical_at_one_two_and_three_workers(cpus, overlap):
+    """Whatever W and whatever the first pair's overlap, the search passes
+    each generation the oracle's positions and returns its trace."""
+    config = PsoConfig(swarm_size=7, generations=5, bounds=BOX3, seed=13)
+    objective = _objective("rounded", np.array([1.0, -2.0, 0.5]))
+    cpu = _probe_cpu(config, *((1.0, 1.0) if overlap == "high" else (0.5, 0.5)))
+    with scripted_clocks(1.0 if cpus > 1 else None, cpus=cpus) as (pools, spend):
+        _same_run(config, _spending(objective, spend, cpu)[0], pooled=None)
+    assert [pool._max_workers for pool in pools] == [cpus - 1] * (cpus > 1)
+
+
+def test_particle_0s_exception_wins_when_particle_1_also_raises():
+    config = PsoConfig(swarm_size=4, generations=2, bounds=BOX3, seed=4)
+    first = [x.tobytes() for x in _oracle_positions(config)[:2]]
+    raised, active = {}, threading.active_count()
+
+    def objective(x):
+        if x.tobytes() not in first:
+            return sphere(x)
+        index = first.index(x.tobytes())
+        if index == 0:
+            time.sleep(0.05)  # particle 1 fails first
+        raised[index] = error = RuntimeError(f"trial {index} failed")
+        raise error
+
+    with pool_forced(cpus=2):
+        with pytest.raises(RuntimeError) as err:
+            pso_minimize(objective, config)
+    assert err.value is raised[0] and set(raised) == {0, 1}
+    assert threading.active_count() == active
 
 
 def test_a_pooled_search_runs_at_one_blas_thread_and_leaves_no_thread_behind():
