@@ -94,6 +94,10 @@ FRANKE_NOTE = (
 # Guaranteed minimum elevation gap across the synthetic fault trace.
 FAULT_STEP = 50.0
 FAULT_DOMAIN = (0.0, 50.0)
+# The truth box of _xy is [-TRUTH_BOUND, TRUTH_BOUND]^2: it holds the unit
+# square and FAULT_DOMAIN twice over, and its largest exponent, Franke's second
+# term at (-1/9, -100), is about 89.9, far below exp's overflow at 709.78.
+TRUTH_BOUND = 100.0
 
 _TIMING_RESOLUTION = 1e-5  # seconds; cells faster than this are flagged
 
@@ -104,43 +108,33 @@ _BRUTE_LOOCV_MAX_N = 256
 
 def _xy(x, y) -> list[np.ndarray]:
     """A truth surface's x and y as float arrays, under the number rule;
-    DomainError unless they are finite and their shapes broadcast."""
+    DomainError unless their shapes broadcast and every value lies in
+    [-TRUTH_BOUND, TRUTH_BOUND] (so NaN and inf are refused too)."""
     xy = [_numbers(v, DomainError, "x and y must be numbers, got %s", copy=None) for v in (x, y)]
     try:
         np.broadcast_shapes(*(v.shape for v in xy))
     except ValueError:
         shapes = " and ".join(str(v.shape) for v in xy)
         raise DomainError(f"x and y must broadcast, got shapes {shapes}") from None
-    if not all(np.isfinite(v).all() for v in xy):
-        raise DomainError("x and y must be finite")
+    if not all((np.abs(v) <= TRUTH_BOUND).all() for v in xy):
+        raise DomainError(f"x and y must lie in [{-TRUTH_BOUND:g}, {TRUTH_BOUND:g}]")
     return xy
 
 
 def franke(x, y):
-    """Standard two-dimensional Franke test surface (vectorized).
-
-    A far point gets the surface's limit without a warning: an exponent
-    that overflows gives 0 or inf.
-    """
+    """Standard two-dimensional Franke test surface on the truth box (vectorized)."""
     x, y = _xy(x, y)
-    with np.errstate(over="ignore", invalid="ignore"):
-        f1 = 0.75 * np.exp(-((9 * x - 2) ** 2 + (9 * y - 2) ** 2) / 4)
-        e2 = -((9 * x + 1) ** 2) / 49 - (9 * y + 1) / 10
-        # inf - inf, when both terms overflow: the same exponent, arranged
-        # so that only a square that outweighs the linear term overflows
-        e2 = np.where(np.isnan(e2), -((9 / 7 * x + 1 / 7) ** 2) - (0.9 * y + 0.1), e2)
-        f2 = 0.75 * np.exp(e2)
-        f3 = 0.50 * np.exp(-((9 * x - 7) ** 2 + (9 * y - 3) ** 2) / 4)
-        f4 = 0.20 * np.exp(-((9 * x - 4) ** 2) - (9 * y - 7) ** 2)
+    f1 = 0.75 * np.exp(-((9 * x - 2) ** 2 + (9 * y - 2) ** 2) / 4)
+    f2 = 0.75 * np.exp(-((9 * x + 1) ** 2) / 49 - (9 * y + 1) / 10)
+    f3 = 0.50 * np.exp(-((9 * x - 7) ** 2 + (9 * y - 3) ** 2) / 4)
+    f4 = 0.20 * np.exp(-((9 * x - 4) ** 2) - (9 * y - 7) ** 2)
     return f1 + f2 + f3 - f4
 
 
 def linear_truth(x, y):
-    """The linear patch-test surface f(x, y) = (x + y)/2; a sum past the
-    float range gives inf of its sign, without a warning."""
+    """The linear patch-test surface f(x, y) = (x + y)/2 on the truth box."""
     x, y = _xy(x, y)
-    with np.errstate(over="ignore"):
-        return (x + y) / 2.0
+    return (x + y) / 2.0
 
 
 @dataclass(frozen=True)
@@ -553,16 +547,14 @@ def _epsilon_sweep(
 def fault_side(coords) -> np.ndarray:
     """Signed distance direction across the synthetic fault trace (< 0: footwall).
 
-    DomainError unless ``coords`` is an N x 2 matrix of finite numbers; a
-    far point gets inf of its side's sign without a warning.
+    DomainError unless ``coords`` is an N x 2 matrix whose columns pass the
+    truth-box rule of :func:`_xy`.
     """
     c = _as_coords(coords)
     if c.shape[1] != 2:
         raise DomainError(f"fault coordinates must be an N x 2 matrix, got shape {c.shape}")
-    if not np.isfinite(c).all():
-        raise DomainError("fault coordinates must be finite")
-    with np.errstate(over="ignore"):
-        return c[:, 0] - (25.0 + 0.15 * (c[:, 1] - 25.0))
+    x, y = _xy(c[:, 0], c[:, 1])
+    return x - (25.0 + 0.15 * (y - 25.0))
 
 
 def fault_elevation(coords) -> np.ndarray:
@@ -570,22 +562,15 @@ def fault_elevation(coords) -> np.ndarray:
 
     Footwall values stay in [98.5, 101.5] and hanging-wall values in
     [20, 45], so any two points on opposite sides of the trace differ by
-    more than FAULT_STEP.  The footwall repeats every 50 km, and a
-    coordinate too large for its phase 2 pi c / 50 to be formed is first
-    reduced by whole periods; far from the basins the hanging wall gives
-    its limit, 45, without a warning.
+    more than FAULT_STEP.  The coordinates are checked as by
+    :func:`fault_side`.
     """
-    side = fault_side(coords)  # checks the coordinates
-    x, y = _as_coords(coords).T
-
-    def phase(c):  # 2 pi c / 50, from whole periods off c where 2 pi c overflows
-        turn = 2 * np.pi * c
-        return np.where(np.isfinite(turn), turn, 2 * np.pi * np.fmod(c, 50.0)) / 50.0
-
-    with np.errstate(over="ignore"):
-        foot = 100.0 + 1.5 * np.sin(phase(x)) * np.cos(phase(y))
-        basin1 = 14.0 * np.exp(-(((x - 32.0) ** 2) + (y - 15.0) ** 2) / 60.0)
-        basin2 = 11.0 * np.exp(-(((x - 40.0) ** 2) + (y - 38.0) ** 2) / 80.0)
+    c = _as_coords(coords)
+    side = fault_side(c)  # checks c
+    x, y = c.T
+    foot = 100.0 + 1.5 * np.sin(2 * np.pi * x / 50.0) * np.cos(2 * np.pi * y / 50.0)
+    basin1 = 14.0 * np.exp(-(((x - 32.0) ** 2) + (y - 15.0) ** 2) / 60.0)
+    basin2 = 11.0 * np.exp(-(((x - 40.0) ** 2) + (y - 38.0) ** 2) / 80.0)
     hang = 45.0 - basin1 - basin2
     return np.where(side < 0.0, foot, hang)
 

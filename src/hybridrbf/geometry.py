@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .kernels import _FILL_BLOCK, _number, _numbers
+from .kernels import _block_rows, _number, _numbers
 
 HALTON_BASES = (2, 3, 5, 7, 11, 13)
 
@@ -182,7 +182,7 @@ def pairwise_distances(a, b) -> np.ndarray:
     out = np.zeros((m, n))
     if s == 0:
         return out
-    step = max(1, _FILL_BLOCK // max(1, n))
+    step = _block_rows(n)
     tmp = np.empty((min(step, m), n) if s > 1 else 0)
     # An overflow gives inf without a warning; the check below reports it.
     with np.errstate(over="ignore", invalid="ignore"):

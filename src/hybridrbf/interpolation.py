@@ -53,7 +53,7 @@ from .geometry import (
     points_to_csv_text,
     read_points_table,
 )
-from .kernels import _FILL_BLOCK, KernelSpec, _fill, _number
+from .kernels import KernelSpec, _block_rows, _fill, _number
 
 # A factorization whose smallest |U_kk| falls below this fraction of the
 # largest is treated as numerically singular.
@@ -437,12 +437,6 @@ def fit(points: PointSet, kernel: KernelSpec, augmented: bool = False) -> Interp
     """
     distances = _fit_distances(points, augmented)
     return _fit(points, distances, kernel, augmented, out=distances)
-
-
-def _block_rows(n: int) -> int:
-    """Rows of one evaluation block against n centers: _FILL_BLOCK // n, at
-    least one."""
-    return max(1, _FILL_BLOCK // max(1, n))
 
 
 def _predict(

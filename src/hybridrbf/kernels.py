@@ -152,9 +152,14 @@ def eval_kernel_batch(spec: KernelSpec, distances) -> np.ndarray:
     return _fill(spec, d)
 
 
-# Cells per block of the in-place fill and of evaluation: 32k float64 cells
-# are 256 KB, so a block and its scratch stay in L2 cache between passes.
+# Cells per block of the fill, of distances and of evaluation: 32k float64
+# cells are 256 KB, so a block and its scratch stay in L2 cache between passes.
 _FILL_BLOCK = 32_768
+
+
+def _block_rows(n: int) -> int:
+    """Rows of one block against n columns: _FILL_BLOCK // n, at least one."""
+    return max(1, _FILL_BLOCK // max(1, n))
 
 
 @np.errstate(over="ignore")

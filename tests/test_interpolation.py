@@ -35,7 +35,7 @@ from hybridrbf import (
     spectral_report,
     write_points_csv,
 )
-from hybridrbf import interpolation
+from hybridrbf import interpolation, kernels
 from hybridrbf.bench import franke
 from hybridrbf.geometry import pairwise_distances
 from hybridrbf.interpolation import (
@@ -229,7 +229,7 @@ def test_predict_blocks_agree_with_the_unblocked_oracle(monkeypatch, kind):
     pts = franke_data(6)
     model = fit(pts, KernelSpec(kind, 4.0, 0.6, 0.4), augmented=True)
     step = 7
-    monkeypatch.setattr(interpolation, "_FILL_BLOCK", step * pts.n)
+    monkeypatch.setattr(kernels, "_FILL_BLOCK", step * pts.n)
     fills = []
     fill = interpolation._fill
 
@@ -288,7 +288,7 @@ def test_augmented_tail_bit_equal_to_the_whole_tail(monkeypatch, step):
     pts = franke_data(6)
     model = fit(pts, KernelSpec.hybrid(4.0, 0.6, 0.4), augmented=True)
     plain = replace(model, poly_coeffs=None)
-    monkeypatch.setattr(interpolation, "_FILL_BLOCK", step * pts.n)
+    monkeypatch.setattr(kernels, "_FILL_BLOCK", step * pts.n)
     rng = np.random.default_rng(23)
     for m in (*range(1, 3 * step + 3), 61):
         targets = rng.uniform(0.0, 1.0, size=(m, 2))
@@ -322,7 +322,7 @@ def test_pooled_evaluation_is_bit_equal_to_one_thread(monkeypatch, cpus):
     block holds one row."""
     pts = franke_data(6)
     models = [fit(pts, KernelSpec.hybrid(4.0, 0.6, 0.4), augmented) for augmented in (False, True)]
-    monkeypatch.setattr(interpolation, "_FILL_BLOCK", 5 * pts.n)  # 5 rows a block
+    monkeypatch.setattr(kernels, "_FILL_BLOCK", 5 * pts.n)  # 5 rows a block
     rng = np.random.default_rng(29)
     sizes = (1, 4, 5, 6, 10, 11, 15, 16, 61)
     targets = [rng.uniform(0.0, 1.0, size=(m, 2)) for m in sizes]
@@ -365,7 +365,7 @@ def test_a_pooled_evaluation_raises_the_first_failing_block(monkeypatch):
     """A far target overflows its distances in a pooled block: the one
     DomainError propagates after the pool has stopped."""
     model = fit(franke_data(6), KernelSpec.hybrid(4.0, 0.6, 0.4))
-    monkeypatch.setattr(interpolation, "_FILL_BLOCK", 5 * model.centers.n)
+    monkeypatch.setattr(kernels, "_FILL_BLOCK", 5 * model.centers.n)
     targets = np.random.default_rng(37).uniform(0.0, 1.0, size=(40, 2))
     targets[[23, 37]] = 1e200
     with pools_recorded(3) as pools:

@@ -28,7 +28,7 @@ from hybridrbf import (
     pso_minimize,
     rms_error,
 )
-from hybridrbf import interpolation, objectives
+from hybridrbf import interpolation, kernels, objectives
 from hybridrbf import pso as pso_module
 from hybridrbf.bench import franke, synthetic_fault_surface
 from hybridrbf.objectives import _trial_cost, prepare_search
@@ -408,7 +408,7 @@ def test_trial_cost_bit_equal_to_composition(name):
 
 def test_trial_cost_bit_equal_when_evaluation_is_chunked(monkeypatch):
     spec, pts = trial_specs()["rms-augmented"]
-    monkeypatch.setattr(interpolation, "_FILL_BLOCK", 7 * pts.n)  # 12 blocks of 7 rows
+    monkeypatch.setattr(kernels, "_FILL_BLOCK", 7 * pts.n)  # 12 blocks of 7 rows
     data = prepare_search(spec, pts)
     for kernel in trial_kernels(seed=4)[:-1]:
         assert objective_value(spec, pts, kernel, data) == composed_cost(spec, pts, kernel)
